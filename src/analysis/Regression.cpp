@@ -26,11 +26,11 @@ uint64_t diffContentKey(const Trace &T, uint32_t Eid, bool NewSide) {
   H = hashMix(H, Target.HasRepr ? Target.ValueHash : Target.CreationSeq);
   const ValueRepr &Value = T.Values[Eid];
   H = hashMix(H, static_cast<uint64_t>(Value.Kind));
-  H = hashMix(H, Value.Hash);
+  H = hashMix(H, Value.hash());
   const ValueRepr *Arg = T.args(Eid);
   for (uint32_t N = T.numArgs(Eid); N != 0; --N, ++Arg) {
     H = hashMix(H, static_cast<uint64_t>(Arg->Kind));
-    H = hashMix(H, Arg->Hash);
+    H = hashMix(H, Arg->hash());
   }
   // Context: the executing method (not the receiver object — too volatile).
   H = hashMix(H, T.Methods[Eid].Id);

@@ -3,10 +3,11 @@
 #include "runtime/TraceRecorder.h"
 
 #include "support/Hashing.h"
+#include "support/Telemetry.h"
 #include "trace/Serialize.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cstring>
 
 using namespace rprism;
 
@@ -20,15 +21,6 @@ std::string_view truncated(const std::string &Text) {
   std::string_view View(Text);
   return View.size() > MaxPrintable ? View.substr(0, MaxPrintable) : View;
 }
-
-// Distinct seeds per value kind so e.g. Int 0 and Bool false don't collide.
-constexpr uint64_t SeedUnit = 0x11u;
-constexpr uint64_t SeedNull = 0x22u;
-constexpr uint64_t SeedInt = 0x33u;
-constexpr uint64_t SeedBool = 0x44u;
-constexpr uint64_t SeedFloat = 0x55u;
-constexpr uint64_t SeedStr = 0x66u;
-constexpr uint64_t SeedObj = 0x77u;
 
 } // namespace
 
@@ -56,8 +48,6 @@ TraceRecorder::TraceRecorder(const CompiledProgram &ProgIn,
       ScalarOnly &= Kind != FieldDefaultKind::Null;
     ClassScalarOnly[I] = ScalarOnly;
   }
-  SmallIntMemo.resize(static_cast<size_t>(SmallIntMax - SmallIntMin + 1));
-  BigIntMemo.resize(BigIntMemoSize);
 
   // Pre-size the entry columns and argument pool from the program's code
   // size — a floor, not an estimate (entry counts scale with executed
@@ -71,9 +61,6 @@ TraceRecorder::TraceRecorder(const CompiledProgram &ProgIn,
   Out.ArgPool.reserve(EntryHint / 2);
   EntryCap = EntryHint;
   ArgCap = EntryHint / 2;
-  // Bucket reservation only — interning order and symbol ids (and thus
-  // trace bytes) are unaffected.
-  Out.Strings->reserve(Out.Strings->size() + EntryHint / 8);
 }
 
 uint64_t TraceRecorder::structuralHash(uint32_t Loc, unsigned Depth,
@@ -95,7 +82,7 @@ uint64_t TraceRecorder::structuralHash(uint32_t Loc, unsigned Depth,
       else
         H = hashMix(H, structuralHash(FieldLoc, Depth - 1, Visiting));
     } else {
-      H = hashMix(H, valueRepr(Field).Hash);
+      H = hashMix(H, valueRepr(Field).hash());
     }
   }
   Visiting.pop_back();
@@ -149,81 +136,29 @@ ObjRepr TraceRecorder::objRepr(uint32_t Loc) {
 }
 
 ValueRepr TraceRecorder::valueRepr(const Value &V) {
+  // Scalars carry their payload inline: no text is formatted or interned
+  // at record time (Trace::renderValue renders them when a report asks).
   ValueRepr Repr;
   auto &Strings = *Out.Strings;
   switch (V.K) {
   case Value::Kind::Unit:
-    if (UnitMemo.Kind != ReprKind::None) {
-      ++MemoHits;
-      return UnitMemo;
-    }
     Repr.Kind = ReprKind::Unit;
-    Repr.Hash = SeedUnit;
-    Repr.Text = Strings.intern("unit");
-    UnitMemo = Repr;
     break;
   case Value::Kind::Null:
-    if (NullMemo.Kind != ReprKind::None) {
-      ++MemoHits;
-      return NullMemo;
-    }
     Repr.Kind = ReprKind::Null;
-    Repr.Hash = SeedNull;
-    Repr.Text = Strings.intern("null");
-    NullMemo = Repr;
     break;
-  case Value::Kind::Int: {
-    if (V.I >= SmallIntMin && V.I <= SmallIntMax) {
-      ValueRepr &Slot = SmallIntMemo[static_cast<size_t>(V.I - SmallIntMin)];
-      if (Slot.Kind != ReprKind::None) {
-        ++MemoHits;
-        return Slot;
-      }
-      Repr.Kind = ReprKind::Int;
-      Repr.Hash = hashMix(SeedInt, static_cast<uint64_t>(V.I));
-      Repr.Text = Strings.intern(std::to_string(V.I));
-      Slot = Repr;
-      break;
-    }
-    // Direct-mapped probe for large ints (accumulators and counters leave
-    // the small range immediately; each distinct value recurs across the
-    // get/set/return/structural-hash sites that touch it).
-    static_assert(BigIntMemoSize == (size_t{1} << 13));
-    size_t Idx =
-        (static_cast<uint64_t>(V.I) * 0x9E3779B97F4A7C15ull) >> (64 - 13);
-    IntMemoEntry &Slot = BigIntMemo[Idx];
-    if (Slot.Repr.Kind != ReprKind::None && Slot.Key == V.I) {
-      ++MemoHits;
-      return Slot.Repr;
-    }
+  case Value::Kind::Int:
     Repr.Kind = ReprKind::Int;
-    Repr.Hash = hashMix(SeedInt, static_cast<uint64_t>(V.I));
-    Repr.Text = Strings.intern(std::to_string(V.I));
-    Slot.Key = V.I;
-    Slot.Repr = Repr;
+    Repr.Bits = static_cast<uint64_t>(V.I);
     break;
-  }
-  case Value::Kind::Bool: {
-    ValueRepr &Slot = V.I != 0 ? TrueMemo : FalseMemo;
-    if (Slot.Kind != ReprKind::None) {
-      ++MemoHits;
-      return Slot;
-    }
+  case Value::Kind::Bool:
     Repr.Kind = ReprKind::Bool;
-    Repr.Hash = hashMix(SeedBool, V.I != 0);
-    Repr.Text = Strings.intern(V.I != 0 ? "true" : "false");
-    Slot = Repr;
+    Repr.Bits = V.I != 0;
     break;
-  }
-  case Value::Kind::Float: {
-    // Floats are rare in workloads; left unmemoized.
+  case Value::Kind::Float:
     Repr.Kind = ReprKind::Float;
-    Repr.Hash = hashDouble(V.F, SeedFloat);
-    char Buf[48];
-    std::snprintf(Buf, sizeof(Buf), "%.6g", V.F);
-    Repr.Text = Strings.intern(Buf);
+    std::memcpy(&Repr.Bits, &V.F, sizeof(Repr.Bits));
     break;
-  }
   case Value::Kind::Str: {
     uint32_t Id = V.strId();
     if (Id >= StrMemo.size())
@@ -235,7 +170,7 @@ ValueRepr TraceRecorder::valueRepr(const Value &V) {
     }
     const std::string &Text = RtStrings.text(Symbol{Id});
     Repr.Kind = ReprKind::Str;
-    Repr.Hash = hashString(Text, SeedStr);
+    Repr.Bits = hashString(Text, SeedStr);
     Repr.Text = Strings.intern(truncated(Text));
     Slot = Repr;
     break;
@@ -244,7 +179,7 @@ ValueRepr TraceRecorder::valueRepr(const Value &V) {
     Repr.Kind = ReprKind::Obj;
     uint32_t Loc = V.loc();
     ObjRepr Obj = objRepr(Loc);
-    Repr.Hash = Obj.HasRepr
+    Repr.Bits = Obj.HasRepr
                     ? Obj.ValueHash
                     : hashCombine(Obj.ClassName.Id, Obj.CreationSeq);
     if (Loc == NoLoc) {
@@ -331,6 +266,7 @@ void TraceRecorder::flushStage() {
   // writer is told to trust them.
   if (Sink && !SinkFailed) {
     while (Out.size() - Sink->entriesSealed() >= Sink->segmentEntries()) {
+      TelemetrySpan WriteSpan("write");
       size_t Begin = Sink->entriesSealed();
       size_t End = Begin + Sink->segmentEntries();
       Out.computeFingerprintRange(Begin, End);
@@ -348,6 +284,7 @@ Trace TraceRecorder::take() {
   if (Sink && !SinkFailed) {
     // Seal the tail (possibly empty — only for an entry-less trace, so
     // even that file carries the side tables) and close the directory.
+    TelemetrySpan WriteSpan("write");
     size_t Begin = Sink->entriesSealed();
     bool Ok = true;
     if (Out.size() > Begin || Begin == 0)

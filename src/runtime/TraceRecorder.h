@@ -13,9 +13,10 @@
 /// exclusion filter.
 ///
 /// Recording is built for throughput: entries append straight into the
-/// trace's columnar builders (no intermediate TraceEntry), and the
-/// representation builders are memoized — small-int/bool/unit/null texts,
-/// per-runtime-string-id value reprs, and per-(loc, store-version) object
+/// trace's columnar builders (no intermediate TraceEntry), scalar values
+/// are stored inline in their ValueRepr (no text is formatted or interned
+/// for them), and the remaining representation builders are memoized —
+/// per-runtime-string-id value reprs and per-(loc, store-version) object
 /// reprs — so the steady state is id lookups and column appends, not
 /// string formatting. Memo hits are by construction state-identical to
 /// recomputation (a valid memo implies the same computation ran before and
@@ -135,19 +136,6 @@ private:
     uint8_t TextValid = 0;
   };
 
-  static constexpr int64_t SmallIntMin = -1024;
-  static constexpr int64_t SmallIntMax = 1024;
-
-  /// Direct-mapped cache slot for integers outside the small-int range
-  /// (counters and accumulators blow past it quickly). Collisions evict;
-  /// recomputation re-interns the same text (the interner dedups), so
-  /// eviction affects speed only, never trace bytes.
-  struct IntMemoEntry {
-    int64_t Key = 0;
-    ValueRepr Repr; ///< Kind == None marks an empty slot.
-  };
-  static constexpr size_t BigIntMemoSize = 8192; // Power of two.
-
   const CompiledProgram &Prog;
   const ObjectStore &Store;
   const StringInterner &RtStrings;
@@ -158,9 +146,6 @@ private:
   std::vector<uint8_t> ClassScalarOnly; ///< No obj-typed fields.
 
   // -- Representation memos (ReprKind::None / *Valid == 0 mark empty) -----
-  ValueRepr UnitMemo, NullMemo, TrueMemo, FalseMemo;
-  std::vector<ValueRepr> SmallIntMemo; ///< [SmallIntMin, SmallIntMax].
-  std::vector<IntMemoEntry> BigIntMemo; ///< Direct-mapped, by value hash.
   std::vector<ValueRepr> StrMemo;      ///< By runtime string id.
   std::vector<ObjMemoEntry> ObjMemo;   ///< By store location.
   uint64_t MemoHits = 0;

@@ -18,7 +18,6 @@
 #define RPRISM_SUPPORT_HASHING_H
 
 #include <cstdint>
-#include <cstring>
 #include <string_view>
 
 namespace rprism {
@@ -43,19 +42,21 @@ inline uint64_t hashMix(uint64_t Seed, uint64_t Value) {
 /// FNV-1a over a byte range starting from \p Seed.
 uint64_t hashBytes(const void *Data, size_t Size, uint64_t Seed = HashInit);
 
+/// Integrity checksum of a byte range: every on-disk digest of the trace
+/// formats (section checksums, segment tables, lane and footer digests,
+/// file digests). Four independent lanes each absorb one 8-byte
+/// word per 32-byte block with a multiply-xorshift step; the
+/// leftover words continue the lanes, the last 0-7 bytes form one
+/// zero-padded word, and the lanes, that word and the length are folded
+/// with hashMix. Every lane step is a bijection of the lane for a fixed
+/// word, so a change confined to one word always changes that lane. Not a
+/// value hash: `Str` representations keep hashString (FNV-1a), whose values
+/// are trace semantics.
+uint64_t checksumBytes(const void *Data, size_t Size);
+
 /// FNV-1a over the characters of \p Str.
 inline uint64_t hashString(std::string_view Str, uint64_t Seed = HashInit) {
   return hashBytes(Str.data(), Str.size(), Seed);
-}
-
-/// Hashes a double by its bit pattern (so 1.0 hashes identically on every
-/// run; NaNs with the same payload collide, which is fine for trace
-/// comparison purposes).
-inline uint64_t hashDouble(double D, uint64_t Seed = HashInit) {
-  uint64_t Bits;
-  static_assert(sizeof(Bits) == sizeof(D), "double must be 64-bit");
-  std::memcpy(&Bits, &D, sizeof(Bits));
-  return hashMix(Seed, Bits);
 }
 
 /// Convenience variadic combiner: hashCombine(a, b, c) folds each value into

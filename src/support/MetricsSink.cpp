@@ -196,6 +196,18 @@ std::string rprism::renderProfileTable(const TelemetrySnapshot &Snap,
     OS << "\n-- trace production --\nvm-run entries/sec: "
        << TablePrinter::fmtInt(static_cast<uint64_t>(Rate)) << '\n';
 
+  // Trace I/O throughput per layer: bytes written under `write`, bytes
+  // checksummed under `load`.
+  double WriteRate = Snap.throughput("write.bytes", "write");
+  double LoadRate = Snap.throughput("load.bytes_verified", "load");
+  if (WriteRate > 0 || LoadRate > 0) {
+    OS << "\n-- trace i/o --\n";
+    if (WriteRate > 0)
+      OS << "write GB/s: " << TablePrinter::fmt(WriteRate / 1e9, 3) << '\n';
+    if (LoadRate > 0)
+      OS << "load GB/s: " << TablePrinter::fmt(LoadRate / 1e9, 3) << '\n';
+  }
+
   for (const auto &[Name, Hist] : Snap.Histograms)
     if (Hist.total() != 0) {
       OS << '\n';

@@ -51,10 +51,6 @@ public:
   /// Number of distinct interned strings (including the empty string).
   size_t size() const { return Storage.size(); }
 
-  /// Pre-sizes the index for \p N distinct strings (bucket reservation
-  /// only; interning order and symbol ids are unaffected).
-  void reserve(size_t N) { Index.reserve(N); }
-
 private:
   // Deque: stored strings never move, so the string_view keys in Index stay
   // valid as the table grows.

@@ -75,21 +75,21 @@ uint64_t TelemetrySnapshot::counter(const std::string &Name) const {
   return It == Counters.end() ? 0 : It->second;
 }
 
-double TelemetrySnapshot::traceProductionRate() const {
-  uint64_t Emitted = counter("vm.entries_emitted");
-  if (Emitted == 0)
-    return 0;
-  // vm-run spans may nest under any stage path; sum every occurrence.
+double TelemetrySnapshot::throughput(const std::string &Counter,
+                                     const std::string &Stage) const {
+  uint64_t Amount = counter(Counter);
+  // A stage may nest under any path; sum every occurrence.
   uint64_t Nanos = 0;
-  for (const SpanStat &S : Spans) {
-    const std::string &P = S.Path;
-    if (P == "vm-run" ||
-        (P.size() > 7 && P.compare(P.size() - 7, 7, "/vm-run") == 0))
+  for (const SpanStat &S : Spans)
+    if (S.name() == Stage)
       Nanos += S.TotalNanos;
-  }
-  if (Nanos == 0)
+  if (Amount == 0 || Nanos == 0)
     return 0;
-  return static_cast<double>(Emitted) * 1e9 / static_cast<double>(Nanos);
+  return static_cast<double>(Amount) * 1e9 / static_cast<double>(Nanos);
+}
+
+double TelemetrySnapshot::traceProductionRate() const {
+  return throughput("vm.entries_emitted", "vm-run");
 }
 
 Telemetry &Telemetry::get() {

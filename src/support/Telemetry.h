@@ -83,6 +83,12 @@ struct TelemetrySnapshot {
   const SpanStat *findSpan(const std::string &Path) const;
   uint64_t counter(const std::string &Name) const;
 
+  /// Counter \p Counter per second of wall time in the spans named
+  /// \p Stage (at any path, summed); 0 when either is zero. write.bytes over `write` and load.bytes_verified
+  /// over `load` are the trace I/O layers' bytes/s.
+  double throughput(const std::string &Counter,
+                    const std::string &Stage) const;
+
   /// Trace-production throughput: vm.entries_emitted divided by the total
   /// wall time of the vm-run span(s), in entries per second. 0 when the
   /// run recorded no entries or no vm-run span.

@@ -36,6 +36,7 @@
 #ifndef RPRISM_TRACE_EVENT_H
 #define RPRISM_TRACE_EVENT_H
 
+#include "support/Hashing.h"
 #include "support/StringInterner.h"
 
 #include <cstdint>
@@ -109,17 +110,51 @@ enum class ReprKind : uint8_t {
 
 inline constexpr uint8_t MaxReprKind = static_cast<uint8_t>(ReprKind::Obj);
 
-/// A value representation: a kind, a version-stable hash, and an interned
-/// printable rendering (truncated to 128 characters, mirroring the paper's
-/// toString truncation). 16 bytes, written verbatim into trace format v3.
+// Distinct seeds per value kind, so e.g. Int 0 and Bool false hash apart.
+inline constexpr uint64_t SeedUnit = 0x11u;
+inline constexpr uint64_t SeedNull = 0x22u;
+inline constexpr uint64_t SeedInt = 0x33u;
+inline constexpr uint64_t SeedBool = 0x44u;
+inline constexpr uint64_t SeedFloat = 0x55u;
+inline constexpr uint64_t SeedStr = 0x66u;
+inline constexpr uint64_t SeedObj = 0x77u;
+
+/// A value representation: a kind and one 64-bit word. Scalars carry their
+/// payload inline — Bits is the int64 of an Int, the IEEE-754 bits of a
+/// Float, 0/1 for a Bool, 0 for Unit/Null/None — and render from it on
+/// demand (Trace::renderValue), so recording a value formats and interns
+/// nothing. Str and Obj carry their version-stable content hash in Bits
+/// and an interned printable rendering in Text (truncated to 128
+/// characters, mirroring the paper's toString truncation); Text is 0 for
+/// every other kind. 16 bytes, written verbatim into the columnar formats.
 struct ValueRepr {
-  uint64_t Hash = 0;
-  Symbol Text; ///< Printable rendering for reports.
+  uint64_t Bits = 0;
+  Symbol Text; ///< Printable rendering of a Str/Obj; empty otherwise.
   ReprKind Kind = ReprKind::None;
   uint8_t Pad[3] = {0, 0, 0};
 
+  /// The version-stable value hash (the E'# of Fig. 8) that object
+  /// structural hashes, fingerprints and regression keys fold in.
+  uint64_t hash() const {
+    switch (Kind) {
+    case ReprKind::Unit: return SeedUnit;
+    case ReprKind::Null: return SeedNull;
+    case ReprKind::Int: return hashMix(SeedInt, Bits);
+    case ReprKind::Bool: return hashMix(SeedBool, Bits);
+    case ReprKind::Float: return hashMix(SeedFloat, Bits);
+    case ReprKind::None:
+    case ReprKind::Str:
+    case ReprKind::Obj:
+      break;
+    }
+    return Bits;
+  }
+
+  /// Same kind, same Bits. For scalars this is payload equality (exact:
+  /// -0.0 and 0.0 differ, NaNs match by bit pattern); for Str/Obj it is
+  /// content-hash equality.
   friend bool reprEquals(const ValueRepr &A, const ValueRepr &B) {
-    return A.Kind == B.Kind && A.Hash == B.Hash;
+    return A.Kind == B.Kind && A.Bits == B.Bits;
   }
 };
 

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -53,8 +54,15 @@ constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
 //       are the point: damage confined to one segment's entry columns
 //       costs exactly that segment under --salvage, and a recorder can
 //       seal segments while still appending (the side tables only grow).
-constexpr uint32_t TraceVersion = 3;
-constexpr uint32_t SegTraceVersion = 4;
+//   5 — the v3 layout, re-versioned for two byte changes: scalar
+//       ValueReprs carry their payload inline (Bits, no interned text),
+//       and every integrity digest is checksumBytes instead of FNV-1a.
+//   6 — the v4 segmented layout with the same two changes.
+// Versions 3 and 4 are rejected as unsupported: their value words and
+// checksums mean something else, and a typed version error says so where
+// a checksum mismatch would mislead.
+constexpr uint32_t TraceVersion = 5;
+constexpr uint32_t SegTraceVersion = 6;
 constexpr uint32_t MinTraceVersion = 1;
 constexpr uint32_t MaxLegacyVersion = 2;
 
@@ -122,7 +130,8 @@ constexpr size_t SegDirRecordBytes = 32;
 // u32 trailer magic.
 constexpr size_t SegTrailerBytes = 24;
 
-/// Little buffered binary writer over stdio.
+/// Little buffered binary writer over stdio. Every byte it writes counts
+/// toward the `write.bytes` counter (added once, when the file closes).
 class Writer {
 public:
   explicit Writer(const std::string &Path)
@@ -130,6 +139,7 @@ public:
   ~Writer() {
     if (File)
       std::fclose(File);
+    Telemetry::counterAdd("write.bytes", Written);
   }
 
   bool ok() const { return File && !Error; }
@@ -146,6 +156,7 @@ public:
       return;
     if (Size && std::fwrite(Data, 1, Size, File) != Size)
       Error = true;
+    Written += Size;
   }
   void zeros(size_t Size) {
     static const char Pad[8] = {0};
@@ -159,6 +170,7 @@ public:
 private:
   std::FILE *File;
   bool Error = false;
+  uint64_t Written = 0;
 };
 
 /// Growable byte buffer for the serialized (non-column) v3 sections.
@@ -250,14 +262,14 @@ ObjRepr readObjRepr(ByteCursor &R, const std::vector<Symbol> &Map) {
 
 void writeValueRepr(Writer &W, const ValueRepr &Value) {
   W.u8(static_cast<uint8_t>(Value.Kind));
-  W.u64(Value.Hash);
+  W.u64(Value.Bits);
   W.u32(Value.Text.Id);
 }
 
 ValueRepr readValueRepr(ByteCursor &R, const std::vector<Symbol> &Map) {
   ValueRepr Value;
   Value.Kind = static_cast<ReprKind>(R.u8());
-  Value.Hash = R.u64();
+  Value.Bits = R.u64();
   uint32_t Sym = R.u32();
   Value.Text = Sym < Map.size() ? Map[Sym] : Symbol{};
   return Value;
@@ -265,6 +277,7 @@ ValueRepr readValueRepr(ByteCursor &R, const std::vector<Symbol> &Map) {
 
 bool writeTraceLegacyImpl(const Trace &T, const std::string &Path,
                           uint32_t Version) {
+  TelemetrySpan Span("write");
   Writer W(Path);
   W.u32(TraceMagic);
   W.u32(Version);
@@ -429,8 +442,19 @@ struct SectionOut {
   uint64_t Length;
 };
 
+/// The checksum of every payload, under the write's `checksum` span.
+std::vector<uint64_t>
+sectionChecksums(const std::vector<SectionOut> &Sections) {
+  TelemetrySpan Span("checksum");
+  std::vector<uint64_t> Sums(Sections.size());
+  for (size_t I = 0; I != Sections.size(); ++I)
+    Sums[I] = checksumBytes(Sections[I].Data, Sections[I].Length);
+  return Sums;
+}
+
 bool writeTraceV3Impl(const Trace &T, const std::string &Path, size_t Begin,
                       size_t End, bool WithViewIndex) {
+  TelemetrySpan Span("write");
   size_t N = End - Begin;
   bool WithFps = T.HasFingerprints && T.Fps.size() == T.size();
 
@@ -513,6 +537,7 @@ bool writeTraceV3Impl(const Trace &T, const std::string &Path, size_t Begin,
     Offsets[I] = Offset;
     Offset += Sections[I].Length;
   }
+  std::vector<uint64_t> Sums = sectionChecksums(Sections);
 
   Writer W(Path);
   W.u32(TraceMagic);
@@ -524,7 +549,7 @@ bool writeTraceV3Impl(const Trace &T, const std::string &Path, size_t Begin,
     W.u32(0); // pad
     W.u64(Offsets[I]);
     W.u64(Sections[I].Length);
-    W.u64(hashBytes(Sections[I].Data, Sections[I].Length));
+    W.u64(Sums[I]);
   }
   uint64_t Pos = HeaderBytes + Sections.size() * SectionRecordBytes;
   for (size_t I = 0; I != Sections.size(); ++I) {
@@ -689,6 +714,8 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
   SectionIn Sections[MaxSectionId + 1] = {};
   bool DropViewIndex = false;
   bool Damaged = false; // Salvage: some core/fingerprint payload was hurt.
+  std::optional<TelemetrySpan> VerifySpan(std::in_place, "verify");
+  uint64_t BytesVerified = 0;
   for (uint32_t I = 0; I != NumSections; ++I) {
     uint8_t Record[SectionRecordBytes];
     std::memcpy(Record, File.Data + HeaderBytes + I * SectionRecordBytes,
@@ -724,7 +751,8 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
     }
     uint64_t Avail = std::min(Length, File.Size - Offset);
     bool Intact = Avail == Length;
-    if (Intact && (hashBytes(File.Data + Offset, Length) != Checksum ||
+    BytesVerified += Intact ? Length : 0;
+    if (Intact && (checksumBytes(File.Data + Offset, Length) != Checksum ||
                    FaultInjector::fire(FaultSite::SectionChecksum))) {
       // Checksum mismatch (real or injected): the damage can be anywhere
       // in the payload, so unlike truncation no prefix is trustworthy.
@@ -749,6 +777,8 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
     }
     Sections[Id] = SectionIn{File.Data + Offset, Length, Avail, true, Intact};
   }
+  Telemetry::counterAdd("load.bytes_verified", BytesVerified);
+  VerifySpan.reset();
 
   // Side sections frame variable-length data, so no prefix of them is
   // usable: they must be intact even under salvage.
@@ -795,9 +825,12 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
   std::vector<Symbol> Map;
   Map.reserve(NumStrings);
   bool Identity = true;
-  for (uint32_t I = 0; I != NumStrings; ++I) {
-    Map.push_back(T.Strings->intern(SC.str()));
-    Identity &= Map[I].Id == I;
+  {
+    TelemetrySpan InternSpan("intern");
+    for (uint32_t I = 0; I != NumStrings; ++I) {
+      Map.push_back(T.Strings->intern(SC.str()));
+      Identity &= Map[I].Id == I;
+    }
   }
   if (!SC.ok())
     return Corrupt("string");
@@ -995,6 +1028,7 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
     // the symbol-bearing ones, and recompute fingerprints (they hash
     // symbol ids). Borrow-then-detach keeps this a straight memcpy per
     // column; the mapping is released when File goes out of scope.
+    std::optional<TelemetrySpan> RemapSpan(std::in_place, "remap");
     T.Tids.detach();
     T.Methods.detach();
     T.Selfs.detach();
@@ -1043,6 +1077,7 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
     ValueRepr *Pl = T.ArgPool.mutData();
     for (size_t I = 0; I != PoolCount; ++I)
       Pl[I].Text = Map[Pl[I].Text.Id];
+    RemapSpan.reset();
     // Stored fingerprints hash the file's symbol ids, which the remap just
     // invalidated; recompute. Counted so repeat-load pipelines can spot
     // that sharing one interner across loads would make this free.
@@ -1114,7 +1149,9 @@ struct SegSections {
 };
 
 SegSections parseSegSections(const FileBytes &File, const SegExtent &Seg) {
+  TelemetrySpan Span("verify");
   SegSections Out;
+  uint64_t BytesVerified = 0;
   uint64_t TableStart = Seg.Offset + SegHeaderBytes;
   uint64_t RelEnd = SegHeaderBytes + Seg.PayloadBytes;
   uint64_t RelTableEnd =
@@ -1152,7 +1189,8 @@ SegSections parseSegSections(const FileBytes &File, const SegExtent &Seg) {
     uint64_t Avail = std::min(Length, RelEnd - Offset);
     bool Intact = Avail == Length;
     const uint8_t *Data = File.Data + Seg.Offset + Offset;
-    if (Intact && (hashBytes(Data, Length) != Checksum ||
+    BytesVerified += Intact ? Length : 0;
+    if (Intact && (checksumBytes(Data, Length) != Checksum ||
                    FaultInjector::fire(FaultSite::SectionChecksum))) {
       if (isViewSection(Id)) {
         Out.ViewDamaged = true;
@@ -1170,6 +1208,7 @@ SegSections parseSegSections(const FileBytes &File, const SegExtent &Seg) {
     }
     Out.S[Id] = SectionIn{Data, Length, Avail, true, Intact};
   }
+  Telemetry::counterAdd("load.bytes_verified", BytesVerified);
   return Out;
 }
 
@@ -1192,6 +1231,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
   std::vector<SegExtent> Segs;
   bool DirValid = false;
   [&] {
+    TelemetrySpan VerifySpan("verify");
     if (File.Size < SegFileHeaderBytes + SegTrailerBytes)
       return;
     const uint8_t *Tr = File.Data + File.Size - SegTrailerBytes;
@@ -1207,7 +1247,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
         FooterBytes > File.Size - SegTrailerBytes - FooterOffset)
       return;
     const uint8_t *F = File.Data + FooterOffset;
-    if (hashBytes(F, static_cast<size_t>(FooterBytes)) != FooterChecksum)
+    if (checksumBytes(F, static_cast<size_t>(FooterBytes)) != FooterChecksum)
       return;
     uint32_t FMagic, FCount;
     std::memcpy(&FMagic, F, 4);
@@ -1225,8 +1265,8 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
       SegExtent E;
       if (!parseSegHeader(File, Offset, S, E) || E.BeginEid != BeginEid ||
           E.NumEntries != NumEntries ||
-          hashBytes(File.Data + Offset + SegHeaderBytes,
-                    uint64_t{E.NumSections} * SectionRecordBytes) !=
+          checksumBytes(File.Data + Offset + SegHeaderBytes,
+                        uint64_t{E.NumSections} * SectionRecordBytes) !=
               TableDigest) {
         Segs.clear();
         return;
@@ -1315,6 +1355,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
 
     // Strings delta: the base must continue the assembled table exactly.
     {
+      TelemetrySpan InternSpan("intern");
       ByteCursor SC(Sections[SecStrDelta].Data, Sections[SecStrDelta].Length);
       uint32_t Base = SC.u32();
       uint32_t NumNew = SC.u32();
@@ -1559,6 +1600,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
     // The interner assigned different ids: remap every symbol-bearing
     // column and the merged index's method keys, then recompute
     // fingerprints (they hash symbol ids). Mirrors the v3 reader.
+    std::optional<TelemetrySpan> RemapSpan(std::in_place, "remap");
     if (T.ViewIdx.Present) {
       uint32_t *MethodKeys = T.ViewIdx.Keys[1].mutData();
       bool Collapsed = false;
@@ -1586,6 +1628,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
     ValueRepr *Pl = T.ArgPool.mutData();
     for (size_t K = 0; K != PoolCount; ++K)
       Pl[K].Text = Map[Pl[K].Text.Id];
+    RemapSpan.reset();
     Telemetry::counterAdd("load.fp_recompute", 1);
     T.computeFingerprints();
   } else if (FpsComplete && T.Fps.size() == Count) {
@@ -1611,8 +1654,8 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
     for (const KeptRange &K : Kept) {
       size_t Len = K.End - K.Begin;
       uint64_t Digest =
-          hashCombine(hashBytes(T.Fps.data() + K.Begin, Len * 8),
-                      hashBytes(T.Tids.data() + K.Begin, Len * 4));
+          hashCombine(checksumBytes(T.Fps.data() + K.Begin, Len * 8),
+                      checksumBytes(T.Tids.data() + K.Begin, Len * 4));
       T.Segments.push_back({static_cast<uint32_t>(K.Begin),
                             static_cast<uint32_t>(K.End), Digest});
     }
@@ -1824,18 +1867,19 @@ bool SegmentedTraceWriter::appendSegment(const Trace &T, size_t Begin,
   uint64_t RelEnd = (Rel + 7) & ~uint64_t{7};
   uint64_t PayloadBytes = RelEnd - SegHeaderBytes;
 
+  std::vector<uint64_t> Sums = sectionChecksums(Sections);
   ByteBuffer Table;
   for (size_t K = 0; K != Sections.size(); ++K) {
     Table.u32(Sections[K].Id);
     Table.u32(0); // pad
     Table.u64(Offsets[K]);
     Table.u64(Sections[K].Length);
-    Table.u64(hashBytes(Sections[K].Data, Sections[K].Length));
+    Table.u64(Sums[K]);
   }
-  uint64_t TableDigest = hashBytes(Table.Out.data(), Table.Out.size());
+  uint64_t TableDigest = checksumBytes(Table.Out.data(), Table.Out.size());
   uint64_t LaneDigest = hashCombine(
-      WithFps ? hashBytes(T.Fps.data() + Begin, N * sizeof(uint64_t)) : 0,
-      hashBytes(T.Tids.data() + Begin, N * sizeof(uint32_t)));
+      WithFps ? checksumBytes(T.Fps.data() + Begin, N * sizeof(uint64_t)) : 0,
+      checksumBytes(T.Tids.data() + Begin, N * sizeof(uint32_t)));
 
   Writer &W = S.W;
   W.u32(SegMagic);
@@ -1883,7 +1927,8 @@ bool SegmentedTraceWriter::finalize() {
     Footer.u32(Rec.NumEntries);
   }
   uint64_t FooterOffset = S.Offset;
-  uint64_t FooterChecksum = hashBytes(Footer.Out.data(), Footer.Out.size());
+  uint64_t FooterChecksum =
+      checksumBytes(Footer.Out.data(), Footer.Out.size());
   S.W.raw(Footer.Out.data(), Footer.Out.size());
   S.W.u64(FooterOffset);
   S.W.u64(FooterChecksum);
@@ -1896,6 +1941,7 @@ bool rprism::writeTraceSegmented(const Trace &T, const std::string &Path,
                                  size_t SegmentEntries, bool WithViewIndex) {
   if (SegmentEntries == 0)
     return false;
+  TelemetrySpan Span("write");
   SegmentedTraceWriter W(Path, SegmentEntries, WithViewIndex);
   if (!W.ok())
     return false;
@@ -1933,7 +1979,11 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
   // v3 reader borrows from, so retry and fault-injection behavior is
   // uniform across formats.
   FileBytes File;
-  IoStatus Status = loadFileBytes(Path, File);
+  IoStatus Status;
+  {
+    TelemetrySpan MapSpan("map");
+    Status = loadFileBytes(Path, File);
+  }
   if (Status == IoStatus::NotFound)
     return TraceError::notFound(Path);
   if (Status == IoStatus::Error)
@@ -1949,7 +1999,9 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
   uint32_t Version = 0;
   if (File.Size >= 8)
     std::memcpy(&Version, File.Data + 4, 4);
-  if (Version < MinTraceVersion || Version > SegTraceVersion)
+  if (Version < MinTraceVersion ||
+      (Version > MaxLegacyVersion && Version != TraceVersion &&
+       Version != SegTraceVersion))
     return TraceError::unsupportedVersion(Path, Version);
 
   Expected<Trace> Result = [&]() -> Expected<Trace> {
@@ -1989,8 +2041,8 @@ Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
         HeaderBytes + uint64_t{NumSections} * SectionRecordBytes;
     if (NumSections != 0 && NumSections <= MaxSections &&
         TableEnd <= File.Size)
-      return hashCombine(hashBytes(File.Data, static_cast<size_t>(TableEnd)),
-                         File.Size);
+      return hashCombine(
+          checksumBytes(File.Data, static_cast<size_t>(TableEnd)), File.Size);
   }
   if (Head[1] == SegTraceVersion &&
       File.Size >= SegFileHeaderBytes + SegTrailerBytes) {
@@ -2007,16 +2059,16 @@ Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
     uint64_t FooterBytes = 8 + uint64_t{NumSegments} * SegDirRecordBytes;
     if (FooterOffset >= SegFileHeaderBytes &&
         FooterOffset + FooterBytes == File.Size - SegTrailerBytes &&
-        hashBytes(File.Data + FooterOffset,
-                  static_cast<size_t>(FooterBytes)) == FooterChecksum)
-      return hashCombine(hashBytes(File.Data, SegFileHeaderBytes),
-                         hashBytes(File.Data + FooterOffset,
-                                   static_cast<size_t>(FooterBytes)),
+        checksumBytes(File.Data + FooterOffset,
+                      static_cast<size_t>(FooterBytes)) == FooterChecksum)
+      return hashCombine(checksumBytes(File.Data, SegFileHeaderBytes),
+                         checksumBytes(File.Data + FooterOffset,
+                                       static_cast<size_t>(FooterBytes)),
                          File.Size);
   }
   // Legacy stream formats (or a malformed v3 header, which the full read
   // will reject anyway): hash the entire file.
-  return hashCombine(hashBytes(File.Data, File.Size), File.Size);
+  return hashCombine(checksumBytes(File.Data, File.Size), File.Size);
 }
 
 unsigned rprism::writeTraceSegments(const Trace &T,

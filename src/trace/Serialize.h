@@ -27,7 +27,9 @@
 /// Symbols are file-local on disk; readers re-intern through the supplied
 /// StringInterner, so traces written by different runs can be loaded into
 /// one shared interner for differencing. v1/v2 stream-format files still
-/// load through the legacy reader.
+/// load through the legacy reader. The v3 and v4 layouts carry version
+/// words 5 and 6; files with their earlier words 3 and 4 (interned scalar
+/// text, FNV-1a checksums) are rejected as unsupported.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,7 +59,7 @@ inline constexpr size_t DefaultSegmentEntries = 1u << 16;
 
 /// Streaming writer for the segmented v4 trace format: a single file of
 /// fixed-entry-count segments, each carrying its own column slices,
-/// per-section FNV-1a checksums, fingerprint lane, side-table *deltas*
+/// per-section checksums, fingerprint lane, side-table *deltas*
 /// (strings/threads newly seen since the previous seal, the argument-pool
 /// slice the segment's entries reference), and a view-index delta — closed
 /// by a footer segment directory and a fixed-size trailer. Because every

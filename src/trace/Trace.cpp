@@ -6,6 +6,8 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
+#include <cstdio>
+#include <cstring>
 #include <sstream>
 
 using namespace rprism;
@@ -114,8 +116,15 @@ std::string Trace::renderValue(const ValueRepr &Value) const {
   case ReprKind::Unit: return "unit";
   case ReprKind::Null: return "null";
   case ReprKind::Int:
-  case ReprKind::Bool:
-  case ReprKind::Float:
+    return std::to_string(static_cast<int64_t>(Value.Bits));
+  case ReprKind::Bool: return Value.Bits != 0 ? "true" : "false";
+  case ReprKind::Float: {
+    double D;
+    std::memcpy(&D, &Value.Bits, sizeof(D));
+    char Buf[48];
+    std::snprintf(Buf, sizeof(Buf), "%.6g", D);
+    return Buf;
+  }
   case ReprKind::Obj:
     return Strings->text(Value.Text);
   case ReprKind::Str:
@@ -195,9 +204,10 @@ uint64_t objFingerprint(const ObjRepr &Obj) {
 }
 
 /// Fingerprint contribution of a value representation; mirrors
-/// reprEquals(ValueRepr) exactly (kind and hash).
+/// reprEquals(ValueRepr) exactly (kind and Bits: hash() is a bijection of
+/// Bits for each kind).
 uint64_t valueFingerprint(const ValueRepr &Value) {
-  return hashMix(static_cast<uint64_t>(Value.Kind), Value.Hash);
+  return hashMix(static_cast<uint64_t>(Value.Kind), Value.hash());
 }
 
 } // namespace

@@ -374,7 +374,9 @@ struct Trace {
   /// Renders an object representation ("NUM-1" = first NUM instance).
   std::string renderObj(const ObjRepr &Obj) const;
 
-  /// Renders a value representation.
+  /// Renders a value representation: scalars from their inline payload
+  /// (std::to_string, "%.6g", true/false, unit/null), Str quoted, Obj as
+  /// its "Class-Seq" text.
   std::string renderValue(const ValueRepr &Value) const;
 };
 

@@ -347,12 +347,12 @@ TEST(Trace, FieldEventsCarryValuesAndTargets) {
       FoundSet = true;
       EXPECT_EQ(T.Strings->text(Entry.Ev.Name), "v");
       EXPECT_EQ(T.Strings->text(Entry.Ev.Target.ClassName), "Box");
-      EXPECT_EQ(T.Strings->text(Entry.Ev.Value.Text), "42");
+      EXPECT_EQ(T.renderValue(Entry.Ev.Value), "42");
       EXPECT_EQ(Entry.Ev.Value.Kind, ReprKind::Int);
     }
     if (Entry.Ev.Kind == EventKind::FieldGet && Method == "main") {
       FoundGet = true;
-      EXPECT_EQ(T.Strings->text(Entry.Ev.Value.Text), "42");
+      EXPECT_EQ(T.renderValue(Entry.Ev.Value), "42");
     }
   }
   EXPECT_TRUE(FoundSet);
@@ -374,8 +374,8 @@ TEST(Trace, CallEventsRecordedInCallersContext) {
       // METH-E: context is the caller (main), not the callee.
       EXPECT_EQ(T.Strings->text(Entry.Method), "main");
       ASSERT_EQ(Entry.Ev.numArgs(), 2u);
-      EXPECT_EQ(T.Strings->text(T.argsBegin(Entry.Ev)[0].Text), "1");
-      EXPECT_EQ(T.Strings->text(T.argsBegin(Entry.Ev)[1].Text), "2");
+      EXPECT_EQ(T.renderValue(T.argsBegin(Entry.Ev)[0]), "1");
+      EXPECT_EQ(T.renderValue(T.argsBegin(Entry.Ev)[1]), "2");
     }
   }
   EXPECT_TRUE(Found);
@@ -411,7 +411,7 @@ TEST(Trace, InitEventsPairWithCtorReturns) {
   EXPECT_EQ(Init.Ev.Kind, EventKind::Init);
   EXPECT_EQ(T.Strings->text(Init.Ev.Name), "P");
   ASSERT_EQ(Init.Ev.numArgs(), 1u);
-  EXPECT_EQ(T.Strings->text(T.argsBegin(Init.Ev)[0].Text), "9");
+  EXPECT_EQ(T.renderValue(T.argsBegin(Init.Ev)[0]), "9");
 
   EXPECT_EQ(T.kind(1), EventKind::FieldSet);
   // The set happens inside the ctor frame: context method is P.<init>.

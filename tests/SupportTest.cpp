@@ -17,9 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 using namespace rprism;
 
@@ -51,15 +53,46 @@ TEST(Hashing, CombineIsOrderSensitive) {
   EXPECT_EQ(hashCombine(7, 8, 9), hashCombine(7, 8, 9));
 }
 
-TEST(Hashing, DoubleHashUsesBitPattern) {
-  EXPECT_EQ(hashDouble(1.0), hashDouble(1.0));
-  EXPECT_NE(hashDouble(1.0), hashDouble(-1.0));
-  EXPECT_NE(hashDouble(0.0), hashDouble(1.0));
-}
-
 TEST(Hashing, BytesMatchStringView) {
   const char Data[] = {'a', 'b', 'c'};
   EXPECT_EQ(hashBytes(Data, 3), hashString("abc"));
+}
+
+TEST(Checksum, SingleBitFlipChangesChecksumAtEveryOffset) {
+  // Lengths 0-80 cover the 32-byte block loop, the leftover-word loop and
+  // the 0-7 byte tail, alone and combined.
+  for (size_t Len = 0; Len <= 80; ++Len) {
+    std::vector<unsigned char> Buf(Len);
+    for (size_t I = 0; I != Len; ++I)
+      Buf[I] = static_cast<unsigned char>(I * 37 + 11);
+    uint64_t Base = checksumBytes(Buf.data(), Len);
+    EXPECT_EQ(checksumBytes(Buf.data(), Len), Base);
+    for (size_t Off = 0; Off != Len; ++Off)
+      for (unsigned Bit = 0; Bit != 8; ++Bit) {
+        Buf[Off] ^= static_cast<unsigned char>(1u << Bit);
+        EXPECT_NE(checksumBytes(Buf.data(), Len), Base)
+            << "len " << Len << " offset " << Off << " bit " << Bit;
+        Buf[Off] ^= static_cast<unsigned char>(1u << Bit);
+      }
+  }
+}
+
+TEST(Checksum, ZeroBuffersOfDifferentLengthsDiffer) {
+  std::vector<unsigned char> Zeros(80, 0);
+  std::set<uint64_t> Seen;
+  for (size_t Len = 0; Len <= 80; ++Len)
+    EXPECT_TRUE(Seen.insert(checksumBytes(Zeros.data(), Len)).second)
+        << "len " << Len;
+}
+
+TEST(Checksum, IndependentOfAlignment) {
+  std::vector<unsigned char> Buf(100);
+  for (size_t I = 0; I != Buf.size(); ++I)
+    Buf[I] = static_cast<unsigned char>(I * 13 + 5);
+  std::vector<unsigned char> Shifted(Buf.size() + 3);
+  std::memcpy(Shifted.data() + 3, Buf.data(), Buf.size());
+  EXPECT_EQ(checksumBytes(Buf.data(), Buf.size()),
+            checksumBytes(Shifted.data() + 3, Buf.size()));
 }
 
 //===----------------------------------------------------------------------===//

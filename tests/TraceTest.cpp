@@ -5,8 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/DiffCache.h"
 #include "diff/ViewsDiff.h"
 #include "runtime/Compiler.h"
+#include "runtime/TraceRecorder.h"
 #include "support/Telemetry.h"
 #include "runtime/Vm.h"
 #include "trace/Serialize.h"
@@ -20,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 using namespace rprism;
 
@@ -93,12 +96,12 @@ TEST(Repr, MixedHasReprFallsBackToSeq) {
 TEST(Repr, ValueReprEquality) {
   ValueRepr A;
   A.Kind = ReprKind::Int;
-  A.Hash = 10;
+  A.Bits = 10;
   A.Text = Symbol{1};
   ValueRepr B = A;
   B.Text = Symbol{2}; // Text not compared.
   EXPECT_TRUE(reprEquals(A, B));
-  B.Hash = 11;
+  B.Bits = 11;
   EXPECT_FALSE(reprEquals(A, B));
   B = A;
   B.Kind = ReprKind::Float;
@@ -658,7 +661,7 @@ TEST(SerializeV4, EnvVarRoutesWriteTraceToSegmentedFormat) {
   ASSERT_GE(Bytes.size(), 8u);
   uint32_t Version = 0;
   std::memcpy(&Version, Bytes.data() + 4, 4);
-  EXPECT_EQ(Version, 4u);
+  EXPECT_EQ(Version, 6u); // The segmented (v4) layout's version word.
   Expected<Trace> Loaded = readTrace(Path, nullptr);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   expectTracesEqual(T, *Loaded);
@@ -1080,6 +1083,269 @@ TEST(EventEquals, ForkChildTidOutOfBoundsIsNotEqual) {
   for (uint32_t I = 0; I != T.size(); ++I) {
     bool IsFork = T.kind(I) == EventKind::Fork;
     EXPECT_EQ(eventEquals(T, I, Bad, I), !IsFork);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Scalar payloads: inline Bits, text rendered on demand
+//===----------------------------------------------------------------------===//
+
+/// The text the recorder formatted and interned for a scalar before scalar
+/// payloads moved inline; renderValue must reproduce it exactly.
+std::string eagerScalarText(const Value &V) {
+  switch (V.K) {
+  case Value::Kind::Int:
+    return std::to_string(V.I);
+  case Value::Kind::Bool:
+    return V.I != 0 ? "true" : "false";
+  case Value::Kind::Float: {
+    char Buf[48];
+    std::snprintf(Buf, sizeof(Buf), "%.6g", V.F);
+    return Buf;
+  }
+  default:
+    ADD_FAILURE() << "not a scalar sample";
+    return "";
+  }
+}
+
+/// The value hash a scalar carried before scalar payloads moved inline;
+/// ValueRepr::hash() must reproduce it exactly.
+uint64_t eagerScalarHash(const Value &V) {
+  switch (V.K) {
+  case Value::Kind::Int:
+    return hashMix(SeedInt, static_cast<uint64_t>(V.I));
+  case Value::Kind::Bool:
+    return hashMix(SeedBool, V.I != 0);
+  case Value::Kind::Float: {
+    uint64_t Bits;
+    std::memcpy(&Bits, &V.F, sizeof(Bits));
+    return hashMix(SeedFloat, Bits);
+  }
+  default:
+    ADD_FAILURE() << "not a scalar sample";
+    return 0;
+  }
+}
+
+std::vector<Value> scalarSamples() {
+  return {Value::ofInt(0),
+          Value::ofInt(-1),
+          Value::ofInt(std::numeric_limits<int64_t>::min()),
+          Value::ofInt(std::numeric_limits<int64_t>::max()),
+          Value::ofFloat(0.0),
+          Value::ofFloat(-0.0),
+          Value::ofFloat(std::numeric_limits<double>::quiet_NaN()),
+          Value::ofFloat(std::numeric_limits<double>::infinity()),
+          Value::ofFloat(-std::numeric_limits<double>::infinity()),
+          Value::ofFloat(1e-7),
+          Value::ofFloat(123456789.0),
+          Value::ofBool(true),
+          Value::ofBool(false)};
+}
+
+TEST(ScalarPayload, RecordedScalarsRoundTripWithEagerTextAndHash) {
+  auto Prog = compileSource("main { }", nullptr);
+  ASSERT_TRUE(bool(Prog)) << Prog.error().render();
+  ObjectStore Store(Prog->Classes.size());
+  StringInterner RtStrings;
+  TraceOptions Options;
+  TraceRecorder Recorder(*Prog, Store, RtStrings, Options, "scalars");
+  RecordContext Ctx;
+  Ctx.Method = Prog->Strings->intern("main");
+  Symbol Callee = Prog->Strings->intern("f");
+  size_t StringsBefore = Prog->Strings->size();
+
+  // One return entry per sample, plus one call carrying all of them as
+  // arguments (the argument pool is a second ValueRepr column).
+  std::vector<Value> Samples = scalarSamples();
+  for (const Value &V : Samples)
+    Recorder.recordReturn(Ctx, NoLoc, Callee, V, 0);
+  Recorder.recordCall(Ctx, NoLoc, Callee, Samples.data(), Samples.size(), 0);
+  Trace T = Recorder.take();
+  EXPECT_EQ(Prog->Strings->size(), StringsBefore)
+      << "recording a scalar must not intern text";
+  ASSERT_EQ(T.size(), Samples.size() + 1);
+
+  auto ExpectScalars = [&](const Trace &Got, const char *Format) {
+    ASSERT_EQ(Got.size(), Samples.size() + 1) << Format;
+    uint32_t CallEid = static_cast<uint32_t>(Samples.size());
+    ASSERT_EQ(Got.numArgs(CallEid), Samples.size()) << Format;
+    for (size_t I = 0; I != Samples.size(); ++I) {
+      std::string Want = eagerScalarText(Samples[I]);
+      for (const ValueRepr &Repr :
+           {Got.value(static_cast<uint32_t>(I)), Got.args(CallEid)[I]}) {
+        EXPECT_EQ(Got.renderValue(Repr), Want) << Format << " sample " << I;
+        EXPECT_EQ(Repr.hash(), eagerScalarHash(Samples[I]))
+            << Format << " sample " << I;
+        EXPECT_TRUE(Repr.Text.empty()) << Format << " sample " << I;
+        EXPECT_TRUE(reprEquals(Repr, T.value(static_cast<uint32_t>(I))))
+            << Format << " sample " << I;
+      }
+    }
+  };
+  ExpectScalars(T, "recorded");
+
+  std::string V3Path = tempPath("scalars_v3");
+  std::string V4Path = tempPath("scalars_v4");
+  ASSERT_TRUE(writeTrace(T, V3Path));
+  ASSERT_TRUE(writeTraceSegmented(T, V4Path, /*SegmentEntries=*/4));
+  for (const std::string &Path : {V3Path, V4Path}) {
+    Expected<Trace> Loaded = readTrace(Path, nullptr);
+    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+    ExpectScalars(*Loaded, Path == V3Path ? "v3" : "v4");
+    std::remove(Path.c_str());
+  }
+}
+
+TEST(ScalarPayload, EqualityIsExactOnThePayload) {
+  auto Float = [](double D) {
+    ValueRepr R;
+    R.Kind = ReprKind::Float;
+    std::memcpy(&R.Bits, &D, sizeof(D));
+    return R;
+  };
+  // -0.0 == 0.0 numerically, but the two render and hash differently, so
+  // =e keeps them apart (as the eager hash did).
+  EXPECT_FALSE(reprEquals(Float(-0.0), Float(0.0)));
+  EXPECT_NE(Float(-0.0).hash(), Float(0.0).hash());
+  double NaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(reprEquals(Float(NaN), Float(NaN))); // Same bit pattern.
+  EXPECT_TRUE(reprEquals(Float(1e-7), Float(1e-7)));
+
+  // Same Bits, different kind: Int 1 and Bool true never match.
+  ValueRepr One, True;
+  One.Kind = ReprKind::Int;
+  One.Bits = 1;
+  True.Kind = ReprKind::Bool;
+  True.Bits = 1;
+  EXPECT_FALSE(reprEquals(One, True));
+  EXPECT_NE(One.hash(), True.hash());
+
+  // Unit and Null carry no payload; their hashes are the kind seeds.
+  ValueRepr Unit, Null;
+  Unit.Kind = ReprKind::Unit;
+  Null.Kind = ReprKind::Null;
+  EXPECT_EQ(Unit.hash(), SeedUnit);
+  EXPECT_EQ(Null.hash(), SeedNull);
+}
+
+//===----------------------------------------------------------------------===//
+// A value-diverse version pair: distinct ints on every iteration
+//===----------------------------------------------------------------------===//
+
+/// A loop recording a distinct int per iteration (the accumulator and the
+/// returned amount); versions differ only in the Tax rate.
+std::string valueDiverseSource(int Rate) {
+  return "class Tax {\n"
+         "  Int rate;\n"
+         "  Tax(Int rate) { this.rate = rate; }\n"
+         "  Int apply(Int amount) { return amount + amount * this.rate / "
+         "100; }\n"
+         "}\n"
+         "main {\n"
+         "  var t = new Tax(" +
+         std::to_string(Rate) +
+         ");\n"
+         "  var total = 0;\n"
+         "  var i = 0;\n"
+         "  var n = inputInt(0);\n"
+         "  while (i < n) {\n"
+         "    total = total + t.apply(i * 7 + 3);\n"
+         "    i = i + 1;\n"
+         "  }\n"
+         "  print(total);\n"
+         "}\n";
+}
+
+RunOptions iterations(int64_t N) {
+  RunOptions Options;
+  Options.IntInputs = {N};
+  return Options;
+}
+
+TEST(ValueDiversePair, StringTableDoesNotGrowWithIterations) {
+  Trace Short = traceOf(valueDiverseSource(10), nullptr, iterations(1000));
+  Trace Long = traceOf(valueDiverseSource(10), nullptr, iterations(10000));
+  EXPECT_GT(Long.size(), 9 * Short.size());
+  EXPECT_EQ(Short.Strings->size(), Long.Strings->size());
+}
+
+TEST(ValueDiversePair, SecondLoadBorrowsAndFileDiffMatchesInMemory) {
+  // In memory, as `rprism diff` computes it: one interner for both runs.
+  auto Strings = std::make_shared<StringInterner>();
+  Trace Old = traceOf(valueDiverseSource(10), Strings, iterations(2000));
+  Trace New = traceOf(valueDiverseSource(11), Strings, iterations(2000));
+  ViewsDiffOptions Options;
+  std::string InMemory = viewsDiff(Old, New, Options).render(50, 12);
+
+  // The files as two `rprism run` processes write them: each run has its
+  // own interner, so each file carries only its own run's string table.
+  std::string OldPath = tempPath("diverse_old");
+  std::string NewPath = tempPath("diverse_new");
+  ASSERT_TRUE(writeTrace(
+      traceOf(valueDiverseSource(10), nullptr, iterations(2000)), OldPath));
+  ASSERT_TRUE(writeTrace(
+      traceOf(valueDiverseSource(11), nullptr, iterations(2000)), NewPath));
+
+  // The diff-traces path: one fresh interner for both files, loaded
+  // through the process-wide cache.
+  Telemetry::get().reset();
+  Telemetry::get().setEnabled(true);
+  auto Session = std::make_shared<StringInterner>();
+  Err Error;
+  std::shared_ptr<const Trace> Left =
+      DiffCache::global().load(OldPath, Session, &Error);
+  ASSERT_TRUE(Left) << Error.render();
+  std::shared_ptr<const Trace> Right =
+      DiffCache::global().load(NewPath, Session, &Error);
+  ASSERT_TRUE(Right) << Error.render();
+  TelemetrySnapshot Snap = Telemetry::get().snapshot();
+  Telemetry::get().setEnabled(false);
+  Telemetry::get().reset();
+
+  // Both string tables hold the same names, so the second file keeps its
+  // symbol ids and borrows every column, fingerprints included.
+  EXPECT_EQ(Snap.counter("load.fp_recompute"), 0u);
+  EXPECT_TRUE(Right->Fps.borrowed());
+  EXPECT_TRUE(Right->Values.borrowed());
+
+  std::string FromFiles =
+      cachedViewsDiff(*Left, *Right, Options, DiffCache::global())
+          .render(50, 12);
+  EXPECT_EQ(FromFiles, InMemory);
+  Left.reset();
+  Right.reset();
+  DiffCache::global().clear();
+  std::remove(OldPath.c_str());
+  std::remove(NewPath.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Format versions
+//===----------------------------------------------------------------------===//
+
+TEST(FormatVersion, FilesFromBeforeInlinePayloadsAreUnsupported) {
+  Trace T = traceOf("class A { Int x; A(Int x) { this.x = x; } } "
+                    "main { var a = new A(5); print(a.x); }");
+  std::string V3Path = tempPath("oldver_v3");
+  std::string V4Path = tempPath("oldver_v4");
+  ASSERT_TRUE(writeTrace(T, V3Path));
+  ASSERT_TRUE(writeTraceSegmented(T, V4Path));
+  // 3 and 4 are the version words of the same two layouts before scalar
+  // payloads moved inline and the checksums changed: a typed version
+  // error, not a misleading checksum mismatch.
+  for (auto [Path, OldVersion] :
+       {std::pair{V3Path, 3u}, std::pair{V4Path, 4u}}) {
+    std::string Bytes = readFileBytes(Path);
+    ASSERT_GE(Bytes.size(), 8u);
+    std::memcpy(Bytes.data() + 4, &OldVersion, 4);
+    std::ofstream(Path, std::ios::binary | std::ios::trunc) << Bytes;
+    Expected<Trace> Loaded = readTrace(Path, nullptr);
+    ASSERT_FALSE(bool(Loaded)) << Path;
+    EXPECT_EQ(Loaded.error().Code, "trace.version") << Path;
+    EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt) << Path;
+    std::remove(Path.c_str());
   }
 }
 

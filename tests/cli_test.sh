@@ -54,6 +54,43 @@ echo "$DIFF" | grep -q "Tax-1.new(11)" || fail "diff lost the new rate"
 "$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" 2>/dev/null \
   | grep -q "semantic diff:" || fail "diff-traces failed"
 
+# --- value-diverse pair: diff-traces equals the in-memory diff --------------
+cat > "$WORK/loop_old.rp" <<'EOF'
+class Tax {
+  Int rate;
+  Tax(Int rate) { this.rate = rate; }
+  Int apply(Int amount) { return amount + amount * this.rate / 100; }
+}
+main {
+  var t = new Tax(10);
+  var total = 0;
+  var i = 0;
+  var n = inputInt(0);
+  while (i < n) {
+    total = total + t.apply(i * 7 + 3);
+    i = i + 1;
+  }
+  print(total);
+}
+EOF
+sed 's/new Tax(10)/new Tax(11)/' "$WORK/loop_old.rp" > "$WORK/loop_new.rp"
+"$RPRISM" run "$WORK/loop_old.rp" --int-input 3000 \
+  --trace "$WORK/loop_old.rpt" > /dev/null 2>&1
+"$RPRISM" run "$WORK/loop_new.rp" --int-input 3000 \
+  --trace "$WORK/loop_new.rpt" > /dev/null 2>&1
+"$RPRISM" diff "$WORK/loop_old.rp" "$WORK/loop_new.rp" --int-input 3000 \
+  > "$WORK/loop_mem.out" 2>/dev/null
+"$RPRISM" diff-traces "$WORK/loop_old.rpt" "$WORK/loop_new.rpt" \
+  --metrics-out "$WORK/loop_metrics.json" > "$WORK/loop_file.out" 2>/dev/null
+cmp -s "$WORK/loop_mem.out" "$WORK/loop_file.out" \
+  || fail "diff-traces report differs from the in-memory diff"
+# Both string tables hold names only, so no load recomputes fingerprints.
+if grep -q '"load.fp_recompute"' "$WORK/loop_metrics.json"; then
+  fail "value-diverse diff-traces recomputed fingerprints on load"
+fi
+grep -q '"load.bytes_verified"' "$WORK/loop_metrics.json" \
+  || fail "diff-traces metrics lack load.bytes_verified"
+
 # --- diff-nway (1-vs-N variational diff) -------------------------------------
 cp "$WORK/old.rpt" "$WORK/twin.rpt"
 NWAY="$("$RPRISM" diff-nway "$WORK/old.rpt" "$WORK/new.rpt" "$WORK/twin.rpt" \
@@ -185,6 +222,14 @@ printf '\377' | dd of="$WORK/corrupt.rpt" bs=1 seek=40 conv=notrunc 2>/dev/null
 echo "this is not a trace" > "$WORK/garbage.rpt"
 "$RPRISM" diff-traces "$WORK/garbage.rpt" "$WORK/old.rpt" > /dev/null 2>&1
 [ $? -eq 3 ] || fail "garbage trace was not exit 3"
+# A file with the version word of the layout before scalar payloads moved
+# inline (3) is an unsupported version, exit 3 — not a checksum error.
+cp "$WORK/old.rpt" "$WORK/oldver.rpt"
+printf '\003' | dd of="$WORK/oldver.rpt" bs=1 seek=4 conv=notrunc 2>/dev/null
+"$RPRISM" trace-dump "$WORK/oldver.rpt" > /dev/null 2> "$WORK/oldver.err"
+[ $? -eq 3 ] || fail "pre-change version word was not exit 3"
+grep -q "unsupported trace version (3)" "$WORK/oldver.err" \
+  || fail "pre-change version word error was: $(cat "$WORK/oldver.err")"
 set -e
 
 # --- salvage ------------------------------------------------------------------
