@@ -20,7 +20,7 @@
 ///
 /// A second, on-disk phase measures the repeat-diff warm paths: cold
 /// (load + web build + correlate + diff) versus warm (digest-keyed cache
-/// hits) over v3 files written with and without the persisted view-index
+/// hits) over trace files written with and without the persisted view-index
 /// sections.
 ///
 /// Every configuration must produce an identical rendered report and
@@ -211,13 +211,12 @@ void appendJson(std::string &Json, unsigned OuterIters,
   Json += Buf;
 }
 
-/// Writes both traces in one on-disk format, reloads them into one fresh
-/// interner, and re-diffs: the report and compare-op totals must be
-/// identical to the in-memory reference. \p Label is "v1"/"v2"/"v3"/
-/// "v3-noindex"/"v4" ("v3-noindex" writes current-format files *without*
-/// the optional view-index sections — the compatibility shape older
-/// writers produce; "v4" writes the segmented layout with small segments
-/// so the reload crosses many segment boundaries). Returns the JSON
+/// Writes both traces in one segmentation of the trace format, reloads
+/// them into one fresh interner, and re-diffs: the report and compare-op
+/// totals must be identical to the in-memory reference. \p Label is
+/// "one-segment" (what writeTrace produces), "one-segment-noindex" (the
+/// same without the optional view-index sections), or "small-segments"
+/// (so the reload crosses many segment boundaries). Returns the JSON
 /// fragment.
 std::string checkFormatDeterminism(const TracePair &Pair,
                                    const std::string &RefRender,
@@ -227,17 +226,12 @@ std::string checkFormatDeterminism(const TracePair &Pair,
   std::string LPath = "/tmp/bench_pipeline_L_" + Name + ".trace";
   std::string RPath = "/tmp/bench_pipeline_R_" + Name + ".trace";
   bool Wrote;
-  if (Name == "v3")
-    Wrote = writeTrace(Pair.Left, LPath) && writeTrace(Pair.Right, RPath);
-  else if (Name == "v3-noindex")
-    Wrote = writeTrace(Pair.Left, LPath, /*WithViewIndex=*/false) &&
-            writeTrace(Pair.Right, RPath, /*WithViewIndex=*/false);
-  else if (Name == "v4")
+  if (Name == "small-segments")
     Wrote = writeTraceSegmented(Pair.Left, LPath, /*SegmentEntries=*/256) &&
             writeTraceSegmented(Pair.Right, RPath, /*SegmentEntries=*/256);
   else
-    Wrote = writeTraceLegacy(Pair.Left, LPath, Name == "v1" ? 1 : 2) &&
-            writeTraceLegacy(Pair.Right, RPath, Name == "v1" ? 1 : 2);
+    Wrote = writeTrace(Pair.Left, LPath, Name == "one-segment") &&
+            writeTrace(Pair.Right, RPath, Name == "one-segment");
   bool ReportIdentical = false, OpsIdentical = false;
   if (Wrote) {
     auto Shared = std::make_shared<StringInterner>();
@@ -285,11 +279,11 @@ bool spitFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
   return static_cast<bool>(Out);
 }
 
-/// Flips one byte inside a middle segment's Kind-column payload of a v4
+/// Flips one byte inside a middle segment's Kind-column payload of a trace
 /// file, walking trailer -> footer directory -> segment section table.
 /// Exactly one segment's checksum breaks, so a salvage read must drop
 /// that segment alone. Returns false if \p Bytes does not parse as a
-/// multi-segment v4 file.
+/// multi-segment trace file.
 bool flipMiddleSegmentColumnByte(std::vector<uint8_t> &Bytes) {
   auto Rd32 = [&](size_t Off) {
     uint32_t V;
@@ -424,9 +418,9 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Cross-format determinism: every on-disk format must reload into a
-  // report byte-identical to the in-memory diff, with identical compare-op
-  // totals.
+  // Cross-segmentation determinism: every segmentation of the on-disk
+  // format must reload into a report byte-identical to the in-memory diff,
+  // with identical compare-op totals.
   std::string FormatJson = ",\n  \"format_determinism\": [\n";
   {
     TracePair Pair = makePair(Quick ? 100 : 400, 2);
@@ -435,7 +429,8 @@ int main(int Argc, char **Argv) {
     DiffResult Ref = viewsDiff(Pair.Left, Pair.Right, RefOptions);
     std::string RefRender = Ref.render(50, 12);
     bool FormatFirst = true;
-    for (const char *Label : {"v1", "v2", "v3", "v3-noindex", "v4"}) {
+    for (const char *Label :
+         {"one-segment", "one-segment-noindex", "small-segments"}) {
       FormatJson += checkFormatDeterminism(Pair, RefRender,
                                            Ref.Stats.CompareOps, Label,
                                            FormatFirst, Exit);
@@ -446,8 +441,8 @@ int main(int Argc, char **Argv) {
   FormatJson += Exit == 0 ? "true" : "false";
 
   // Repeat-diff warm paths: cold (digest + load + web build + correlate +
-  // diff) versus warm (digest-keyed cache hits) over v3 files written with
-  // and without the persisted view-index sections. Every run's report and
+  // diff) versus warm (digest-keyed cache hits) over trace files written
+  // with and without the persisted view-index sections. Every run's report and
   // compare-op total must match the in-memory reference (the rows carry
   // the identity flags CI asserts), and an instrumented pass pins the span
   // contract: on indexed files, web-build never appears — webs come from
@@ -466,7 +461,7 @@ int main(int Argc, char **Argv) {
     bool RowFirst = true;
     double IndexedCold = 0, IndexedWarm = 0, PlainCold = 0;
     for (bool Indexed : {true, false}) {
-      const char *FileKind = Indexed ? "v3-indexed" : "v3-plain";
+      const char *FileKind = Indexed ? "indexed" : "plain";
       std::string LPath =
           std::string("/tmp/bench_repeat_L_") + FileKind + ".trace";
       std::string RPath =
@@ -699,11 +694,12 @@ int main(int Argc, char **Argv) {
     }
 
     // Segmented re-diff + salvage, still inside the instrumented window.
-    // An identical v4 pair re-diffs by skipping every digest-equal segment
-    // (`trace.segments_skipped`), then a single flipped byte in a middle
-    // segment's column payload salvages down to the other segments
-    // (`robust.salvage.segments_dropped` == 1). Both counters land in the
-    // exported metrics artifact, where CI jq-gates them.
+    // An identical multi-segment pair re-diffs by skipping every
+    // digest-equal segment (`trace.segments_skipped`), then a single
+    // flipped byte in a middle segment's column payload salvages down to
+    // the other segments (`robust.salvage.segments_dropped` == 1). Both
+    // counters land in the exported metrics artifact, where CI jq-gates
+    // them.
     bool SegRediffClean = false, SegSalvageOk = false;
     uint64_t SegOps = 0;
     {

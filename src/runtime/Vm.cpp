@@ -170,7 +170,7 @@ private:
   const RunOptions &Options;
   ObjectStore Store;
   /// VM-private runtime string table. Kept separate from the shared trace
-  /// interner on purpose: trace format v3 serializes the shared table and
+  /// interner on purpose: the trace format serializes the shared table and
   /// fingerprints hash its symbol ids, so interning transient runtime
   /// strings there would change trace bytes. The recorder re-interns only
   /// the texts that actually reach the trace, in record order, exactly as

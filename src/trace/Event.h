@@ -25,7 +25,7 @@
 /// representation" rule, §5).
 ///
 /// ObjRepr and ValueRepr are stored in the columnar Trace (and written
-/// verbatim into trace format v3), so both are packed, explicitly padded,
+/// verbatim into trace files), so both are packed, explicitly padded,
 /// trivially copyable value types: every byte of the struct is meaningful
 /// or a zero-initialized pad, and no field is a `bool` (reading an
 /// arbitrary mmap'd byte as bool is undefined behavior; flags are uint8_t
@@ -70,7 +70,7 @@ inline constexpr uint32_t NoLoc = 0xffffffffu;
 /// as a 64-bit structural hash (ValueHash); HasRepr is zero when the
 /// object's class opts out of value representation, in which case identity
 /// across traces falls back to (class name, creation sequence number).
-/// 24 bytes, 8-aligned, written verbatim into trace format v3.
+/// 24 bytes, 8-aligned, written verbatim into trace files.
 struct ObjRepr {
   uint64_t ValueHash = 0;   ///< Recursive serialization hash (E'#).
   uint32_t Loc = NoLoc;     ///< Store location; *never* compared cross-trace.

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -34,52 +33,28 @@ namespace {
 
 constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
 // Version history:
-//   1 — seed format: one sequential field stream per entry.
-//   2 — TraceEntry carries an equality fingerprint. Fingerprints hash
-//       interner-local symbol ids, so under v1/v2 they are derived data:
-//       not written to disk, recomputed after the file's string table has
-//       been re-interned on load. Layout unchanged from v1.
-//   3 — sectioned columnar layout (see Serialize.h): header + section
-//       table + 8-byte-aligned column payloads written verbatim, with
-//       per-section FNV-1a checksums. Fingerprints *are* stored (their own
-//       column section, flagged in the header) and load zero-copy when
-//       symbol identity holds.
-//   4 — segmented layout: a 32-byte file header, then fixed-entry-count
-//       segments each framed like a miniature v3 file (segment header +
-//       section table + aligned payloads, per-section checksums) and
-//       carrying *deltas* of the side tables (strings/threads newly seen
-//       since the previous segment, the argument-pool slice its entries
-//       reference) plus a view-index delta, closed by a footer segment
-//       directory and a fixed trailer. Independent per-segment checksums
-//       are the point: damage confined to one segment's entry columns
-//       costs exactly that segment under --salvage, and a recorder can
-//       seal segments while still appending (the side tables only grow).
-//   5 — the v3 layout, re-versioned for two byte changes: scalar
-//       ValueReprs carry their payload inline (Bits, no interned text),
-//       and every integrity digest is checksumBytes instead of FNV-1a.
-//   6 — the v4 segmented layout with the same two changes.
-// Versions 3 and 4 are rejected as unsupported: their value words and
-// checksums mean something else, and a typed version error says so where
-// a checksum mismatch would mislead.
-constexpr uint32_t TraceVersion = 5;
-constexpr uint32_t SegTraceVersion = 6;
-constexpr uint32_t MinTraceVersion = 1;
-constexpr uint32_t MaxLegacyVersion = 2;
+//   1, 2 — one sequential field stream per entry (2 added fingerprints,
+//          recomputed on load).
+//   3 — whole-trace sectioned columnar layout: header, section table,
+//       8-byte-aligned column payloads, per-section FNV-1a checksums.
+//   4 — the segmented layout described below, FNV-1a checksums.
+//   5 — the v3 layout with inline scalar payloads (ValueRepr::Bits, no
+//       interned text) and checksumBytes digests.
+//   6 — the segmented layout with those two changes. The only version
+//       written or read: a whole trace is a file with one segment.
+// Every other version word is rejected as unsupported: the value words and
+// checksums of older files mean something else, and a typed version error
+// says so where a checksum mismatch would mislead.
+constexpr uint32_t TraceVersion = 6;
 
-/// Header flag bit: the file carries a fingerprint column.
-constexpr uint32_t FlagHasFingerprints = 1u << 0;
-
-/// v3 section ids. Entry columns are parallel arrays of exactly the
-/// entry-count many elements; side sections have their own framing.
+/// Section ids. Entry columns are parallel arrays of exactly the segment's
+/// entry count many elements; side sections have their own framing.
 enum SectionId : uint32_t {
-  SecName = 1,    ///< Raw bytes of Trace::Name.
-  SecStrings = 2, ///< u32 count, then count x (u32 len, bytes).
-  SecThreads = 3, ///< u32 count, then serialized ThreadInfo records.
-  SecArgPool = 4, ///< ValueRepr[] verbatim.
+  SecName = 1,       ///< Raw bytes of Trace::Name (segment 0 only).
   SecTid = 10,       ///< uint32_t[]
   SecMethod = 11,    ///< Symbol[]
   SecSelf = 12,      ///< ObjRepr[]
-  SecKind = 13,      ///< uint8_t[]  (defines the entry count)
+  SecKind = 13,      ///< uint8_t[]
   SecEvName = 14,    ///< Symbol[]
   SecTarget = 15,    ///< ObjRepr[]
   SecValue = 16,     ///< ValueRepr[]
@@ -87,16 +62,15 @@ enum SectionId : uint32_t {
   SecArgsEnd = 18,   ///< uint32_t[]
   SecChildTid = 19,  ///< uint32_t[]
   SecProv = 20,      ///< uint32_t[]
-  SecFp = 21,        ///< uint64_t[] (present iff FlagHasFingerprints)
-  // Optional persisted view partitioning (see trace/ViewIndex.h). Both
-  // sections appear together or not at all; readers predating them skip
-  // unknown ids, so emitting them needs no version bump.
+  SecFp = 21,        ///< uint64_t[] (optional fingerprint lane)
+  // Optional persisted view partitioning (see trace/ViewIndex.h), as a
+  // delta over the segment's entries with global entry ids. Both sections
+  // appear together or not at all.
   SecViewMeta = 22,    ///< Per family: u32 count, keys[], counts[].
   SecViewEntries = 23, ///< uint32_t[]: flat per-view entry-id lists.
-  // v4 segment-only sections: side-table deltas. Each segment carries the
-  // strings/threads interned since the previous seal and the argument-pool
-  // slice its entries reference, so a sealed prefix is self-contained and
-  // never rewritten. Never appear in whole-file v3 traces.
+  // Side-table deltas: the strings/threads interned since the previous
+  // seal and the argument-pool slice the segment's entries reference, so
+  // a sealed prefix is self-contained and never rewritten.
   SecStrDelta = 24,    ///< u32 base, u32 count, count x (u32 len, bytes).
   SecThreadDelta = 25, ///< u32 base, u32 count, ThreadInfo records.
   SecArgSlice = 26,    ///< u64 pool base (elements), then ValueRepr[].
@@ -104,16 +78,18 @@ enum SectionId : uint32_t {
 
 /// Largest section id this reader understands; higher ids are skipped for
 /// forward compatibility.
-constexpr uint32_t MaxSectionId = SecViewEntries;
+constexpr uint32_t MaxSectionId = SecArgSlice;
 
-/// Largest section id a v4 segment can carry.
-constexpr uint32_t MaxSegSectionId = SecArgSlice;
-
-constexpr size_t HeaderBytes = 16;       // magic, version, flags, numSections
 constexpr size_t SectionRecordBytes = 32; // id, pad, offset, length, checksum
 constexpr uint32_t MaxSections = 64;
 
-// --- v4 segmented-format framing constants --------------------------------
+// --- Framing ---------------------------------------------------------------
+// A file is a 32-byte file header, then fixed-entry-count segments, each
+// framed as a segment header + section table + 8-byte-aligned payloads with
+// per-section checksums, closed by a footer segment directory and a fixed
+// trailer. Independent per-segment checksums are the point: damage confined
+// to one segment's entry columns costs exactly that segment under
+// --salvage, and a recorder can seal segments while still appending.
 constexpr uint32_t SegMagic = 0x52505347;     // "RPSG", leads every segment
 constexpr uint32_t FooterMagic = 0x52504654;  // "RPFT", leads the directory
 constexpr uint32_t TrailerMagic = 0x52505445; // "RPTE", ends the file
@@ -144,13 +120,8 @@ public:
 
   bool ok() const { return File && !Error; }
 
-  void u8(uint8_t V) { raw(&V, 1); }
   void u32(uint32_t V) { raw(&V, sizeof(V)); }
   void u64(uint64_t V) { raw(&V, sizeof(V)); }
-  void str(const std::string &S) {
-    u32(static_cast<uint32_t>(S.size()));
-    raw(S.data(), S.size());
-  }
   void raw(const void *Data, size_t Size) {
     if (!File || Error)
       return;
@@ -173,7 +144,7 @@ private:
   uint64_t Written = 0;
 };
 
-/// Growable byte buffer for the serialized (non-column) v3 sections.
+/// Growable byte buffer for the serialized (non-column) sections.
 struct ByteBuffer {
   std::string Out;
 
@@ -186,7 +157,7 @@ struct ByteBuffer {
 };
 
 /// Bounds-checked, memcpy-based cursor over an untrusted byte range (the
-/// serialized sections of a mapped v3 file). Never forms references into
+/// serialized sections of a mapped trace file). Never forms references into
 /// the mapped memory; all reads copy out, so truncated or misaligned data
 /// cannot cause UB.
 class ByteCursor {
@@ -196,11 +167,6 @@ public:
   bool ok() const { return !Error; }
   bool atEnd() const { return Remaining == 0; }
 
-  uint8_t u8() {
-    uint8_t V = 0;
-    raw(&V, 1);
-    return V;
-  }
   uint32_t u32() {
     uint32_t V = 0;
     raw(&V, sizeof(V));
@@ -239,202 +205,7 @@ private:
   bool Error = false;
 };
 
-// --- Legacy v1/v2 stream format -----------------------------------------
-
-void writeObjRepr(Writer &W, const ObjRepr &Obj) {
-  W.u32(Obj.Loc);
-  W.u32(Obj.ClassName.Id);
-  W.u32(Obj.CreationSeq);
-  W.u64(Obj.ValueHash);
-  W.u8(Obj.HasRepr ? 1 : 0);
-}
-
-ObjRepr readObjRepr(ByteCursor &R, const std::vector<Symbol> &Map) {
-  ObjRepr Obj;
-  Obj.Loc = R.u32();
-  uint32_t Sym = R.u32();
-  Obj.ClassName = Sym < Map.size() ? Map[Sym] : Symbol{};
-  Obj.CreationSeq = R.u32();
-  Obj.ValueHash = R.u64();
-  Obj.HasRepr = R.u8() != 0 ? 1 : 0;
-  return Obj;
-}
-
-void writeValueRepr(Writer &W, const ValueRepr &Value) {
-  W.u8(static_cast<uint8_t>(Value.Kind));
-  W.u64(Value.Bits);
-  W.u32(Value.Text.Id);
-}
-
-ValueRepr readValueRepr(ByteCursor &R, const std::vector<Symbol> &Map) {
-  ValueRepr Value;
-  Value.Kind = static_cast<ReprKind>(R.u8());
-  Value.Bits = R.u64();
-  uint32_t Sym = R.u32();
-  Value.Text = Sym < Map.size() ? Map[Sym] : Symbol{};
-  return Value;
-}
-
-bool writeTraceLegacyImpl(const Trace &T, const std::string &Path,
-                          uint32_t Version) {
-  TelemetrySpan Span("write");
-  Writer W(Path);
-  W.u32(TraceMagic);
-  W.u32(Version);
-  W.str(T.Name);
-
-  // Full string table. Traces share interners in-process, so the table can
-  // contain strings from sibling traces; that only costs bytes.
-  W.u32(static_cast<uint32_t>(T.Strings->size()));
-  for (uint32_t I = 0; I != T.Strings->size(); ++I)
-    W.str(T.Strings->text(Symbol{I}));
-
-  W.u32(static_cast<uint32_t>(T.Threads.size()));
-  for (const ThreadInfo &Thread : T.Threads) {
-    W.u32(Thread.Tid);
-    W.u32(Thread.ParentTid);
-    W.u32(Thread.EntryMethod.Id);
-    W.u64(Thread.AncestryHash);
-    W.u32(static_cast<uint32_t>(Thread.SpawnStack.size()));
-    for (Symbol Sym : Thread.SpawnStack)
-      W.u32(Sym.Id);
-  }
-
-  W.u32(static_cast<uint32_t>(T.ArgPool.size()));
-  for (const ValueRepr &Value : T.ArgPool)
-    writeValueRepr(W, Value);
-
-  uint32_t NumEntries = static_cast<uint32_t>(T.size());
-  W.u32(NumEntries);
-  for (uint32_t I = 0; I != NumEntries; ++I) {
-    W.u32(I); // Eid (== index in the columnar layout).
-    W.u32(T.Tids[I]);
-    W.u32(T.Methods[I].Id);
-    writeObjRepr(W, T.Selfs[I]);
-    W.u8(T.Kinds[I]);
-    W.u32(T.Names[I].Id);
-    writeObjRepr(W, T.Targets[I]);
-    writeValueRepr(W, T.Values[I]);
-    W.u32(T.ArgsBegins[I]);
-    W.u32(T.ArgsEnds[I]);
-    W.u32(T.ChildTids[I]);
-    W.u32(T.Provs[I]);
-  }
-  return W.ok();
-}
-
-/// Reads the body of a v1/v2 file (the cursor is positioned after magic
-/// and version). In salvage mode the valid entry prefix parsed before any
-/// damage is returned instead of an error; the side tables (strings,
-/// threads, arg pool) precede the entries in this format, so damage there
-/// leaves nothing to salvage.
-Expected<Trace> readTraceLegacy(ByteCursor &R, const std::string &Path,
-                                std::shared_ptr<StringInterner> Strings,
-                                const ReadOptions &Options) {
-  Trace T;
-  T.Strings = std::move(Strings);
-  T.Name = R.str();
-
-  // Re-intern the file's string table; Map translates file symbol ids.
-  // The declared count is untrusted: grow incrementally under R.ok()
-  // instead of preallocating (a tampered count must not become a huge
-  // allocation).
-  uint32_t NumStrings = R.u32();
-  std::vector<Symbol> Map;
-  for (uint32_t I = 0; I != NumStrings && R.ok(); ++I) {
-    std::string S = R.str();
-    if (R.ok())
-      Map.push_back(T.Strings->intern(S));
-  }
-  auto MapSym = [&Map](uint32_t Id) {
-    return Id < Map.size() ? Map[Id] : Symbol{};
-  };
-
-  uint32_t NumThreads = R.u32();
-  for (uint32_t I = 0; I != NumThreads && R.ok(); ++I) {
-    ThreadInfo Thread;
-    Thread.Tid = R.u32();
-    Thread.ParentTid = R.u32();
-    Thread.EntryMethod = MapSym(R.u32());
-    Thread.AncestryHash = R.u64();
-    uint32_t StackSize = R.u32();
-    for (uint32_t J = 0; J != StackSize && R.ok(); ++J)
-      Thread.SpawnStack.push_back(MapSym(R.u32()));
-    if (R.ok())
-      T.Threads.push_back(std::move(Thread));
-  }
-
-  uint32_t PoolSize = R.u32();
-  for (uint32_t I = 0; I != PoolSize && R.ok(); ++I) {
-    ValueRepr Value = readValueRepr(R, Map);
-    if (R.ok())
-      T.ArgPool.push_back(Value);
-  }
-  if (!R.ok())
-    return TraceError::truncated(Path);
-
-  uint32_t NumEntries = R.u32();
-  bool Damaged = false;
-  for (uint32_t I = 0; I != NumEntries && R.ok(); ++I) {
-    TraceEntry Entry;
-    Entry.Eid = R.u32(); // Stored eid is the entry's index; discarded.
-    Entry.Tid = R.u32();
-    Entry.Method = MapSym(R.u32());
-    Entry.Self = readObjRepr(R, Map);
-    uint8_t Kind = R.u8();
-    if (Kind > MaxEventKind) {
-      if (Options.Salvage) {
-        Damaged = true;
-        break;
-      }
-      return TraceError::corruptSection(Path, "event-kind");
-    }
-    Entry.Ev.Kind = static_cast<EventKind>(Kind);
-    Entry.Ev.Name = MapSym(R.u32());
-    Entry.Ev.Target = readObjRepr(R, Map);
-    Entry.Ev.Value = readValueRepr(R, Map);
-    Entry.Ev.ArgsBegin = R.u32();
-    Entry.Ev.ArgsEnd = R.u32();
-    Entry.Ev.ChildTid = R.u32();
-    Entry.Prov = R.u32();
-    if (!R.ok()) {
-      Damaged = true;
-      break;
-    }
-    if (Entry.Ev.ArgsBegin > Entry.Ev.ArgsEnd ||
-        Entry.Ev.ArgsEnd > T.ArgPool.size()) {
-      if (Options.Salvage) {
-        Damaged = true;
-        break;
-      }
-      return TraceError::corruptSection(Path, "argument-slice");
-    }
-    T.append(Entry);
-  }
-  Damaged |= !R.ok();
-
-  if (Damaged && !Options.Salvage)
-    return TraceError::truncated(Path);
-  if (Damaged) {
-    Telemetry::counterAdd("robust.salvage.used");
-    Telemetry::counterAdd("robust.salvage.recovered_entries", T.size());
-    uint64_t Dropped = NumEntries > T.size() ? NumEntries - T.size() : 0;
-    Telemetry::counterAdd("robust.salvage.dropped_entries", Dropped);
-    if (Options.Report) {
-      Options.Report->Salvaged = true;
-      Options.Report->EntriesRecovered = T.size();
-      Options.Report->EntriesDropped = Dropped;
-    }
-  }
-  // Fingerprints hash symbol ids, which re-interning just remapped;
-  // recompute so loaded traces hit the =e fast path.
-  T.computeFingerprints();
-  return T;
-}
-
-// --- v3 sectioned columnar format ----------------------------------------
-
-/// One payload the v3 writer emits: raw bytes, possibly a view into a
+/// One payload a segment carries: raw bytes, possibly a view into a
 /// column (Data) or into a serialized side buffer.
 struct SectionOut {
   uint32_t Id;
@@ -450,114 +221,6 @@ sectionChecksums(const std::vector<SectionOut> &Sections) {
   for (size_t I = 0; I != Sections.size(); ++I)
     Sums[I] = checksumBytes(Sections[I].Data, Sections[I].Length);
   return Sums;
-}
-
-bool writeTraceV3Impl(const Trace &T, const std::string &Path, size_t Begin,
-                      size_t End, bool WithViewIndex) {
-  TelemetrySpan Span("write");
-  size_t N = End - Begin;
-  bool WithFps = T.HasFingerprints && T.Fps.size() == T.size();
-
-  // View-index sections are whole-trace only: the index partitions eids
-  // of the full entry range, so segment sub-ranges never carry one. A
-  // trace that already holds a current index (loaded from an indexed file)
-  // is written back verbatim; otherwise the partitioning is computed here,
-  // at save time — this is the cost the indexed load path amortizes away.
-  ViewIndex LocalIdx;
-  const ViewIndex *Idx = nullptr;
-  if (WithViewIndex && Begin == 0 && End == T.size()) {
-    if (T.ViewIdx.Present) {
-      Idx = &T.ViewIdx;
-    } else {
-      LocalIdx = computeViewIndex(T);
-      Idx = &LocalIdx;
-    }
-  }
-  ByteBuffer ViewMetaBuf;
-  if (Idx) {
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      uint32_t NumViews = static_cast<uint32_t>(Idx->Keys[F].size());
-      ViewMetaBuf.u32(NumViews);
-      for (uint32_t Key : Idx->Keys[F])
-        ViewMetaBuf.u32(Key);
-      for (uint32_t Count : Idx->Counts[F])
-        ViewMetaBuf.u32(Count);
-    }
-  }
-
-  ByteBuffer StringsBuf;
-  StringsBuf.u32(static_cast<uint32_t>(T.Strings->size()));
-  for (uint32_t I = 0; I != T.Strings->size(); ++I)
-    StringsBuf.str(T.Strings->text(Symbol{I}));
-
-  ByteBuffer ThreadsBuf;
-  ThreadsBuf.u32(static_cast<uint32_t>(T.Threads.size()));
-  for (const ThreadInfo &Thread : T.Threads) {
-    ThreadsBuf.u32(Thread.Tid);
-    ThreadsBuf.u32(Thread.ParentTid);
-    ThreadsBuf.u32(Thread.EntryMethod.Id);
-    ThreadsBuf.u64(Thread.AncestryHash);
-    ThreadsBuf.u32(static_cast<uint32_t>(Thread.SpawnStack.size()));
-    for (Symbol Sym : Thread.SpawnStack)
-      ThreadsBuf.u32(Sym.Id);
-  }
-
-  std::vector<SectionOut> Sections = {
-      {SecName, T.Name.data(), T.Name.size()},
-      {SecStrings, StringsBuf.Out.data(), StringsBuf.Out.size()},
-      {SecThreads, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()},
-      {SecArgPool, T.ArgPool.data(), T.ArgPool.byteSize()},
-      {SecTid, T.Tids.data() + Begin, N * sizeof(uint32_t)},
-      {SecMethod, T.Methods.data() + Begin, N * sizeof(Symbol)},
-      {SecSelf, T.Selfs.data() + Begin, N * sizeof(ObjRepr)},
-      {SecKind, T.Kinds.data() + Begin, N * sizeof(uint8_t)},
-      {SecEvName, T.Names.data() + Begin, N * sizeof(Symbol)},
-      {SecTarget, T.Targets.data() + Begin, N * sizeof(ObjRepr)},
-      {SecValue, T.Values.data() + Begin, N * sizeof(ValueRepr)},
-      {SecArgsBegin, T.ArgsBegins.data() + Begin, N * sizeof(uint32_t)},
-      {SecArgsEnd, T.ArgsEnds.data() + Begin, N * sizeof(uint32_t)},
-      {SecChildTid, T.ChildTids.data() + Begin, N * sizeof(uint32_t)},
-      {SecProv, T.Provs.data() + Begin, N * sizeof(uint32_t)},
-  };
-  if (WithFps)
-    Sections.push_back({SecFp, T.Fps.data() + Begin, N * sizeof(uint64_t)});
-  if (Idx) {
-    Sections.push_back(
-        {SecViewMeta, ViewMetaBuf.Out.data(), ViewMetaBuf.Out.size()});
-    Sections.push_back(
-        {SecViewEntries, Idx->Entries.data(), Idx->Entries.byteSize()});
-  }
-
-  // Lay the payloads out 8-byte aligned after the header and table, so
-  // mmap'd column views satisfy their element alignment.
-  uint64_t Offset = HeaderBytes + Sections.size() * SectionRecordBytes;
-  std::vector<uint64_t> Offsets(Sections.size());
-  for (size_t I = 0; I != Sections.size(); ++I) {
-    Offset = (Offset + 7) & ~uint64_t{7};
-    Offsets[I] = Offset;
-    Offset += Sections[I].Length;
-  }
-  std::vector<uint64_t> Sums = sectionChecksums(Sections);
-
-  Writer W(Path);
-  W.u32(TraceMagic);
-  W.u32(TraceVersion);
-  W.u32(WithFps ? FlagHasFingerprints : 0);
-  W.u32(static_cast<uint32_t>(Sections.size()));
-  for (size_t I = 0; I != Sections.size(); ++I) {
-    W.u32(Sections[I].Id);
-    W.u32(0); // pad
-    W.u64(Offsets[I]);
-    W.u64(Sections[I].Length);
-    W.u64(Sums[I]);
-  }
-  uint64_t Pos = HeaderBytes + Sections.size() * SectionRecordBytes;
-  for (size_t I = 0; I != Sections.size(); ++I) {
-    W.zeros(Offsets[I] - Pos);
-    W.raw(Sections[I].Data, Sections[I].Length);
-    Pos = Offsets[I] + Sections[I].Length;
-  }
-  return W.ok();
 }
 
 /// The bytes of a trace file, either mmap'd or read into an arena.
@@ -628,7 +291,7 @@ IoStatus loadFileBytesOnce(const std::string &Path, FileBytes &Out) {
   if (Got != FileSize || FaultInjector::fire(FaultSite::FileRead))
     return IoStatus::Error; // Real or injected short read.
   // Injected in-flight bit flip: must be caught downstream by the section
-  // checksums (v3) or the structural validation (legacy), never crash.
+  // checksums or the structural validation, never crash.
   FaultInjector::corruptByte(FaultSite::FileRead, Arena.get(), FileSize);
   Out.Holder = std::move(Arena);
   Out.Data = static_cast<const uint8_t *>(Out.Holder.get());
@@ -653,9 +316,9 @@ IoStatus loadFileBytes(const std::string &Path, FileBytes &Out) {
   return Status;
 }
 
-/// A v3 section as parsed from the table: pointer into the file bytes,
-/// recorded length, how many of its leading bytes are actually present,
-/// and whether the payload is fully present and checksum-clean.
+/// A section as parsed from a segment's table: pointer into the file
+/// bytes, recorded length, how many of its leading bytes are actually
+/// present, and whether the payload is fully present and checksum-clean.
 struct SectionIn {
   const uint8_t *Data = nullptr;
   uint64_t Length = 0; ///< Recorded payload length.
@@ -670,8 +333,8 @@ bool isViewSection(uint32_t Id) {
   return Id == SecViewMeta || Id == SecViewEntries;
 }
 
-/// The required entry-column sections and their element sizes (shared by
-/// the v3 and v4 readers; ChildTid's consumers bounds-check themselves).
+/// The required entry-column sections and their element sizes
+/// (ChildTid's consumers bounds-check themselves).
 struct ColumnSize {
   uint32_t Id;
   uint64_t ElemSize;
@@ -682,424 +345,6 @@ constexpr ColumnSize ColumnSizes[] = {
     {SecArgsEnd, 4}, {SecChildTid, 4}, {SecProv, 4},
 };
 
-Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
-                            std::shared_ptr<StringInterner> Strings,
-                            const ReadOptions &Options) {
-  const bool Salvage = Options.Salvage;
-  auto Truncated = [&] { return TraceError::truncated(Path); };
-  auto Corrupt = [&](const char *What) {
-    return TraceError::corruptSection(Path, What);
-  };
-
-  if (File.Size < HeaderBytes)
-    return Truncated();
-  uint32_t Head[4];
-  std::memcpy(Head, File.Data, sizeof(Head));
-  if (Head[0] != TraceMagic)
-    return TraceError::notATrace(Path);
-  uint32_t Flags = Head[2], NumSections = Head[3];
-  if (NumSections == 0 || NumSections > MaxSections)
-    return Corrupt("table");
-  uint64_t TableEnd = HeaderBytes + uint64_t{NumSections} * SectionRecordBytes;
-  if (TableEnd > File.Size)
-    return Truncated();
-
-  // Parse and verify the section table: every payload in bounds, aligned,
-  // unique id, and checksum-clean. After this loop the payload bytes are
-  // still *untrusted values* but are safe to address. Strict reads reject
-  // any damage to a core section; damage confined to the view-index
-  // sections only drops the index (first rung of the degradation ladder);
-  // salvage additionally tolerates damaged entry columns, tracking how
-  // many leading bytes of each survive.
-  SectionIn Sections[MaxSectionId + 1] = {};
-  bool DropViewIndex = false;
-  bool Damaged = false; // Salvage: some core/fingerprint payload was hurt.
-  std::optional<TelemetrySpan> VerifySpan(std::in_place, "verify");
-  uint64_t BytesVerified = 0;
-  for (uint32_t I = 0; I != NumSections; ++I) {
-    uint8_t Record[SectionRecordBytes];
-    std::memcpy(Record, File.Data + HeaderBytes + I * SectionRecordBytes,
-                SectionRecordBytes);
-    uint32_t Id;
-    uint64_t Offset, Length, Checksum;
-    std::memcpy(&Id, Record, 4);
-    std::memcpy(&Offset, Record + 8, 8);
-    std::memcpy(&Length, Record + 16, 8);
-    std::memcpy(&Checksum, Record + 24, 8);
-    if (Offset % 8 != 0 || Offset < TableEnd || Offset > File.Size) {
-      // The record itself is unusable (misaligned or out-of-file offset).
-      if (Id <= MaxSectionId && isViewSection(Id)) {
-        DropViewIndex = true;
-        continue;
-      }
-      if (Salvage) { // Treat the section as absent.
-        Damaged = true;
-        continue;
-      }
-      return TraceError::sectionBounds(Path, Id, Offset);
-    }
-    if (Id > MaxSectionId)
-      continue; // Unknown section: ignore for forward compatibility.
-    if (Sections[Id].Present) {
-      if (isViewSection(Id)) {
-        DropViewIndex = true;
-        continue;
-      }
-      if (Salvage) // Ambiguous: keep the first record seen.
-        continue;
-      return TraceError::duplicateSection(Path, Id);
-    }
-    uint64_t Avail = std::min(Length, File.Size - Offset);
-    bool Intact = Avail == Length;
-    BytesVerified += Intact ? Length : 0;
-    if (Intact && (checksumBytes(File.Data + Offset, Length) != Checksum ||
-                   FaultInjector::fire(FaultSite::SectionChecksum))) {
-      // Checksum mismatch (real or injected): the damage can be anywhere
-      // in the payload, so unlike truncation no prefix is trustworthy.
-      if (isViewSection(Id)) {
-        DropViewIndex = true;
-        continue;
-      }
-      if (!Salvage)
-        return TraceError::sectionChecksum(Path, Id, Offset);
-      Intact = false;
-      Avail = 0;
-      Damaged = true;
-    } else if (!Intact) {
-      // The file ends inside this payload.
-      if (isViewSection(Id)) {
-        DropViewIndex = true;
-        continue;
-      }
-      if (!Salvage)
-        return Truncated();
-      Damaged = true;
-    }
-    Sections[Id] = SectionIn{File.Data + Offset, Length, Avail, true, Intact};
-  }
-  Telemetry::counterAdd("load.bytes_verified", BytesVerified);
-  VerifySpan.reset();
-
-  // Side sections frame variable-length data, so no prefix of them is
-  // usable: they must be intact even under salvage.
-  static constexpr uint32_t RequiredSide[] = {SecStrings, SecThreads,
-                                              SecArgPool};
-  for (uint32_t Id : RequiredSide)
-    if (!Sections[Id].Present || !Sections[Id].Intact)
-      return Salvage ? TraceError::unsalvageable(
-                           Path, "side section " + std::to_string(Id) +
-                                     " is missing or damaged")
-                     : Truncated();
-  static constexpr uint32_t RequiredColumns[] = {
-      SecTid,   SecMethod,    SecSelf,    SecKind,     SecEvName, SecTarget,
-      SecValue, SecArgsBegin, SecArgsEnd, SecChildTid, SecProv};
-  for (uint32_t Id : RequiredColumns)
-    if (!Sections[Id].Present)
-      return Salvage ? TraceError::unsalvageable(
-                           Path, "entry column " + std::to_string(Id) +
-                                     " is missing")
-                     : Truncated();
-  bool WithFps = (Flags & FlagHasFingerprints) != 0;
-  if (WithFps && !Sections[SecFp].Present) {
-    if (!Salvage)
-      return Truncated();
-    WithFps = false; // Fingerprints are derived data: recompute below.
-    Damaged = true;
-  }
-
-  Trace T;
-  T.Strings = std::move(Strings);
-  if (Sections[SecName].Present && Sections[SecName].Intact)
-    T.Name.assign(reinterpret_cast<const char *>(Sections[SecName].Data),
-                  Sections[SecName].Length);
-
-  // String table: re-intern and check for symbol identity (fresh interner,
-  // or one already holding this exact table — the shared-interner diff
-  // session case). The declared count is untrusted: every string costs at
-  // least its 4-byte length prefix, so a count beyond Length/4 is corrupt
-  // — and can never become a huge up-front allocation.
-  ByteCursor SC(Sections[SecStrings].Data, Sections[SecStrings].Length);
-  uint32_t NumStrings = SC.u32();
-  if (!SC.ok() || uint64_t{NumStrings} > Sections[SecStrings].Length / 4)
-    return Corrupt("string");
-  std::vector<Symbol> Map;
-  Map.reserve(NumStrings);
-  bool Identity = true;
-  {
-    TelemetrySpan InternSpan("intern");
-    for (uint32_t I = 0; I != NumStrings; ++I) {
-      Map.push_back(T.Strings->intern(SC.str()));
-      Identity &= Map[I].Id == I;
-    }
-  }
-  if (!SC.ok())
-    return Corrupt("string");
-  auto MapSym = [&Map](uint32_t Id) {
-    return Id < Map.size() ? Map[Id] : Symbol{};
-  };
-
-  ByteCursor TC(Sections[SecThreads].Data, Sections[SecThreads].Length);
-  uint32_t NumThreads = TC.u32();
-  for (uint32_t I = 0; I != NumThreads && TC.ok(); ++I) {
-    ThreadInfo Thread;
-    Thread.Tid = TC.u32();
-    Thread.ParentTid = TC.u32();
-    uint32_t Method = TC.u32();
-    if (Method >= NumStrings)
-      return Corrupt("thread");
-    Thread.EntryMethod = MapSym(Method);
-    Thread.AncestryHash = TC.u64();
-    uint32_t StackSize = TC.u32();
-    for (uint32_t J = 0; J != StackSize && TC.ok(); ++J) {
-      uint32_t Sym = TC.u32();
-      if (TC.ok() && Sym >= NumStrings)
-        return Corrupt("thread");
-      Thread.SpawnStack.push_back(MapSym(Sym));
-    }
-    T.Threads.push_back(std::move(Thread));
-  }
-  if (!TC.ok())
-    return Corrupt("thread");
-
-  // Entry columns: consistent lengths, then a validation scan over the
-  // untrusted values so nothing downstream needs to distrust them (enum
-  // ranges, symbol ids, argument slices). ChildTid is exempt: its only
-  // consumers bounds-check against the thread table. Strict mode demands
-  // every column carry exactly the declared entry count; salvage shrinks
-  // the count to the longest prefix every (possibly truncated) column can
-  // cover — a checksum-failed column covers none, so damage that is not a
-  // truncation recovers nothing rather than something wrong.
-  uint64_t DeclaredN = Sections[SecKind].Length;
-  if (DeclaredN > (uint64_t{1} << 32) - 1)
-    return Corrupt("kind");
-  uint64_t N = DeclaredN;
-  if (!Salvage) {
-    for (const ColumnSize &Col : ColumnSizes)
-      if (Sections[Col.Id].Length != DeclaredN * Col.ElemSize)
-        return Corrupt("column");
-    if (WithFps && Sections[SecFp].Length != DeclaredN * 8)
-      return Corrupt("fingerprint");
-  } else {
-    for (const ColumnSize &Col : ColumnSizes)
-      N = std::min(N, Sections[Col.Id].Avail / Col.ElemSize);
-    if (N < DeclaredN)
-      Damaged = true;
-  }
-  // Stored fingerprints are only trusted when their column is intact and
-  // complete; otherwise they are recomputed (they are derived data, and a
-  // wrong fingerprint would corrupt =e instead of merely costing time).
-  bool UseStoredFps = WithFps && Sections[SecFp].Intact &&
-                      Sections[SecFp].Length == DeclaredN * 8;
-  if (Salvage && WithFps && !UseStoredFps)
-    Damaged = true;
-  if (Sections[SecArgPool].Length % sizeof(ValueRepr) != 0)
-    return Corrupt("argument-pool");
-  uint64_t PoolCount = Sections[SecArgPool].Length / sizeof(ValueRepr);
-
-  auto ColPtr = [&](uint32_t Id) { return Sections[Id].Data; };
-  const uint8_t *Kinds = ColPtr(SecKind);
-  const auto *Methods = reinterpret_cast<const Symbol *>(ColPtr(SecMethod));
-  const auto *Names = reinterpret_cast<const Symbol *>(ColPtr(SecEvName));
-  const auto *Selfs = reinterpret_cast<const ObjRepr *>(ColPtr(SecSelf));
-  const auto *Targets = reinterpret_cast<const ObjRepr *>(ColPtr(SecTarget));
-  const auto *Values = reinterpret_cast<const ValueRepr *>(ColPtr(SecValue));
-  const auto *ArgsBegins =
-      reinterpret_cast<const uint32_t *>(ColPtr(SecArgsBegin));
-  const auto *ArgsEnds = reinterpret_cast<const uint32_t *>(ColPtr(SecArgsEnd));
-  const auto *Pool = reinterpret_cast<const ValueRepr *>(ColPtr(SecArgPool));
-
-  {
-    uint64_t ValidN = N;
-    for (uint64_t I = 0; I != N; ++I) {
-      const char *Bad = nullptr;
-      if (Kinds[I] > MaxEventKind)
-        Bad = "kind";
-      else if (Methods[I].Id >= NumStrings || Names[I].Id >= NumStrings)
-        Bad = "symbol";
-      else if (Selfs[I].ClassName.Id >= NumStrings ||
-               Targets[I].ClassName.Id >= NumStrings)
-        Bad = "object";
-      else if (static_cast<uint8_t>(Values[I].Kind) > MaxReprKind ||
-               Values[I].Text.Id >= NumStrings)
-        Bad = "value";
-      else if (ArgsBegins[I] > ArgsEnds[I] || ArgsEnds[I] > PoolCount)
-        Bad = "argument-slice";
-      if (!Bad)
-        continue;
-      if (!Salvage)
-        return Corrupt(Bad);
-      ValidN = I; // Keep the prefix of entries that validate.
-      Damaged = true;
-      break;
-    }
-    N = ValidN;
-  }
-  for (uint64_t I = 0; I != PoolCount; ++I)
-    if (static_cast<uint8_t>(Pool[I].Kind) > MaxReprKind ||
-        Pool[I].Text.Id >= NumStrings)
-      return Corrupt("argument-pool");
-
-  size_t Count = static_cast<size_t>(N);
-
-  // Optional view-index sections: parse the small meta section (copied
-  // out), borrow the flat entry lists zero-copy, and validate the whole
-  // structure before trusting it. The index is derived data — rebuildable
-  // from the columns — so *any* damage to it (checksum, structure, one
-  // section without the other, an injected borrow failure) degrades to an
-  // index-less load: the view web is rebuilt from the entries, and the
-  // fallback is observable via `robust.view_index_dropped`.
-  bool FileHasViewIndex = DropViewIndex || Sections[SecViewMeta].Present ||
-                          Sections[SecViewEntries].Present;
-  auto ParseViewIndex = [&]() -> bool {
-    if (DropViewIndex || !Sections[SecViewMeta].Present ||
-        !Sections[SecViewEntries].Present)
-      return false;
-    if (Sections[SecViewEntries].Length % sizeof(uint32_t) != 0)
-      return false;
-    ByteCursor VC(Sections[SecViewMeta].Data, Sections[SecViewMeta].Length);
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      uint32_t NumViews = VC.u32();
-      if (!VC.ok() || NumViews > DeclaredN)
-        return false;
-      T.ViewIdx.Keys[F].reserve(NumViews);
-      T.ViewIdx.Counts[F].reserve(NumViews);
-      for (uint32_t V = 0; V != NumViews && VC.ok(); ++V) {
-        uint32_t Key = VC.u32();
-        // Method-view keys are symbol ids; validate them against the
-        // string table like every other symbol-bearing field.
-        if (F == 1 && VC.ok() && Key >= NumStrings)
-          return false;
-        T.ViewIdx.Keys[F].push_back(Key);
-      }
-      for (uint32_t V = 0; V != NumViews && VC.ok(); ++V)
-        T.ViewIdx.Counts[F].push_back(VC.u32());
-    }
-    if (!VC.ok() || !VC.atEnd())
-      return false;
-    if (FaultInjector::fire(FaultSite::ViewIndexBorrow))
-      return false;
-    T.ViewIdx.Entries.borrow(
-        reinterpret_cast<const uint32_t *>(Sections[SecViewEntries].Data),
-        static_cast<size_t>(Sections[SecViewEntries].Length /
-                            sizeof(uint32_t)));
-    T.ViewIdx.Present = true;
-    return viewIndexIsValid(T.ViewIdx, Count);
-  };
-  if (FileHasViewIndex && !ParseViewIndex()) {
-    T.ViewIdx.clear();
-    Telemetry::counterAdd("robust.view_index_dropped");
-    if (Options.Report)
-      Options.Report->ViewIndexDropped = true;
-  }
-
-  auto BorrowAll = [&](Trace &Out) {
-    Out.Tids.borrow(reinterpret_cast<const uint32_t *>(ColPtr(SecTid)), Count);
-    Out.Methods.borrow(Methods, Count);
-    Out.Selfs.borrow(Selfs, Count);
-    Out.Kinds.borrow(Kinds, Count);
-    Out.Names.borrow(Names, Count);
-    Out.Targets.borrow(Targets, Count);
-    Out.Values.borrow(Values, Count);
-    Out.ArgsBegins.borrow(ArgsBegins, Count);
-    Out.ArgsEnds.borrow(ArgsEnds, Count);
-    Out.ChildTids.borrow(
-        reinterpret_cast<const uint32_t *>(ColPtr(SecChildTid)), Count);
-    Out.Provs.borrow(reinterpret_cast<const uint32_t *>(ColPtr(SecProv)),
-                     Count);
-    if (UseStoredFps)
-      Out.Fps.borrow(reinterpret_cast<const uint64_t *>(ColPtr(SecFp)),
-                     Count);
-    Out.ArgPool.borrow(Pool, static_cast<size_t>(PoolCount));
-  };
-
-  BorrowAll(T);
-  if (Identity) {
-    // Zero-copy: symbol ids in the file are valid in this interner, so the
-    // columns (including stored fingerprints) are used in place; Backing
-    // keeps the mapping alive for the life of the trace. Salvaged prefix
-    // borrows work the same way — a column prefix is contiguous.
-    T.Backing = File.Holder;
-    if (UseStoredFps)
-      T.HasFingerprints = true;
-    else
-      T.computeFingerprints();
-  } else {
-    // The interner assigned different ids: materialize every column, remap
-    // the symbol-bearing ones, and recompute fingerprints (they hash
-    // symbol ids). Borrow-then-detach keeps this a straight memcpy per
-    // column; the mapping is released when File goes out of scope.
-    std::optional<TelemetrySpan> RemapSpan(std::in_place, "remap");
-    T.Tids.detach();
-    T.Methods.detach();
-    T.Selfs.detach();
-    T.Kinds.detach();
-    T.Names.detach();
-    T.Targets.detach();
-    T.Values.detach();
-    T.ArgsBegins.detach();
-    T.ArgsEnds.detach();
-    T.ChildTids.detach();
-    T.Provs.detach();
-    T.Fps.clear();
-    T.ArgPool.detach();
-    if (T.ViewIdx.Present) {
-      // The index survives the remap: the partition structure and the
-      // first-appearance order are invariant under re-interning — only
-      // the method family's keys are symbol ids and need translation.
-      // Two file-table strings interning to one symbol (possible only in
-      // a hand-crafted table) would collapse two method views into one
-      // identity; the fresh build would merge them, so the index is
-      // dropped rather than reconstructing a diverging web.
-      T.ViewIdx.Entries.detach();
-      uint32_t *MethodKeys = T.ViewIdx.Keys[1].mutData();
-      bool Collapsed = false;
-      std::unordered_set<uint32_t> SeenKeys;
-      SeenKeys.reserve(T.ViewIdx.Keys[1].size());
-      for (size_t I = 0; I != T.ViewIdx.Keys[1].size(); ++I) {
-        MethodKeys[I] = Map[MethodKeys[I]].Id;
-        Collapsed |= !SeenKeys.insert(MethodKeys[I]).second;
-      }
-      if (Collapsed)
-        T.ViewIdx.clear();
-    }
-    Symbol *M = T.Methods.mutData();
-    Symbol *Nm = T.Names.mutData();
-    ObjRepr *Sf = T.Selfs.mutData();
-    ObjRepr *Tg = T.Targets.mutData();
-    ValueRepr *Vl = T.Values.mutData();
-    for (size_t I = 0; I != Count; ++I) {
-      M[I] = Map[M[I].Id];
-      Nm[I] = Map[Nm[I].Id];
-      Sf[I].ClassName = Map[Sf[I].ClassName.Id];
-      Tg[I].ClassName = Map[Tg[I].ClassName.Id];
-      Vl[I].Text = Map[Vl[I].Text.Id];
-    }
-    ValueRepr *Pl = T.ArgPool.mutData();
-    for (size_t I = 0; I != PoolCount; ++I)
-      Pl[I].Text = Map[Pl[I].Text.Id];
-    RemapSpan.reset();
-    // Stored fingerprints hash the file's symbol ids, which the remap just
-    // invalidated; recompute. Counted so repeat-load pipelines can spot
-    // that sharing one interner across loads would make this free.
-    Telemetry::counterAdd("load.fp_recompute", 1);
-    T.computeFingerprints();
-  }
-
-  if (Salvage && Damaged) {
-    Telemetry::counterAdd("robust.salvage.used");
-    Telemetry::counterAdd("robust.salvage.recovered_entries", N);
-    Telemetry::counterAdd("robust.salvage.dropped_entries", DeclaredN - N);
-    if (Options.Report) {
-      Options.Report->Salvaged = true;
-      Options.Report->EntriesRecovered = N;
-      Options.Report->EntriesDropped = DeclaredN - N;
-    }
-  }
-  return T;
-}
-
-// --- v4 segmented format --------------------------------------------------
-
 /// One segment located in the file: its header fields and byte extent.
 struct SegExtent {
   uint64_t Offset = 0; ///< Absolute offset of the segment header.
@@ -1107,12 +352,15 @@ struct SegExtent {
   uint32_t NumEntries = 0;
   uint32_t NumSections = 0;
   uint64_t PayloadBytes = 0;
+  bool Truncated = false; ///< The file ends inside the payload.
 };
 
 /// Parses the segment header at \p Off. False when the bytes there cannot
 /// be segment number \p Index of this file (wrong magic or index, bad
 /// section count, extent out of bounds) — which is also how the salvage
-/// chain-scan detects the end of the sealed-segment chain.
+/// chain-scan detects the end of the sealed-segment chain. A payload
+/// running past the end of the file is flagged, not refused: the
+/// segment's sections are read only up to the end of the file.
 bool parseSegHeader(const FileBytes &File, uint64_t Off, uint32_t Index,
                     SegExtent &Out) {
   if (Off % 8 != 0 || Off > File.Size || File.Size - Off < SegHeaderBytes)
@@ -1127,84 +375,96 @@ bool parseSegHeader(const FileBytes &File, uint64_t Off, uint32_t Index,
   std::memcpy(&NumSections, P + 20, 4);
   std::memcpy(&PayloadBytes, P + 24, 8);
   if (Magic != SegMagic || SegIndex != Index || NumSections == 0 ||
-      NumSections > MaxSections)
+      NumSections > MaxSections ||
+      PayloadBytes < uint64_t{NumSections} * SectionRecordBytes)
     return false;
-  if (PayloadBytes < uint64_t{NumSections} * SectionRecordBytes ||
-      PayloadBytes > File.Size - Off - SegHeaderBytes)
-    return false;
-  Out = SegExtent{Off, BeginEid, NumEntries, NumSections, PayloadBytes};
+  bool Truncated = PayloadBytes > File.Size - Off - SegHeaderBytes;
+  Out = SegExtent{Off,         BeginEid,     NumEntries,
+                  NumSections, PayloadBytes, Truncated};
   return true;
 }
 
-/// One segment's parsed section table. Records are v3-shaped with offsets
-/// relative to the segment header. View-index damage is always degradable;
-/// core damage is fatal in strict mode (StrictErr names the first) and
-/// per-section in salvage mode (the affected section reads as absent or
-/// not intact, and the caller decides between dropping the segment's
-/// entries and dropping the suffix).
+/// One segment's parsed section table; record offsets are relative to the
+/// segment header. View-index damage is always degradable. Core damage is
+/// fatal in strict mode (StrictErr holds the first, typed) and
+/// per-section in salvage mode: the section reads as absent, as not
+/// intact, or — where the file ends inside it — as an unverified prefix.
 struct SegSections {
-  SectionIn S[MaxSegSectionId + 1] = {};
+  SectionIn S[MaxSectionId + 1] = {};
   bool ViewDamaged = false;
-  const char *StrictErr = nullptr;
+  std::optional<Err> StrictErr;
 };
 
-SegSections parseSegSections(const FileBytes &File, const SegExtent &Seg) {
+SegSections parseSegSections(const std::string &Path, const FileBytes &File,
+                             const SegExtent &Seg) {
   TelemetrySpan Span("verify");
   SegSections Out;
   uint64_t BytesVerified = 0;
-  uint64_t TableStart = Seg.Offset + SegHeaderBytes;
-  uint64_t RelEnd = SegHeaderBytes + Seg.PayloadBytes;
-  uint64_t RelTableEnd =
+  uint64_t DeclEnd = SegHeaderBytes + Seg.PayloadBytes;
+  uint64_t AvailEnd = std::min(DeclEnd, File.Size - Seg.Offset);
+  uint64_t TableEnd =
       SegHeaderBytes + uint64_t{Seg.NumSections} * SectionRecordBytes;
-  auto StrictBad = [&Out](const char *What) {
+  auto StrictBad = [&Out](Err E) {
     if (!Out.StrictErr)
-      Out.StrictErr = What;
+      Out.StrictErr = std::move(E);
   };
   for (uint32_t I = 0; I != Seg.NumSections; ++I) {
+    uint64_t RecordAt = SegHeaderBytes + uint64_t{I} * SectionRecordBytes;
+    if (RecordAt + SectionRecordBytes > AvailEnd) {
+      StrictBad(TraceError::truncated(Path)); // The file ends in the table.
+      break;
+    }
     uint8_t Record[SectionRecordBytes];
-    std::memcpy(Record, File.Data + TableStart + I * SectionRecordBytes,
-                SectionRecordBytes);
+    std::memcpy(Record, File.Data + Seg.Offset + RecordAt, SectionRecordBytes);
     uint32_t Id;
     uint64_t Offset, Length, Checksum;
     std::memcpy(&Id, Record, 4);
     std::memcpy(&Offset, Record + 8, 8);
     std::memcpy(&Length, Record + 16, 8);
     std::memcpy(&Checksum, Record + 24, 8);
-    if (Offset % 8 != 0 || Offset < RelTableEnd || Offset > RelEnd) {
-      if (Id <= MaxSegSectionId && isViewSection(Id))
+    bool View = isViewSection(Id);
+    if (Offset % 8 != 0 || Offset < TableEnd || Offset > DeclEnd ||
+        Length > DeclEnd - Offset) {
+      // The record itself is unusable: salvage treats the section as absent.
+      if (View)
         Out.ViewDamaged = true;
       else
-        StrictBad("segment-section-bounds");
-      continue; // Salvage treats the section as absent.
+        StrictBad(TraceError::sectionBounds(Path, Id, Seg.Offset + Offset));
+      continue;
     }
-    if (Id > MaxSegSectionId)
+    if (Id > MaxSectionId)
       continue; // Unknown section: forward compatibility.
     if (Out.S[Id].Present) {
-      if (isViewSection(Id))
+      if (View)
         Out.ViewDamaged = true;
       else
-        StrictBad("segment-duplicate-section");
+        StrictBad(TraceError::duplicateSection(Path, Id));
       continue; // Salvage keeps the first record seen.
     }
-    uint64_t Avail = std::min(Length, RelEnd - Offset);
-    bool Intact = Avail == Length;
     const uint8_t *Data = File.Data + Seg.Offset + Offset;
-    BytesVerified += Intact ? Length : 0;
-    if (Intact && (checksumBytes(Data, Length) != Checksum ||
-                   FaultInjector::fire(FaultSite::SectionChecksum))) {
-      if (isViewSection(Id)) {
+    uint64_t Avail =
+        Offset >= AvailEnd ? 0 : std::min(Length, AvailEnd - Offset);
+    bool Intact = Avail == Length;
+    if (Intact) {
+      BytesVerified += Length;
+      if (checksumBytes(Data, Length) != Checksum ||
+          FaultInjector::fire(FaultSite::SectionChecksum)) {
+        // Checksum mismatch (real or injected): the damage can be anywhere
+        // in the payload, so unlike truncation no prefix is trustworthy.
+        if (View) {
+          Out.ViewDamaged = true;
+          continue;
+        }
+        StrictBad(TraceError::sectionChecksum(Path, Id, Seg.Offset + Offset));
+        Intact = false;
+        Avail = 0;
+      }
+    } else {
+      if (View) {
         Out.ViewDamaged = true;
         continue;
       }
-      StrictBad("segment-section-checksum");
-      Intact = false;
-      Avail = 0;
-    } else if (!Intact) {
-      if (isViewSection(Id)) {
-        Out.ViewDamaged = true;
-        continue;
-      }
-      StrictBad("segment-section-truncated");
+      StrictBad(TraceError::truncated(Path));
     }
     Out.S[Id] = SectionIn{Data, Length, Avail, true, Intact};
   }
@@ -1212,9 +472,95 @@ SegSections parseSegSections(const FileBytes &File, const SegExtent &Seg) {
   return Out;
 }
 
-Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
-                            std::shared_ptr<StringInterner> Strings,
-                            const ReadOptions &Options) {
+/// A segment whose entries (all, or a leading prefix under salvage)
+/// survive the load.
+struct KeptSegment {
+  SegSections Secs;
+  uint64_t N = 0;      ///< Entries recovered.
+  bool Fps = false;    ///< Carries an intact fingerprint lane.
+};
+
+/// Reassembles the persisted view index from the kept segments' deltas.
+/// Each delta carries global entry ids with views keyed in
+/// first-appearance order, so appending every view's per-segment lists in
+/// segment order reproduces computeViewIndex over the whole trace. A lone
+/// segment's delta *is* the whole index: with \p Borrow its flat entry
+/// lists stay in the file bytes. False when any delta is missing or
+/// malformed.
+bool assembleViewIndex(const std::vector<KeptSegment> &Kept,
+                       size_t NumStrings, bool Borrow, ViewIndex &Out) {
+  bool Single = Kept.size() == 1;
+  std::unordered_map<uint32_t, uint32_t> Slot[NumViewFamilies];
+  std::vector<uint32_t> MergeKeys[NumViewFamilies];
+  std::vector<std::vector<uint32_t>> Lists[NumViewFamilies];
+  for (const KeptSegment &K : Kept) {
+    const SectionIn &Meta = K.Secs.S[SecViewMeta];
+    const SectionIn &Flat = K.Secs.S[SecViewEntries];
+    if (!Meta.Intact || !Flat.Intact || Flat.Length % 4 != 0)
+      return false;
+    const auto *Ids = reinterpret_cast<const uint32_t *>(Flat.Data);
+    uint64_t FlatCount = Flat.Length / 4, FlatOff = 0;
+    ByteCursor VC(Meta.Data, Meta.Length);
+    for (size_t F = 0; F != NumViewFamilies; ++F) {
+      uint32_t NumViews = VC.u32();
+      if (!VC.ok() || NumViews > K.N)
+        return false;
+      std::vector<uint32_t> Keys(NumViews);
+      for (uint32_t V = 0; V != NumViews; ++V) {
+        Keys[V] = VC.u32();
+        // Method-view keys are symbol ids; validate them like any symbol.
+        if (F == 1 && Keys[V] >= NumStrings)
+          return false;
+      }
+      for (uint32_t V = 0; V != NumViews; ++V) {
+        uint32_t Count = VC.u32();
+        if (!VC.ok() || Count == 0 || Count > FlatCount - FlatOff)
+          return false;
+        if (Single) {
+          Out.Keys[F].push_back(Keys[V]);
+          Out.Counts[F].push_back(Count);
+        } else {
+          auto It = Slot[F].try_emplace(
+              Keys[V], static_cast<uint32_t>(Lists[F].size()));
+          if (It.second) {
+            MergeKeys[F].push_back(Keys[V]);
+            Lists[F].emplace_back();
+          }
+          std::vector<uint32_t> &List = Lists[F][It.first->second];
+          List.insert(List.end(), Ids + FlatOff, Ids + FlatOff + Count);
+        }
+        FlatOff += Count;
+      }
+    }
+    if (!VC.ok() || !VC.atEnd() || FlatOff != FlatCount)
+      return false;
+    if (Single && Borrow)
+      Out.Entries.borrow(Ids, FlatCount);
+    else if (Single)
+      Out.Entries.append(Ids, FlatCount);
+  }
+  if (!Single) {
+    size_t Total = 0;
+    for (size_t F = 0; F != NumViewFamilies; ++F)
+      for (const std::vector<uint32_t> &List : Lists[F])
+        Total += List.size();
+    Out.Entries.reserve(Total);
+    for (size_t F = 0; F != NumViewFamilies; ++F) {
+      Out.Keys[F].append(MergeKeys[F].data(), MergeKeys[F].size());
+      Out.Counts[F].reserve(Lists[F].size());
+      for (const std::vector<uint32_t> &List : Lists[F]) {
+        Out.Counts[F].push_back(static_cast<uint32_t>(List.size()));
+        Out.Entries.append(List.data(), List.size());
+      }
+    }
+  }
+  Out.Present = true;
+  return true;
+}
+
+Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
+                              std::shared_ptr<StringInterner> Strings,
+                              const ReadOptions &Options) {
   const bool Salvage = Options.Salvage;
   auto Corrupt = [&](const char *What) {
     return TraceError::corruptSection(Path, What);
@@ -1227,7 +573,10 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
   // footer checksum, and every directory record verify; otherwise (salvage
   // only) by chain-scanning segment headers from the top of the file —
   // each header declares its payload extent, so the chain recovers exactly
-  // the sealed segments of an unfinalized or tail-truncated file.
+  // the sealed segments of an unfinalized or tail-truncated file, plus the
+  // one the file ends inside. The directory's table digests are not
+  // checked here: every section carries its own checksum, and damage to
+  // one record must cost that section, not the whole file.
   std::vector<SegExtent> Segs;
   bool DirValid = false;
   [&] {
@@ -1256,18 +605,14 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
       return;
     for (uint32_t S = 0; S != NumSegments; ++S) {
       const uint8_t *R = F + 8 + S * SegDirRecordBytes;
-      uint64_t Offset, TableDigest;
+      uint64_t Offset;
       uint32_t BeginEid, NumEntries;
       std::memcpy(&Offset, R, 8);
-      std::memcpy(&TableDigest, R + 8, 8);
       std::memcpy(&BeginEid, R + 24, 4);
       std::memcpy(&NumEntries, R + 28, 4);
       SegExtent E;
-      if (!parseSegHeader(File, Offset, S, E) || E.BeginEid != BeginEid ||
-          E.NumEntries != NumEntries ||
-          checksumBytes(File.Data + Offset + SegHeaderBytes,
-                        uint64_t{E.NumSections} * SectionRecordBytes) !=
-              TableDigest) {
+      if (!parseSegHeader(File, Offset, S, E) || E.Truncated ||
+          E.BeginEid != BeginEid || E.NumEntries != NumEntries) {
         Segs.clear();
         return;
       }
@@ -1281,13 +626,14 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
     if (!Salvage)
       return Corrupt("segment-directory");
     Damaged = true;
-    Segs.clear();
     uint64_t Off = SegFileHeaderBytes;
     for (uint32_t Index = 0;; ++Index) {
       SegExtent E;
       if (!parseSegHeader(File, Off, Index, E))
         break;
       Segs.push_back(E);
+      if (E.Truncated)
+        break;
       Off += SegHeaderBytes + E.PayloadBytes;
     }
     if (Segs.empty())
@@ -1299,27 +645,16 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
 
   std::vector<Symbol> Map;
   bool Identity = true;
-  uint64_t PoolCount = 0; ///< Pool elements assembled so far.
+  std::vector<KeptSegment> Kept;
+  /// Argument-pool slices in order; side deltas of a segment whose entries
+  /// are dropped still apply, so every later segment resolves.
+  std::vector<std::pair<const ValueRepr *, size_t>> PoolSlices;
+  uint64_t PoolCount = 0;
   uint64_t DeclaredBefore = 0;
   uint64_t EntriesDropped = 0;
   uint64_t SegmentsDropped = 0;
-  bool FpsComplete = true;
-
-  // Per-family view-index merge state: segments carry deltas with *global*
-  // entry ids, views keyed across segments in first-appearance order, so
-  // concatenating each view's per-segment lists in segment order
-  // reproduces the whole-trace computeViewIndex result exactly.
   bool FileHasViewIndex = false;
   bool ViewDamaged = false;
-  bool ViewMissing = false;
-  std::vector<uint32_t> MergeKeys[NumViewFamilies];
-  std::vector<std::vector<uint32_t>> MergeLists[NumViewFamilies];
-  std::unordered_map<uint32_t, uint32_t> MergeSlot[NumViewFamilies];
-
-  struct KeptRange {
-    size_t Begin, End;
-  };
-  std::vector<KeptRange> Kept;
 
   size_t SegI = 0;
   for (; SegI != Segs.size(); ++SegI) {
@@ -1328,39 +663,44 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
       return Corrupt("segment-header");
     DeclaredBefore += Seg.NumEntries;
 
-    SegSections Parsed = parseSegSections(File, Seg);
-    if (!Salvage && Parsed.StrictErr)
-      return Corrupt(Parsed.StrictErr);
-    SectionIn *Sections = Parsed.S;
-    if (Parsed.ViewDamaged)
-      ViewDamaged = FileHasViewIndex = true;
+    SegSections Parsed = parseSegSections(Path, File, Seg);
+    if (Parsed.StrictErr) {
+      if (!Salvage)
+        return std::move(*Parsed.StrictErr);
+      Damaged = true;
+    }
+    const SectionIn *S = Parsed.S;
+    ViewDamaged |= Parsed.ViewDamaged;
+    FileHasViewIndex |= Parsed.ViewDamaged || S[SecViewMeta].Present ||
+                        S[SecViewEntries].Present;
 
     // The side deltas chain: each segment's string/thread/pool bases
     // continue where the previous seal stopped, so damage here makes every
     // later symbol id and pool offset unresolvable — the segment and the
     // entire suffix are dropped (strict mode already errored above).
-    bool SideOk =
-        Sections[SecStrDelta].Present && Sections[SecStrDelta].Intact &&
-        Sections[SecThreadDelta].Present && Sections[SecThreadDelta].Intact &&
-        Sections[SecArgSlice].Present && Sections[SecArgSlice].Intact;
-    if (!SideOk) {
+    if (!S[SecStrDelta].Intact || !S[SecThreadDelta].Intact ||
+        !S[SecArgSlice].Intact) {
       if (!Salvage)
         return Corrupt("segment-side-delta");
       break;
     }
 
-    if (SegI == 0 && Sections[SecName].Present && Sections[SecName].Intact)
-      T.Name.assign(reinterpret_cast<const char *>(Sections[SecName].Data),
-                    Sections[SecName].Length);
+    if (SegI == 0 && S[SecName].Intact)
+      T.Name.assign(reinterpret_cast<const char *>(S[SecName].Data),
+                    S[SecName].Length);
 
     // Strings delta: the base must continue the assembled table exactly.
+    // The declared count is untrusted: every string costs at least its
+    // 4-byte length prefix, so a count beyond Length/4 is corrupt.
     {
       TelemetrySpan InternSpan("intern");
-      ByteCursor SC(Sections[SecStrDelta].Data, Sections[SecStrDelta].Length);
+      ByteCursor SC(S[SecStrDelta].Data, S[SecStrDelta].Length);
       uint32_t Base = SC.u32();
       uint32_t NumNew = SC.u32();
       bool Ok = SC.ok() && Base == Map.size() &&
-                uint64_t{NumNew} <= Sections[SecStrDelta].Length / 4;
+                uint64_t{NumNew} <= S[SecStrDelta].Length / 4;
+      if (Ok)
+        Map.reserve(Map.size() + NumNew);
       for (uint32_t K = 0; Ok && K != NumNew; ++K) {
         std::string Str = SC.str();
         Ok = SC.ok();
@@ -1378,8 +718,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
 
     // Threads delta.
     {
-      ByteCursor TC(Sections[SecThreadDelta].Data,
-                    Sections[SecThreadDelta].Length);
+      ByteCursor TC(S[SecThreadDelta].Data, S[SecThreadDelta].Length);
       uint32_t Base = TC.u32();
       uint32_t NumNew = TC.u32();
       bool Ok = TC.ok() && Base == T.Threads.size();
@@ -1411,7 +750,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
 
     // Argument-pool slice: raw ValueRepr elements continuing the pool.
     {
-      const SectionIn &AS = Sections[SecArgSlice];
+      const SectionIn &AS = S[SecArgSlice];
       bool Ok = AS.Length >= 8 && (AS.Length - 8) % sizeof(ValueRepr) == 0;
       uint64_t PoolBase = 0;
       if (Ok) {
@@ -1428,140 +767,72 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
           return Corrupt("argument-pool");
         break;
       }
-      T.ArgPool.append(Slice, static_cast<size_t>(SliceCount));
+      PoolSlices.emplace_back(Slice, static_cast<size_t>(SliceCount));
       PoolCount += SliceCount;
     }
 
-    // Entry columns: all present, intact, and exactly the declared entry
-    // count — a segment's entries are recovered whole or dropped whole
-    // (per-segment checksums make the granularity a segment, never a
-    // mid-column prefix), and its side deltas stay applied either way so
-    // every later segment still resolves.
-    uint64_t N = Seg.NumEntries;
-    bool ColsOk = true;
-    for (const ColumnSize &Col : ColumnSizes)
-      ColsOk &= Sections[Col.Id].Present && Sections[Col.Id].Intact &&
-                Sections[Col.Id].Length == N * Col.ElemSize;
-    const uint8_t *Kinds = Sections[SecKind].Data;
-    const auto *Methods =
-        reinterpret_cast<const Symbol *>(Sections[SecMethod].Data);
-    const auto *Names =
-        reinterpret_cast<const Symbol *>(Sections[SecEvName].Data);
-    const auto *Selfs =
-        reinterpret_cast<const ObjRepr *>(Sections[SecSelf].Data);
-    const auto *Targets =
-        reinterpret_cast<const ObjRepr *>(Sections[SecTarget].Data);
-    const auto *Values =
-        reinterpret_cast<const ValueRepr *>(Sections[SecValue].Data);
-    const auto *ArgsBegins =
-        reinterpret_cast<const uint32_t *>(Sections[SecArgsBegin].Data);
-    const auto *ArgsEnds =
-        reinterpret_cast<const uint32_t *>(Sections[SecArgsEnd].Data);
-    const char *BadCol = ColsOk ? nullptr : "column";
-    if (ColsOk) {
-      for (uint64_t K = 0; K != N && !BadCol; ++K) {
-        if (Kinds[K] > MaxEventKind)
-          BadCol = "kind";
-        else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
-          BadCol = "symbol";
-        else if (Selfs[K].ClassName.Id >= Map.size() ||
-                 Targets[K].ClassName.Id >= Map.size())
-          BadCol = "object";
-        else if (static_cast<uint8_t>(Values[K].Kind) > MaxReprKind ||
-                 Values[K].Text.Id >= Map.size())
-          BadCol = "value";
-        else if (ArgsBegins[K] > ArgsEnds[K] || ArgsEnds[K] > PoolCount)
-          BadCol = "argument-slice";
-      }
+    // Entry columns, then a validation scan over the untrusted values so
+    // nothing downstream needs to distrust them (enum ranges, symbol ids,
+    // argument slices). Strict mode demands every column carry exactly the
+    // declared entry count. Salvage keeps the longest prefix every column
+    // covers and validates: a checksum-failed column covers none, a column
+    // the file ends inside covers its surviving bytes.
+    uint64_t Declared = Seg.NumEntries;
+    uint64_t N = Declared;
+    for (const ColumnSize &Col : ColumnSizes) {
+      const SectionIn &C = S[Col.Id];
+      if (!Salvage && (!C.Present || C.Length != Declared * Col.ElemSize))
+        return Corrupt("column");
+      N = std::min(N, C.Avail / Col.ElemSize);
     }
-    if (BadCol) {
+    const uint8_t *Kinds = S[SecKind].Data;
+    const auto *Methods = reinterpret_cast<const Symbol *>(S[SecMethod].Data);
+    const auto *Names = reinterpret_cast<const Symbol *>(S[SecEvName].Data);
+    const auto *Selfs = reinterpret_cast<const ObjRepr *>(S[SecSelf].Data);
+    const auto *Targets = reinterpret_cast<const ObjRepr *>(S[SecTarget].Data);
+    const auto *Values = reinterpret_cast<const ValueRepr *>(S[SecValue].Data);
+    const auto *ArgsBegins =
+        reinterpret_cast<const uint32_t *>(S[SecArgsBegin].Data);
+    const auto *ArgsEnds =
+        reinterpret_cast<const uint32_t *>(S[SecArgsEnd].Data);
+    for (uint64_t K = 0; K != N; ++K) {
+      const char *Bad = nullptr;
+      if (Kinds[K] > MaxEventKind)
+        Bad = "kind";
+      else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
+        Bad = "symbol";
+      else if (Selfs[K].ClassName.Id >= Map.size() ||
+               Targets[K].ClassName.Id >= Map.size())
+        Bad = "object";
+      else if (static_cast<uint8_t>(Values[K].Kind) > MaxReprKind ||
+               Values[K].Text.Id >= Map.size())
+        Bad = "value";
+      else if (ArgsBegins[K] > ArgsEnds[K] || ArgsEnds[K] > PoolCount)
+        Bad = "argument-slice";
+      if (!Bad)
+        continue;
       if (!Salvage)
-        return Corrupt(BadCol);
+        return Corrupt(Bad);
+      N = K; // Keep the prefix of entries that validate.
+      break;
+    }
+    if (N < Declared) {
       Damaged = true;
       ++SegmentsDropped;
-      EntriesDropped += N;
-      continue;
+      EntriesDropped += Declared - N;
+      if (N == 0)
+        continue;
     }
-
-    bool SegFps = Sections[SecFp].Present && Sections[SecFp].Intact &&
-                  Sections[SecFp].Length == N * 8;
-    size_t DstBegin = T.size();
-    size_t Cnt = static_cast<size_t>(N);
-    T.Tids.append(reinterpret_cast<const uint32_t *>(Sections[SecTid].Data),
-                  Cnt);
-    T.Methods.append(Methods, Cnt);
-    T.Selfs.append(Selfs, Cnt);
-    T.Kinds.append(Kinds, Cnt);
-    T.Names.append(Names, Cnt);
-    T.Targets.append(Targets, Cnt);
-    T.Values.append(Values, Cnt);
-    T.ArgsBegins.append(ArgsBegins, Cnt);
-    T.ArgsEnds.append(ArgsEnds, Cnt);
-    T.ChildTids.append(
-        reinterpret_cast<const uint32_t *>(Sections[SecChildTid].Data), Cnt);
-    T.Provs.append(reinterpret_cast<const uint32_t *>(Sections[SecProv].Data),
-                   Cnt);
-    // Stored fingerprints are usable only when every kept segment carries
-    // an intact lane (a gap would misalign the column); they still need
-    // symbol identity to be trusted, checked after the loop.
-    if (SegFps && FpsComplete && T.Fps.size() == DstBegin)
-      T.Fps.append(reinterpret_cast<const uint64_t *>(Sections[SecFp].Data),
-                   Cnt);
-    else if (Cnt != 0)
-      FpsComplete = false;
-    Kept.push_back({DstBegin, DstBegin + Cnt});
-
-    // View-index delta merge.
-    bool HasViewSecs =
-        Sections[SecViewMeta].Present || Sections[SecViewEntries].Present;
-    FileHasViewIndex |= HasViewSecs;
-    if (!HasViewSecs) {
-      if (Cnt != 0)
-        ViewMissing = true;
-    } else if (!ViewDamaged) {
-      bool Ok = Sections[SecViewMeta].Present &&
-                Sections[SecViewMeta].Intact &&
-                Sections[SecViewEntries].Present &&
-                Sections[SecViewEntries].Intact &&
-                Sections[SecViewEntries].Length % 4 == 0;
-      const auto *Flat =
-          reinterpret_cast<const uint32_t *>(Sections[SecViewEntries].Data);
-      uint64_t FlatCount = Ok ? Sections[SecViewEntries].Length / 4 : 0;
-      uint64_t FlatOff = 0;
-      ByteCursor VC(Sections[SecViewMeta].Data, Sections[SecViewMeta].Length);
-      for (size_t F = 0; Ok && F != NumViewFamilies; ++F) {
-        uint32_t NumViews = VC.u32();
-        Ok = VC.ok() && NumViews <= N;
-        std::vector<uint32_t> SegKeys(Ok ? NumViews : 0);
-        for (uint32_t V = 0; Ok && V != NumViews; ++V) {
-          SegKeys[V] = VC.u32();
-          // Method-view keys are symbol ids; validate like any symbol.
-          Ok = VC.ok() && (F != 1 || SegKeys[V] < Map.size());
-        }
-        for (uint32_t V = 0; Ok && V != NumViews; ++V) {
-          uint32_t ListCount = VC.u32();
-          Ok = VC.ok() && ListCount != 0 && FlatOff + ListCount <= FlatCount;
-          if (!Ok)
-            break;
-          auto Slot = MergeSlot[F].try_emplace(
-              SegKeys[V], static_cast<uint32_t>(MergeKeys[F].size()));
-          if (Slot.second) {
-            MergeKeys[F].push_back(SegKeys[V]);
-            MergeLists[F].emplace_back();
-          }
-          std::vector<uint32_t> &List = MergeLists[F][Slot.first->second];
-          List.insert(List.end(), Flat + FlatOff, Flat + FlatOff + ListCount);
-          FlatOff += ListCount;
-        }
-      }
-      if (!Ok || !VC.ok() || !VC.atEnd() || FlatOff != FlatCount)
-        ViewDamaged = true;
-    }
+    // A stored lane is only trusted when intact and complete; otherwise
+    // fingerprints are recomputed (they are derived data, and a wrong one
+    // would corrupt =e instead of merely costing time).
+    bool Fps = S[SecFp].Intact && S[SecFp].Length == Declared * 8;
+    Kept.push_back({std::move(Parsed), N, Fps});
   }
 
-  if (SegI != Segs.size() && SegI < Segs.size()) {
-    // The loop broke on an unusable table or side delta: that segment and
-    // the whole suffix are lost (chained side bases).
+  if (SegI != Segs.size()) {
+    // The loop broke on an unusable side delta: that segment and the whole
+    // suffix are lost (chained side bases).
     Damaged = true;
     for (size_t K = SegI; K != Segs.size(); ++K) {
       ++SegmentsDropped;
@@ -1571,37 +842,78 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
   if (Kept.empty() && SegmentsDropped != 0)
     return TraceError::unsalvageable(Path, "no intact segments");
 
-  // Assemble the merged view index (only when every segment's entries and
-  // every delta survived — dropped segments compact eids, which the
-  // persisted global ids no longer match).
-  bool AnyDropped = SegmentsDropped != 0;
-  if (FileHasViewIndex && !ViewDamaged && !ViewMissing && !AnyDropped &&
-      !FaultInjector::fire(FaultSite::ViewIndexBorrow)) {
-    size_t Total = 0;
-    for (size_t F = 0; F != NumViewFamilies; ++F)
-      for (const std::vector<uint32_t> &List : MergeLists[F])
-        Total += List.size();
-    T.ViewIdx.Entries.reserve(Total);
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      T.ViewIdx.Keys[F].append(MergeKeys[F].data(), MergeKeys[F].size());
-      T.ViewIdx.Counts[F].reserve(MergeLists[F].size());
-      for (const std::vector<uint32_t> &List : MergeLists[F]) {
-        T.ViewIdx.Counts[F].push_back(static_cast<uint32_t>(List.size()));
-        T.ViewIdx.Entries.append(List.data(), List.size());
-      }
+  // Columns: a lone segment loaded under symbol identity is borrowed
+  // zero-copy from the file bytes (Backing keeps them alive); otherwise
+  // the segments' columns are concatenated into owned storage.
+  size_t Count = 0;
+  for (const KeptSegment &K : Kept)
+    Count += static_cast<size_t>(K.N);
+  bool BorrowCols = Identity && Kept.size() == 1;
+  auto Fill = [&](auto &Col, uint32_t Id) {
+    using Elem =
+        std::remove_const_t<std::remove_pointer_t<decltype(Col.data())>>;
+    if (BorrowCols) {
+      Col.borrow(reinterpret_cast<const Elem *>(Kept[0].Secs.S[Id].Data),
+                 Count);
+      return;
     }
-    T.ViewIdx.Present = true;
-    if (!viewIndexIsValid(T.ViewIdx, T.size()))
-      T.ViewIdx.clear();
+    Col.reserve(Count);
+    for (const KeptSegment &K : Kept)
+      Col.append(reinterpret_cast<const Elem *>(K.Secs.S[Id].Data),
+                 static_cast<size_t>(K.N));
+  };
+  Fill(T.Tids, SecTid);
+  Fill(T.Methods, SecMethod);
+  Fill(T.Selfs, SecSelf);
+  Fill(T.Kinds, SecKind);
+  Fill(T.Names, SecEvName);
+  Fill(T.Targets, SecTarget);
+  Fill(T.Values, SecValue);
+  Fill(T.ArgsBegins, SecArgsBegin);
+  Fill(T.ArgsEnds, SecArgsEnd);
+  Fill(T.ChildTids, SecChildTid);
+  Fill(T.Provs, SecProv);
+  // Stored fingerprints hash the file's symbol ids: usable only under
+  // identity and when every kept segment carries a lane.
+  bool UseStoredFps =
+      Identity && std::all_of(Kept.begin(), Kept.end(),
+                              [](const KeptSegment &K) { return K.Fps; });
+  if (UseStoredFps)
+    Fill(T.Fps, SecFp);
+  bool BorrowPool = Identity && PoolSlices.size() == 1;
+  if (BorrowPool) {
+    T.ArgPool.borrow(PoolSlices[0].first, PoolSlices[0].second);
+  } else {
+    T.ArgPool.reserve(static_cast<size_t>(PoolCount));
+    for (const auto &[Slice, SliceCount] : PoolSlices)
+      T.ArgPool.append(Slice, SliceCount);
   }
 
-  size_t Count = T.size();
+  // The persisted view index is derived data, so any damage to it — a bad
+  // section, a missing delta, dropped entries (which shift eids), an
+  // injected borrow failure — degrades to an index-less load: the view web
+  // is rebuilt from the entries, observable via `robust.view_index_dropped`.
+  if (FileHasViewIndex && !ViewDamaged && SegmentsDropped == 0 &&
+      !FaultInjector::fire(FaultSite::ViewIndexBorrow) &&
+      (!assembleViewIndex(Kept, Map.size(), BorrowCols, T.ViewIdx) ||
+       !viewIndexIsValid(T.ViewIdx, Count)))
+    T.ViewIdx.clear();
+  if (BorrowCols || BorrowPool || T.ViewIdx.Entries.borrowed())
+    T.Backing = File.Holder;
+
   if (!Identity) {
     // The interner assigned different ids: remap every symbol-bearing
-    // column and the merged index's method keys, then recompute
-    // fingerprints (they hash symbol ids). Mirrors the v3 reader.
+    // column and the index's method keys, then recompute fingerprints
+    // (they hash symbol ids). Counted so repeat-load pipelines can spot
+    // that sharing one interner across loads would make this free.
     std::optional<TelemetrySpan> RemapSpan(std::in_place, "remap");
     if (T.ViewIdx.Present) {
+      // The partition structure and first-appearance order are invariant
+      // under re-interning; only the method family's keys are symbol ids.
+      // Two file-table strings interning to one symbol (possible only in a
+      // hand-crafted table) would collapse two method views into one
+      // identity, so the index is dropped rather than diverging from a
+      // fresh build.
       uint32_t *MethodKeys = T.ViewIdx.Keys[1].mutData();
       bool Collapsed = false;
       std::unordered_set<uint32_t> SeenKeys;
@@ -1631,7 +943,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
     RemapSpan.reset();
     Telemetry::counterAdd("load.fp_recompute", 1);
     T.computeFingerprints();
-  } else if (FpsComplete && T.Fps.size() == Count) {
+  } else if (UseStoredFps) {
     T.HasFingerprints = true;
   } else {
     T.computeFingerprints();
@@ -1645,19 +957,21 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
   }
 
   // Segment table for the diff layer's segment-granular run skip: exposed
-  // only for fully clean loads (a dropped segment shifts eids, and without
+  // only for fully clean loads (a dropped entry shifts eids, and without
   // the directory the segmentation itself is suspect). Digests hash the
   // *final* (post-remap) fingerprint lane plus the tid lane, so two traces
   // loaded through one interner expose comparable digests.
   if (DirValid && SegmentsDropped == 0) {
     T.Segments.reserve(Kept.size());
-    for (const KeptRange &K : Kept) {
-      size_t Len = K.End - K.Begin;
+    size_t Begin = 0;
+    for (const KeptSegment &K : Kept) {
+      size_t Len = static_cast<size_t>(K.N);
       uint64_t Digest =
-          hashCombine(checksumBytes(T.Fps.data() + K.Begin, Len * 8),
-                      checksumBytes(T.Tids.data() + K.Begin, Len * 4));
-      T.Segments.push_back({static_cast<uint32_t>(K.Begin),
-                            static_cast<uint32_t>(K.End), Digest});
+          hashCombine(checksumBytes(T.Fps.data() + Begin, Len * 8),
+                      checksumBytes(T.Tids.data() + Begin, Len * 4));
+      T.Segments.push_back({static_cast<uint32_t>(Begin),
+                            static_cast<uint32_t>(Begin + Len), Digest});
+      Begin += Len;
     }
   }
 
@@ -1678,16 +992,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
 
 } // namespace
 
-bool rprism::writeTrace(const Trace &T, const std::string &Path,
-                        bool WithViewIndex) {
-  if (const char *Fmt = std::getenv("RPRISM_TRACE_FORMAT"))
-    if (std::strcmp(Fmt, "v4") == 0)
-      return writeTraceSegmented(T, Path, DefaultSegmentEntries,
-                                 WithViewIndex);
-  return writeTraceV3Impl(T, Path, 0, T.size(), WithViewIndex);
-}
-
-// --- v4 segmented writer --------------------------------------------------
+// --- Writer ----------------------------------------------------------------
 
 struct SegmentedTraceWriter::Impl {
   Writer W;
@@ -1714,7 +1019,7 @@ struct SegmentedTraceWriter::Impl {
       : W(Path), SegmentEntries(SegEntries ? SegEntries : 1),
         WithViewIndex(WithIdx) {
     W.u32(TraceMagic);
-    W.u32(SegTraceVersion);
+    W.u32(TraceVersion);
     W.u32(0); // Flags; fingerprint presence is per-segment (SecFp).
     W.u32(static_cast<uint32_t>(std::min<size_t>(SegmentEntries, ~0u)));
     W.u64(0); // Reserved.
@@ -1806,17 +1111,23 @@ bool SegmentedTraceWriter::appendSegment(const Trace &T, size_t Begin,
       reinterpret_cast<const char *>(T.ArgPool.data() + S.PoolWritten),
       (PoolUpTo - S.PoolWritten) * sizeof(ValueRepr));
 
-  // View-index delta over exactly this range (global eids).
+  // View-index delta over exactly this range (global eids). A whole-trace
+  // segment of a trace that already holds a current index (loaded from an
+  // indexed file) writes it back verbatim instead of recomputing it.
   ViewIndex SegIdx;
+  const ViewIndex *Idx = &SegIdx;
   ByteBuffer ViewMetaBuf;
   if (S.WithViewIndex) {
-    SegIdx = computeViewIndexRange(T, static_cast<uint32_t>(Begin),
-                                   static_cast<uint32_t>(End));
+    if (Begin == 0 && End == T.size() && T.ViewIdx.Present)
+      Idx = &T.ViewIdx;
+    else
+      SegIdx = computeViewIndexRange(T, static_cast<uint32_t>(Begin),
+                                     static_cast<uint32_t>(End));
     for (size_t F = 0; F != NumViewFamilies; ++F) {
-      ViewMetaBuf.u32(static_cast<uint32_t>(SegIdx.Keys[F].size()));
-      for (uint32_t Key : SegIdx.Keys[F])
+      ViewMetaBuf.u32(static_cast<uint32_t>(Idx->Keys[F].size()));
+      for (uint32_t Key : Idx->Keys[F])
         ViewMetaBuf.u32(Key);
-      for (uint32_t ListCount : SegIdx.Counts[F])
+      for (uint32_t ListCount : Idx->Counts[F])
         ViewMetaBuf.u32(ListCount);
     }
   }
@@ -1852,11 +1163,12 @@ bool SegmentedTraceWriter::appendSegment(const Trace &T, size_t Begin,
     Sections.push_back(
         {SecViewMeta, ViewMetaBuf.Out.data(), ViewMetaBuf.Out.size()});
     Sections.push_back(
-        {SecViewEntries, SegIdx.Entries.data(), SegIdx.Entries.byteSize()});
+        {SecViewEntries, Idx->Entries.data(), Idx->Entries.byteSize()});
   }
 
   // Lay the payloads out 8-aligned after the segment's table, offsets
-  // relative to the segment header (the segment itself is 8-aligned).
+  // relative to the segment header (the segment itself is 8-aligned), so
+  // mmap'd column views satisfy their element alignment.
   uint64_t Rel = SegHeaderBytes + Sections.size() * SectionRecordBytes;
   std::vector<uint64_t> Offsets(Sections.size());
   for (size_t K = 0; K != Sections.size(); ++K) {
@@ -1869,17 +1181,20 @@ bool SegmentedTraceWriter::appendSegment(const Trace &T, size_t Begin,
 
   std::vector<uint64_t> Sums = sectionChecksums(Sections);
   ByteBuffer Table;
+  uint64_t TidSum = 0, FpSum = 0;
   for (size_t K = 0; K != Sections.size(); ++K) {
     Table.u32(Sections[K].Id);
     Table.u32(0); // pad
     Table.u64(Offsets[K]);
     Table.u64(Sections[K].Length);
     Table.u64(Sums[K]);
+    if (Sections[K].Id == SecTid)
+      TidSum = Sums[K];
+    else if (Sections[K].Id == SecFp)
+      FpSum = Sums[K];
   }
   uint64_t TableDigest = checksumBytes(Table.Out.data(), Table.Out.size());
-  uint64_t LaneDigest = hashCombine(
-      WithFps ? checksumBytes(T.Fps.data() + Begin, N * sizeof(uint64_t)) : 0,
-      checksumBytes(T.Tids.data() + Begin, N * sizeof(uint32_t)));
+  uint64_t LaneDigest = hashCombine(FpSum, TidSum);
 
   Writer &W = S.W;
   W.u32(SegMagic);
@@ -1955,12 +1270,13 @@ bool rprism::writeTraceSegmented(const Trace &T, const std::string &Path,
   return W.finalize();
 }
 
-bool rprism::writeTraceLegacy(const Trace &T, const std::string &Path,
-                              uint32_t Version) {
-  if (Version < MinTraceVersion || Version > MaxLegacyVersion)
-    return false;
-  return writeTraceLegacyImpl(T, Path, Version);
+bool rprism::writeTrace(const Trace &T, const std::string &Path,
+                        bool WithViewIndex) {
+  return writeTraceSegmented(T, Path, std::max<size_t>(T.size(), 1),
+                             WithViewIndex);
 }
+
+// --- Reader ----------------------------------------------------------------
 
 Expected<Trace> rprism::readTrace(const std::string &Path,
                                   std::shared_ptr<StringInterner> Strings) {
@@ -1974,10 +1290,6 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
   if (!Strings)
     Strings = std::make_shared<StringInterner>();
 
-  // One load of the file bytes serves the format dispatch and both
-  // readers; the legacy stream reader parses the same arena/mapping the
-  // v3 reader borrows from, so retry and fault-injection behavior is
-  // uniform across formats.
   FileBytes File;
   IoStatus Status;
   {
@@ -1999,20 +1311,11 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
   uint32_t Version = 0;
   if (File.Size >= 8)
     std::memcpy(&Version, File.Data + 4, 4);
-  if (Version < MinTraceVersion ||
-      (Version > MaxLegacyVersion && Version != TraceVersion &&
-       Version != SegTraceVersion))
+  if (Version != TraceVersion)
     return TraceError::unsupportedVersion(Path, Version);
 
-  Expected<Trace> Result = [&]() -> Expected<Trace> {
-    if (Version <= MaxLegacyVersion) {
-      ByteCursor R(File.Data + 8, File.Size - 8);
-      return readTraceLegacy(R, Path, std::move(Strings), Options);
-    }
-    if (Version == SegTraceVersion)
-      return readTraceV4(Path, File, std::move(Strings), Options);
-    return readTraceV3(Path, File, std::move(Strings), Options);
-  }();
+  Expected<Trace> Result =
+      readSegmented(Path, File, std::move(Strings), Options);
   if (Result)
     Telemetry::counterAdd("trace.entries_loaded", Result->size());
   return Result;
@@ -2031,25 +1334,12 @@ Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
   std::memcpy(Head, File.Data, sizeof(Head));
   if (Head[0] != TraceMagic)
     return TraceError::notATrace(Path);
-  if (Head[1] == TraceVersion && File.Size >= HeaderBytes) {
-    // v3: the section table already carries a checksum per payload, so
-    // hashing header + table covers the whole content without touching
-    // the (potentially large) payload bytes.
-    uint32_t NumSections;
-    std::memcpy(&NumSections, File.Data + 12, 4);
-    uint64_t TableEnd =
-        HeaderBytes + uint64_t{NumSections} * SectionRecordBytes;
-    if (NumSections != 0 && NumSections <= MaxSections &&
-        TableEnd <= File.Size)
-      return hashCombine(
-          checksumBytes(File.Data, static_cast<size_t>(TableEnd)), File.Size);
-  }
-  if (Head[1] == SegTraceVersion &&
+  if (Head[1] == TraceVersion &&
       File.Size >= SegFileHeaderBytes + SegTrailerBytes) {
-    // v4: the footer directory carries each segment's table digest, and
-    // each segment table carries per-payload checksums, so header + footer
-    // cover the whole content. Only usable when the trailer and footer
-    // verify; a damaged file falls through to the full-file hash.
+    // The footer directory carries each segment's table digest, and each
+    // segment table carries per-payload checksums, so header + footer
+    // cover the whole content without touching the (potentially large)
+    // payload bytes. Only usable when the trailer and footer verify.
     uint64_t FooterOffset, FooterChecksum;
     uint32_t NumSegments;
     const uint8_t *Trailer = File.Data + (File.Size - SegTrailerBytes);
@@ -2066,61 +1356,9 @@ Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
                                        static_cast<size_t>(FooterBytes)),
                          File.Size);
   }
-  // Legacy stream formats (or a malformed v3 header, which the full read
-  // will reject anyway): hash the entire file.
+  // A damaged or foreign file (which a full read will reject anyway):
+  // hash the entire file.
   return hashCombine(checksumBytes(File.Data, File.Size), File.Size);
-}
-
-unsigned rprism::writeTraceSegments(const Trace &T,
-                                    const std::string &BasePath,
-                                    size_t MaxEntries) {
-  if (MaxEntries == 0)
-    return 0;
-  unsigned NumSegments = 0;
-  for (size_t Begin = 0; Begin < T.size() || NumSegments == 0;
-       Begin += MaxEntries) {
-    size_t End = Begin + MaxEntries;
-    if (End > T.size())
-      End = T.size();
-    char Suffix[16];
-    std::snprintf(Suffix, sizeof(Suffix), ".seg%03u", NumSegments);
-    if (!writeTraceV3Impl(T, BasePath + Suffix, Begin, End,
-                          /*WithViewIndex=*/true))
-      return 0;
-    ++NumSegments;
-    if (End == T.size())
-      break;
-  }
-  return NumSegments;
-}
-
-Expected<Trace>
-rprism::readTraceSegments(const std::string &BasePath, unsigned NumSegments,
-                          std::shared_ptr<StringInterner> Strings) {
-  if (NumSegments == 0)
-    return makeErr("no segments to read");
-  if (!Strings)
-    Strings = std::make_shared<StringInterner>();
-
-  Trace Out;
-  for (unsigned I = 0; I != NumSegments; ++I) {
-    char Suffix[16];
-    std::snprintf(Suffix, sizeof(Suffix), ".seg%03u", I);
-    Expected<Trace> Segment = readTrace(BasePath + Suffix, Strings);
-    if (!Segment) {
-      Err E = Segment.error();
-      return std::move(E).note("while reading segment " + std::to_string(I));
-    }
-    if (I == 0) {
-      Out = Segment.take();
-      continue;
-    }
-    // Entries append directly: the side tables (arg pool, threads, strings)
-    // were written whole into every segment, so indices stay valid.
-    Out.appendEntriesFrom(*Segment);
-    Out.HasFingerprints = Out.HasFingerprints && Segment->HasFingerprints;
-  }
-  return Out;
 }
 
 std::string rprism::dumpTrace(const Trace &T) {

@@ -9,27 +9,34 @@
 /// Binary serialization of traces. RPRISM collects traces online but
 /// analyzes them offline "after the trace data has been serialized to disk"
 /// (§5), using *trace segmentation* to bound tracing memory: a long trace is
-/// offloaded in segments and the in-memory buffer reclaimed. This module
-/// provides the equivalent: whole-trace write/read plus a segmented writer
-/// that emits numbered segment files and a reader that reassembles them.
+/// offloaded in segments and the in-memory buffer reclaimed.
 ///
-/// Format v3 (the default) is a sectioned, length-prefixed layout whose
-/// payloads are the columnar Trace's columns written verbatim: a header,
-/// a section table of (id, offset, length, checksum) records, then
-/// 8-byte-aligned payloads. Readers mmap the file (falling back to an
-/// aligned arena read), verify every section checksum, validate the
-/// untrusted bytes (kinds, symbol ids, argument slices), and then *borrow*
-/// the columns zero-copy when the file's string table interns to identical
-/// symbol ids — the common case for a fresh or same-session interner —
-/// including the fingerprint column, so loading skips re-fingerprinting
-/// entirely. Otherwise the columns are materialized and symbols remapped.
+/// There is one on-disk format (version word 6): a file header, then
+/// fixed-entry-count segments, then a footer segment directory and a fixed
+/// trailer. Each segment is a header, a table of (id, offset, length,
+/// checksum) section records, and 8-byte-aligned payloads: the entry
+/// columns written verbatim, an optional fingerprint lane, an optional
+/// view-index delta, and *deltas* of the side tables (strings and threads
+/// new since the previous segment, the argument-pool slice its entries
+/// reference). writeTrace writes a whole trace as one segment;
+/// SegmentedTraceWriter seals segments while a run is still producing
+/// entries.
+///
+/// Readers mmap the file (falling back to an aligned arena read), verify
+/// every section checksum, and validate the untrusted bytes (kinds, symbol
+/// ids, argument slices). A one-segment file whose string table interns to
+/// identical symbol ids — a fresh interner, or one already holding this
+/// exact table — is then *borrowed* zero-copy: the columns, argument pool,
+/// fingerprint lane, and view-index entry lists stay in the mapping, so
+/// loading skips re-fingerprinting entirely. Multi-segment files are
+/// concatenated into owned columns, and any file whose symbols re-intern
+/// to different ids is materialized and remapped.
 ///
 /// Symbols are file-local on disk; readers re-intern through the supplied
 /// StringInterner, so traces written by different runs can be loaded into
-/// one shared interner for differencing. v1/v2 stream-format files still
-/// load through the legacy reader. The v3 and v4 layouts carry version
-/// words 5 and 6; files with their earlier words 3 and 4 (interned scalar
-/// text, FNV-1a checksums) are rejected as unsupported.
+/// one shared interner for differencing. Files with any other version word
+/// (the retired stream, whole-trace, and pre-inline-payload layouts) are
+/// rejected as unsupported.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,21 +50,18 @@
 
 namespace rprism {
 
-/// Writes \p T to \p Path in the current default format (v3), or in the
-/// segmented v4 format when the RPRISM_TRACE_FORMAT environment variable
-/// is "v4". Returns false on I/O failure. By default the file carries the
-/// optional view-index sections (the trace's ViewIdx when current, else
-/// computed here), so a later `rprism diff` reconstructs the view web
-/// without scanning the entries; \p WithViewIndex = false omits them (the
-/// sections are optional — files load either way, and pre-index readers
-/// skip the unknown sections).
+/// Writes \p T to \p Path as a one-segment file. Returns false on I/O
+/// failure. By default the file carries the optional view-index sections
+/// (the trace's ViewIdx when current, else computed here), so a later
+/// `rprism diff` reconstructs the view web without scanning the entries;
+/// \p WithViewIndex = false omits them (files load either way).
 bool writeTrace(const Trace &T, const std::string &Path,
                 bool WithViewIndex = true);
 
-/// Default entry count per segment of a v4 segmented trace file.
+/// Default entry count per segment of a streamed trace file.
 inline constexpr size_t DefaultSegmentEntries = 1u << 16;
 
-/// Streaming writer for the segmented v4 trace format: a single file of
+/// Streaming writer for the trace format: a single file of
 /// fixed-entry-count segments, each carrying its own column slices,
 /// per-section checksums, fingerprint lane, side-table *deltas*
 /// (strings/threads newly seen since the previous seal, the argument-pool
@@ -105,18 +109,11 @@ private:
   std::unique_ptr<Impl> I;
 };
 
-/// Writes \p T to \p Path in the segmented v4 format (see
-/// SegmentedTraceWriter), splitting the entries into segments of
-/// \p SegmentEntries.
+/// Writes \p T to \p Path (see SegmentedTraceWriter), splitting the
+/// entries into segments of \p SegmentEntries.
 bool writeTraceSegmented(const Trace &T, const std::string &Path,
                          size_t SegmentEntries = DefaultSegmentEntries,
                          bool WithViewIndex = true);
-
-/// Writes \p T in a historical stream format (\p Version must be 1 or 2;
-/// both share one layout). Kept so cross-format determinism and
-/// back-compat tests can generate genuine old-format files.
-bool writeTraceLegacy(const Trace &T, const std::string &Path,
-                      uint32_t Version);
 
 /// What actually happened during a read — filled in when ReadOptions
 /// carries a Report pointer. Degradations are also counted process-wide
@@ -128,8 +125,9 @@ struct TraceReadReport {
   uint64_t EntriesRecovered = 0;
   /// Entries the file declared but salvage could not recover.
   uint64_t EntriesDropped = 0;
-  /// Segments of a v4 file whose entries salvage could not recover
-  /// (damaged segments plus any suffix lost to side-table damage).
+  /// Segments whose entries salvage could not fully recover (damaged
+  /// segments, the one the file ends inside unless its whole column range
+  /// survives, and any suffix lost to side-table damage).
   uint64_t SegmentsDropped = 0;
   /// The persisted view index was damaged and dropped; the trace loads
   /// without it and view webs rebuild from the columns.
@@ -138,16 +136,17 @@ struct TraceReadReport {
 
 /// Options for readTrace.
 struct ReadOptions {
-  /// Recover the valid entry prefix of a damaged file instead of failing:
-  /// v3 files keep every fully-checksummed leading column range (side
-  /// tables must be intact), legacy files keep the entries that parsed
-  /// before the damage. Off by default — strict reads reject damage.
+  /// Recover what a damaged file still holds instead of failing: every
+  /// segment whose side deltas and entry columns verify, plus the
+  /// surviving column prefix of a segment the file ends inside. Damaged
+  /// side deltas cost their segment and every later one. Off by default —
+  /// strict reads reject damage.
   bool Salvage = false;
   /// Optional out-param describing degradations taken.
   TraceReadReport *Report = nullptr;
 };
 
-/// Reads a trace from \p Path (any supported version), interning all
+/// Reads a trace from \p Path, interning all
 /// strings into \p Strings. Errors carry an ErrClass and a stable
 /// `trace.*` code (see trace/TraceError.h); a damaged persisted view
 /// index alone is not an error — the index is dropped and the trace
@@ -160,24 +159,12 @@ Expected<Trace> readTrace(const std::string &Path,
                           std::shared_ptr<StringInterner> Strings,
                           const ReadOptions &Options);
 
-/// Splits \p T into segments of at most \p MaxEntries entries and writes
-/// them as "<BasePath>.segNNN". Returns the number of segments written, or
-/// 0 on failure. Argument-pool and thread-table slices are rewritten
-/// per-segment so each segment is a self-contained Trace.
-unsigned writeTraceSegments(const Trace &T, const std::string &BasePath,
-                            size_t MaxEntries);
-
-/// Reassembles segments written by writeTraceSegments. Entry ids are
-/// preserved; the result compares equal to the original trace.
-Expected<Trace> readTraceSegments(const std::string &BasePath,
-                                  unsigned NumSegments,
-                                  std::shared_ptr<StringInterner> Strings);
-
 /// Content digest of a trace file, for cache keying (DiffCache): two
-/// paths with equal digests hold the same trace bytes. For v3 files this
-/// hashes only the header and section table (whose records embed each
-/// payload's checksum); legacy files hash in full. Errors on unreadable
-/// or non-trace files.
+/// paths with equal digests hold the same trace bytes. Hashes only the
+/// file header and the footer directory (whose records embed each segment
+/// table's digest, and the tables each payload's checksum); a file without
+/// a verifiable footer hashes in full. Errors on unreadable or non-trace
+/// files.
 Expected<uint64_t> traceFileDigest(const std::string &Path);
 
 /// Renders the whole trace as text, one entry per line (debugging aid and

@@ -9,10 +9,10 @@
 /// Pins the two warm-path contracts of the repeat-diff machinery:
 ///
 ///   1. A view web reconstructed from a trace's ViewIndex — computed in
-///      memory or round-tripped through the v3 sections — is *identical*
-///      to one built by scanning the entries (randomized over generated
-///      workloads), and damaged index sections are rejected, never
-///      half-used.
+///      memory or round-tripped through the trace-file sections — is
+///      *identical* to one built by scanning the entries (randomized over
+///      generated workloads), and damaged index sections are rejected,
+///      never half-used.
 ///   2. DiffCache returns the exact objects it cached (hits observable via
 ///      counters), evicts cold entries with their dependents, and
 ///      cachedViewsDiff produces byte-identical reports and identical
@@ -147,7 +147,7 @@ TEST(ViewIndexProperty, ReconstructedWebMatchesFreshBuild) {
   }
 }
 
-TEST(ViewIndexProperty, RoundTripThroughV3FileMatchesFreshBuild) {
+TEST(ViewIndexProperty, RoundTripThroughTraceFileMatchesFreshBuild) {
   std::mt19937_64 Rng(42);
   for (int Round = 0; Round != 4; ++Round) {
     Trace T = generatedTrace(Rng);
@@ -201,6 +201,47 @@ TEST(ViewIndexProperty, AppendingInvalidatesTheIndex) {
 // Serialization: optional sections, rejection of damage
 //===----------------------------------------------------------------------===//
 
+/// Where section \p Id of a one-segment trace file sits: the segment
+/// header follows the 32-byte file header, its 32-byte section records
+/// (id/pad/offset/length/checksum) follow that, and payload offsets are
+/// relative to the segment header. RecordPos is -1 when absent.
+struct SectionPos {
+  long RecordPos = -1;
+  long Offset = 0; ///< Absolute payload offset.
+  long Length = 0;
+};
+
+SectionPos findSection(const std::string &Path, uint32_t Id) {
+  SectionPos Pos;
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  EXPECT_TRUE(F != nullptr) << Path;
+  if (!F)
+    return Pos;
+  uint32_t NumSections = 0;
+  std::fseek(F, 32 + 20, SEEK_SET);
+  if (std::fread(&NumSections, 4, 1, F) != 1)
+    NumSections = 0;
+  for (uint32_t I = 0; I != NumSections; ++I) {
+    long Record = 64 + static_cast<long>(I) * 32;
+    uint8_t Bytes[32];
+    std::fseek(F, Record, SEEK_SET);
+    if (std::fread(Bytes, 1, 32, F) != 32)
+      break;
+    uint32_t RecordId;
+    uint64_t Offset, Length;
+    std::memcpy(&RecordId, Bytes, 4);
+    std::memcpy(&Offset, Bytes + 8, 8);
+    std::memcpy(&Length, Bytes + 16, 8);
+    if (RecordId == Id) {
+      Pos = {Record, 32 + static_cast<long>(Offset),
+             static_cast<long>(Length)};
+      break;
+    }
+  }
+  std::fclose(F);
+  return Pos;
+}
+
 TEST(ViewIndexSerialize, FileWithoutIndexLoadsWithNoIndex) {
   Trace T = traceOf(ObjectsProgram);
   std::string Path = tempPath("noindex");
@@ -246,15 +287,17 @@ TEST(ViewIndexSerialize, CorruptIndexPayloadDegradesToColumnRebuild) {
   Trace T = traceOf(ObjectsProgram);
   std::string Path = tempPath("badidx");
   ASSERT_TRUE(writeTrace(T, Path));
-  // The view-entries payload is the last section written, so the file's
-  // final byte sits inside it; flipping it trips the section checksum.
-  // The index is derived data: the load must succeed without it (first
-  // rung of the degradation ladder) and count the drop.
+  // Flipping the last byte of the view-entries payload trips its section
+  // checksum. The index is derived data: the load must succeed without it
+  // (first rung of the degradation ladder) and count the drop.
+  SectionPos Entries = findSection(Path, 23);
+  ASSERT_GE(Entries.RecordPos, 0);
+  ASSERT_GT(Entries.Length, 0);
   std::FILE *F = std::fopen(Path.c_str(), "rb+");
   ASSERT_TRUE(F != nullptr);
-  std::fseek(F, -1, SEEK_END);
+  std::fseek(F, Entries.Offset + Entries.Length - 1, SEEK_SET);
   int Byte = std::fgetc(F);
-  std::fseek(F, -1, SEEK_END);
+  std::fseek(F, Entries.Offset + Entries.Length - 1, SEEK_SET);
   std::fputc(Byte ^ 0xff, F);
   std::fclose(F);
 
@@ -283,26 +326,15 @@ TEST(ViewIndexSerialize, MetaWithoutEntriesDropsIndex) {
   // Rewrite the view-entries section record's id (23) to an unknown id:
   // the reader skips unknown sections for forward compatibility, so it
   // sees view-meta without view-entries — a structurally damaged index,
-  // which must be dropped whole, never half-used. Record layout: 16-byte
-  // header, then 32-byte records with the id in the first 4 bytes.
+  // which must be dropped whole, never half-used.
+  SectionPos Entries = findSection(Path, 23);
+  ASSERT_GE(Entries.RecordPos, 0) << "view-entries section not found";
   std::FILE *F = std::fopen(Path.c_str(), "rb+");
   ASSERT_TRUE(F != nullptr);
-  uint32_t Head[4];
-  ASSERT_EQ(std::fread(Head, 4, 4, F), 4u);
-  bool Rewrote = false;
-  for (uint32_t I = 0; I != Head[3]; ++I) {
-    std::fseek(F, 16 + static_cast<long>(I) * 32, SEEK_SET);
-    uint32_t Id = 0;
-    ASSERT_EQ(std::fread(&Id, 4, 1, F), 1u);
-    if (Id == 23) {
-      Id = 63;
-      std::fseek(F, 16 + static_cast<long>(I) * 32, SEEK_SET);
-      ASSERT_EQ(std::fwrite(&Id, 4, 1, F), 1u);
-      Rewrote = true;
-    }
-  }
+  uint32_t Unknown = 63;
+  std::fseek(F, Entries.RecordPos, SEEK_SET);
+  ASSERT_EQ(std::fwrite(&Unknown, 4, 1, F), 1u);
   std::fclose(F);
-  ASSERT_TRUE(Rewrote) << "view-entries section not found";
 
   TelemetryWindow W;
   TraceReadReport Report;
@@ -325,12 +357,18 @@ TEST(ViewIndexSerialize, TruncatedIndexedFiles) {
   std::fseek(F, 0, SEEK_END);
   long Size = std::ftell(F);
   std::fclose(F);
-  // Cuts near the end land inside the trailing index sections: the index
-  // is dropped and the trace still loads in full.
-  for (long Cut : {Size - 1, Size - 9}) {
+  // Cuts inside the trailing index sections lose the directory, so strict
+  // reads refuse; salvage drops the index and still loads in full.
+  SectionPos Entries = findSection(Path, 23);
+  ASSERT_GT(Entries.Length, 8);
+  long EntriesEnd = Entries.Offset + Entries.Length;
+  ASSERT_LT(EntriesEnd, Size);
+  for (long Cut : {EntriesEnd - 1, EntriesEnd - 9}) {
     ASSERT_TRUE(truncate(Path.c_str(), Cut) == 0);
+    ASSERT_FALSE(bool(readTrace(Path, nullptr))) << "cut at " << Cut;
     TraceReadReport Report;
     ReadOptions Options;
+    Options.Salvage = true;
     Options.Report = &Report;
     Expected<Trace> Loaded = readTrace(Path, nullptr, Options);
     ASSERT_TRUE(bool(Loaded)) << "cut at " << Cut << ": "
@@ -338,6 +376,7 @@ TEST(ViewIndexSerialize, TruncatedIndexedFiles) {
     EXPECT_FALSE(Loaded->ViewIdx.Present) << "cut at " << Cut;
     EXPECT_TRUE(Report.ViewIndexDropped) << "cut at " << Cut;
     EXPECT_EQ(Loaded->size(), T.size()) << "cut at " << Cut;
+    EXPECT_EQ(Report.EntriesDropped, 0u) << "cut at " << Cut;
   }
   // Cuts inside the core payloads or the section table still fail cleanly.
   for (long Cut : {Size / 2, long(24)}) {

@@ -555,9 +555,10 @@ TEST(ViewsDiff, RunSkipMatchesEventEqualsOnGeneratedTraces) {
   }
 }
 
-TEST(ViewsDiff, DeterministicAcrossFormatsAndJobs) {
-  // The contract pinned by this PR: byte-identical reports and identical
-  // compare-op totals for every --jobs value and every on-disk format.
+TEST(ViewsDiff, DeterministicAcrossSegmentationsAndJobs) {
+  // Byte-identical reports and identical compare-op totals for every
+  // --jobs value and every segmentation of the on-disk format: one
+  // segment, one segment without the view index, and small segments.
   GeneratorOptions Base;
   Base.OuterIters = 60;
   Base.NumThreads = 3;
@@ -573,19 +574,17 @@ TEST(ViewsDiff, DeterministicAcrossFormatsAndJobs) {
   ASSERT_GT(Ref.numDiffs(), 0u);
   const std::string RefRender = Ref.render(50, 12);
 
-  for (unsigned Version : {1u, 2u, 3u}) {
-    std::string LPath = diffTempPath("L_v" + std::to_string(Version));
-    std::string RPath = diffTempPath("R_v" + std::to_string(Version));
-    if (Version == 3) {
-      ASSERT_TRUE(writeTrace(L, LPath));
-      ASSERT_TRUE(writeTrace(R, RPath));
-    } else {
-      ASSERT_TRUE(writeTraceLegacy(L, LPath, Version));
-      ASSERT_TRUE(writeTraceLegacy(R, RPath, Version));
-    }
-    // Loading both sides into one fresh interner: the left trace re-interns
-    // in order (the v3 zero-copy identity path), the right one lands on the
-    // remap path — both must still diff identically to the in-memory pair.
+  enum Segmentation { OneSegment, OneSegmentNoIndex, SmallSegments };
+  for (Segmentation Seg : {OneSegment, OneSegmentNoIndex, SmallSegments}) {
+    std::string Tag = std::to_string(Seg);
+    std::string LPath = diffTempPath("L_seg" + Tag);
+    std::string RPath = diffTempPath("R_seg" + Tag);
+    for (auto [T, Path] : {std::pair{&L, LPath}, std::pair{&R, RPath}})
+      ASSERT_TRUE(Seg == SmallSegments
+                      ? writeTraceSegmented(*T, Path, /*SegmentEntries=*/64)
+                      : writeTrace(*T, Path, Seg == OneSegment));
+    // Loading both sides into one fresh interner, as diff-traces does:
+    // both must still diff identically to the in-memory pair.
     auto Shared = std::make_shared<StringInterner>();
     Expected<Trace> LLoaded = readTrace(LPath, Shared);
     Expected<Trace> RLoaded = readTrace(RPath, Shared);
@@ -599,9 +598,9 @@ TEST(ViewsDiff, DeterministicAcrossFormatsAndJobs) {
       Options.ParallelCutoffEntries = 0;
       DiffResult Out = viewsDiff(*LLoaded, *RLoaded, Options);
       EXPECT_EQ(Out.render(50, 12), RefRender)
-          << "v" << Version << " jobs " << Jobs;
+          << "segmentation " << Seg << " jobs " << Jobs;
       EXPECT_EQ(Out.Stats.CompareOps, Ref.Stats.CompareOps)
-          << "v" << Version << " jobs " << Jobs;
+          << "segmentation " << Seg << " jobs " << Jobs;
     }
     std::remove(LPath.c_str());
     std::remove(RPath.c_str());

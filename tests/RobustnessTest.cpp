@@ -10,15 +10,16 @@
 ///
 ///   1. The fault injector is deterministic per seed and free when
 ///      disarmed.
-///   2. Every v3 section survives the corruption matrix — truncation,
-///      payload bit flips, checksum-record tampering, oversized lengths —
-///      with a typed Corrupt error (core sections) or a dropped view index
-///      (derived sections), never a crash.
+///   2. Every section of a one-segment file survives the corruption
+///      matrix — truncation, payload bit flips, checksum-record tampering,
+///      oversized lengths — with a typed Corrupt error (core sections) or a
+///      dropped view index (derived sections), never a crash.
 ///   3. The degradation ladder: transient I/O retries, view-index drop,
 ///      cache-insert fallback, pool-dispatch stalls — each leaves results
 ///      correct and increments its `robust.*` counter.
 ///   4. Salvage mode recovers a byte-identical entry prefix from damaged
-///      v3 and legacy files, and refuses when the side tables are gone.
+///      files, drops exactly the damaged segments, counts what it could not
+///      recover, and refuses when the side tables are gone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +57,7 @@ Trace traceOf(const std::string &Source,
 }
 
 /// A generated workload with threads, arguments, and a few hundred
-/// entries: every v3 section comes out nonempty.
+/// entries: every section comes out nonempty.
 Trace workloadTrace(std::shared_ptr<StringInterner> Strings) {
   GeneratorOptions G;
   G.NumClasses = 3;
@@ -105,31 +106,49 @@ template <typename T> T loadLE(const uint8_t *P) {
   return V;
 }
 
-/// One v3 section-table record, as parsed back out of a written file.
+/// One section-table record, as parsed back out of a written file.
 struct SectionRec {
   uint32_t Id = 0;
-  uint64_t Offset = 0;
+  uint64_t Offset = 0;  ///< Absolute offset of the payload.
   uint64_t Length = 0;
   size_t RecordPos = 0; ///< Byte offset of the 32-byte record itself.
 };
 
-std::vector<SectionRec> sectionTable(const std::vector<uint8_t> &Bytes) {
+/// The section table of the segment headered at \p SegOffset, straight off
+/// the written bytes (independent of the reader under test). Payload
+/// offsets in a segment's table are relative to its header; the returned
+/// ones are absolute.
+std::vector<SectionRec> segmentTable(const std::vector<uint8_t> &Bytes,
+                                     uint64_t SegOffset) {
   std::vector<SectionRec> Table;
-  if (Bytes.size() < 16)
+  if (Bytes.size() < SegOffset + 32)
     return Table;
-  uint32_t NumSections = loadLE<uint32_t>(Bytes.data() + 12);
+  uint32_t NumSections = loadLE<uint32_t>(Bytes.data() + SegOffset + 20);
   for (uint32_t I = 0; I != NumSections; ++I) {
-    size_t Pos = 16 + size_t{I} * 32;
+    size_t Pos = static_cast<size_t>(SegOffset) + 32 + size_t{I} * 32;
     if (Pos + 32 > Bytes.size())
       break;
     SectionRec R;
     R.Id = loadLE<uint32_t>(Bytes.data() + Pos);
-    R.Offset = loadLE<uint64_t>(Bytes.data() + Pos + 8);
+    R.Offset = SegOffset + loadLE<uint64_t>(Bytes.data() + Pos + 8);
     R.Length = loadLE<uint64_t>(Bytes.data() + Pos + 16);
     R.RecordPos = Pos;
     Table.push_back(R);
   }
   return Table;
+}
+
+/// The section table of a one-segment file: its only segment starts right
+/// after the 32-byte file header.
+std::vector<SectionRec> sectionTable(const std::vector<uint8_t> &Bytes) {
+  return segmentTable(Bytes, 32);
+}
+
+/// The record for section \p Id in \p Table (Id 0 when absent).
+SectionRec findSection(const std::vector<SectionRec> &Table, uint32_t Id) {
+  auto It = std::find_if(Table.begin(), Table.end(),
+                         [Id](const SectionRec &R) { return R.Id == Id; });
+  return It == Table.end() ? SectionRec() : *It;
 }
 
 //===----------------------------------------------------------------------===//
@@ -185,7 +204,7 @@ TEST(FaultInjector, OneShotFiresExactlyThatOccurrence) {
 }
 
 //===----------------------------------------------------------------------===//
-// Corruption matrix: every v3 section x every mutation
+// Corruption matrix: every section of a one-segment file x every mutation
 //===----------------------------------------------------------------------===//
 
 TEST(CorruptionMatrix, EverySectionEveryMutation) {
@@ -232,10 +251,17 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
         EXPECT_FALSE(Loaded->ViewIdx.Present);
         EXPECT_EQ(Loaded->size(), T.size());
       } else if (IsView) {
-        // Truncating at a view-section payload may also cut the other
-        // view section; either way only derived data is lost.
-        ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-        EXPECT_FALSE(Loaded->ViewIdx.Present);
+        // Any cut loses the trailing directory, so a strict read refuses;
+        // the cut sits past every entry column, so salvage recovers every
+        // entry and loses only derived data.
+        ASSERT_FALSE(bool(Loaded));
+        EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt);
+        ReadOptions Options;
+        Options.Salvage = true;
+        Expected<Trace> Salvaged = readTrace(Mutant, nullptr, Options);
+        ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+        EXPECT_FALSE(Salvaged->ViewIdx.Present);
+        EXPECT_EQ(Salvaged->size(), T.size());
       } else {
         // Core and side sections: a typed Corrupt error, never a crash
         // and never a partially-valid trace.
@@ -314,7 +340,7 @@ TEST(DegradationLadder, InFlightBitFlipIsCaughtByChecksums) {
   ASSERT_TRUE(writeTrace(T, Path));
   // The arena-read path corrupts one seeded bit after the read (occurrence
   // 1 of the FileRead site is the corruptByte call). Nearly every byte of
-  // a v3 file is covered by a section checksum or validated header/table
+  // a trace file is covered by a section checksum or validated header/table
   // field, so across seeds the flip must be either *detected* (typed
   // Corrupt error) or provably harmless (the loaded trace is identical) —
   // never a crash, never silent data damage.
@@ -436,7 +462,7 @@ void expectByteIdenticalPrefix(const Trace &T, const Trace &S) {
   EXPECT_EQ(0, std::memcmp(T.Provs.data(), S.Provs.data(), N * 4));
 }
 
-TEST(Salvage, TruncatedV3RecoversByteIdenticalPrefix) {
+TEST(Salvage, TruncatedOneSegmentRecoversByteIdenticalPrefix) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   ASSERT_GT(T.size(), 50u);
@@ -450,13 +476,9 @@ TEST(Salvage, TruncatedV3RecoversByteIdenticalPrefix) {
   // last entry column (Prov, id 20) and the derived fingerprint lane
   // (Fp, id 21) — can recover entries. An earlier cut is refused.
   std::vector<SectionRec> Table = sectionTable(Good);
-  auto Sec = [&Table](uint32_t Id) {
-    auto It = std::find_if(Table.begin(), Table.end(),
-                           [Id](const SectionRec &R) { return R.Id == Id; });
-    EXPECT_TRUE(It != Table.end()) << "section " << Id;
-    return *It;
-  };
-  SectionRec Prov = Sec(20), Fp = Sec(21), Value = Sec(16);
+  SectionRec Prov = findSection(Table, 20), Fp = findSection(Table, 21),
+             Value = findSection(Table, 16);
+  ASSERT_TRUE(Prov.Id && Fp.Id && Value.Id);
 
   TelemetryWindow W;
   struct Cut {
@@ -500,8 +522,10 @@ TEST(Salvage, TruncatedV3RecoversByteIdenticalPrefix) {
     if (C.Shrinks) {
       EXPECT_LT(Salvaged->size(), T.size());
       EXPECT_GT(Salvaged->size(), 0u);
+      EXPECT_EQ(Report.SegmentsDropped, 1u) << "the cut segment lost entries";
     } else {
       EXPECT_EQ(Salvaged->size(), T.size());
+      EXPECT_EQ(Report.SegmentsDropped, 0u);
     }
     expectByteIdenticalPrefix(T, *Salvaged);
     // The recovered prefix renders identically entry for entry.
@@ -514,59 +538,17 @@ TEST(Salvage, TruncatedV3RecoversByteIdenticalPrefix) {
   std::remove(CutPath.c_str());
 }
 
-TEST(Salvage, TruncatedLegacyRecoversEntryPrefix) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  ASSERT_GT(T.size(), 50u);
-  std::string Base = tempPath("salvage_legacy");
-  ASSERT_TRUE(writeTraceLegacy(T, Base, /*Version=*/1));
-  std::vector<uint8_t> Good = readAll(Base);
-  std::string Cut = tempPath("salvage_legacy_cut");
-
-  bool SawSalvage = false;
-  for (double Frac : {0.95, 0.9, 0.8, 0.7}) {
-    std::vector<uint8_t> Bytes = Good;
-    Bytes.resize(static_cast<size_t>(Bytes.size() * Frac));
-    writeAll(Cut, Bytes);
-    SCOPED_TRACE("fraction " + std::to_string(Frac));
-
-    ASSERT_FALSE(bool(readTrace(Cut, Strings)))
-        << "legacy cut inside the entry stream must fail strict reads";
-    TraceReadReport Report;
-    ReadOptions Options;
-    Options.Salvage = true;
-    Options.Report = &Report;
-    Expected<Trace> Salvaged = readTrace(Cut, Strings, Options);
-    if (!Salvaged) {
-      // The cut reached the side tables; nothing to salvage.
-      EXPECT_EQ(Salvaged.error().Code, "trace.truncated");
-      continue;
-    }
-    EXPECT_TRUE(Report.Salvaged);
-    EXPECT_LT(Salvaged->size(), T.size());
-    for (uint32_t I = 0; I != Salvaged->size(); ++I)
-      ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
-    SawSalvage = true;
-  }
-  EXPECT_TRUE(SawSalvage);
-  std::remove(Base.c_str());
-  std::remove(Cut.c_str());
-}
-
 TEST(Salvage, DamagedSideTableIsUnsalvageable) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("unsalvageable");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  std::vector<SectionRec> Table = sectionTable(Bytes);
   // Flip a byte inside the string table: entries are meaningless without
   // it, so salvage must refuse rather than return garbage symbols.
-  auto It = std::find_if(Table.begin(), Table.end(),
-                         [](const SectionRec &R) { return R.Id == 2; });
-  ASSERT_TRUE(It != Table.end());
-  ASSERT_GT(It->Length, 0u);
-  Bytes[static_cast<size_t>(It->Offset + It->Length / 2)] ^= 0x10;
+  SectionRec StrDelta = findSection(sectionTable(Bytes), 24);
+  ASSERT_GT(StrDelta.Length, 0u);
+  Bytes[static_cast<size_t>(StrDelta.Offset + StrDelta.Length / 2)] ^= 0x10;
   writeAll(Path, Bytes);
 
   ReadOptions Options;
@@ -597,10 +579,10 @@ TEST(Salvage, IntactFilesReadIdenticallyWithSalvageOn) {
 }
 
 //===----------------------------------------------------------------------===//
-// Segmented v4 salvage
+// Multi-segment salvage
 //===----------------------------------------------------------------------===//
 
-/// Parsed v4 file skeleton: the trailer's footer pointer plus one record
+/// Parsed file skeleton: the trailer's footer pointer plus one record
 /// per segment, straight off the written bytes (independent of the reader
 /// under test).
 struct SegDirRec {
@@ -609,14 +591,14 @@ struct SegDirRec {
   uint32_t NumEntries = 0;
 };
 
-struct V4Layout {
+struct SegLayout {
   uint64_t FooterOffset = 0;
   std::vector<SegDirRec> Segments;
   bool Ok = false;
 };
 
-V4Layout v4Layout(const std::vector<uint8_t> &Bytes) {
-  V4Layout L;
+SegLayout segLayout(const std::vector<uint8_t> &Bytes) {
+  SegLayout L;
   if (Bytes.size() < 32 + 24)
     return L;
   size_t Trailer = Bytes.size() - 24;
@@ -639,70 +621,20 @@ V4Layout v4Layout(const std::vector<uint8_t> &Bytes) {
 }
 
 /// The section-table record for section \p Id of the segment headered at
-/// \p SegOffset; the returned Offset is absolute (payload offsets in a
-/// segment's table are relative to its header).
+/// \p SegOffset (absolute payload offset).
 SectionRec segSection(const std::vector<uint8_t> &Bytes, uint64_t SegOffset,
                       uint32_t Id) {
-  SectionRec R;
-  uint32_t NumSections = loadLE<uint32_t>(Bytes.data() + SegOffset + 20);
-  for (uint32_t I = 0; I != NumSections; ++I) {
-    size_t Pos = static_cast<size_t>(SegOffset) + 32 + size_t{I} * 32;
-    if (loadLE<uint32_t>(Bytes.data() + Pos) != Id)
-      continue;
-    R.Id = Id;
-    R.Offset = SegOffset + loadLE<uint64_t>(Bytes.data() + Pos + 8);
-    R.Length = loadLE<uint64_t>(Bytes.data() + Pos + 16);
-    R.RecordPos = Pos;
-    break;
-  }
-  return R;
+  return findSection(segmentTable(Bytes, SegOffset), Id);
 }
 
-/// The mid-column salvage gap the segmented format closes: a v3 file's
-/// section checksum covers the whole column, so one flipped byte anywhere
-/// in an entry column discredits the entire column — no prefix is
-/// trustworthy and salvage recovers nothing. This test pins that floor;
-/// the v4 counterpart below shows the same damage costing one segment.
-TEST(SalvageV4, V3MidColumnFlipRecoversNothing) {
+TEST(SalvageSegments, MidSegmentColumnFlipDropsOnlyThatSegment) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   ASSERT_GT(T.size(), 50u);
-  std::string Path = tempPath("v3_gap");
-  ASSERT_TRUE(writeTrace(T, Path));
-  std::vector<uint8_t> Bytes = readAll(Path);
-  std::vector<SectionRec> Table = sectionTable(Bytes);
-  auto It = std::find_if(Table.begin(), Table.end(),
-                         [](const SectionRec &R) { return R.Id == 16; });
-  ASSERT_TRUE(It != Table.end()); // SecValue
-  ASSERT_GT(It->Length, 0u);
-  Bytes[static_cast<size_t>(It->Offset + It->Length / 2)] ^= 0x40;
-  writeAll(Path, Bytes);
-
-  Expected<Trace> Strict = readTrace(Path, Strings);
-  ASSERT_FALSE(bool(Strict));
-  EXPECT_EQ(Strict.error().Code, "trace.section_checksum");
-
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = true;
-  Options.Report = &Report;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  EXPECT_TRUE(Report.Salvaged);
-  EXPECT_EQ(Salvaged->size(), 0u);
-  EXPECT_EQ(Report.EntriesRecovered, 0u);
-  EXPECT_EQ(Report.EntriesDropped, T.size());
-  std::remove(Path.c_str());
-}
-
-TEST(SalvageV4, MidSegmentColumnFlipDropsOnlyThatSegment) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  ASSERT_GT(T.size(), 50u);
-  std::string Path = tempPath("v4_segflip");
+  std::string Path = tempPath("seg_segflip");
   ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
   std::vector<uint8_t> Bytes = readAll(Path);
-  V4Layout L = v4Layout(Bytes);
+  SegLayout L = segLayout(Bytes);
   ASSERT_TRUE(L.Ok);
   ASSERT_GE(L.Segments.size(), 3u);
 
@@ -746,13 +678,13 @@ TEST(SalvageV4, MidSegmentColumnFlipDropsOnlyThatSegment) {
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, TruncatedDirectoryChainScansEverySegment) {
+TEST(SalvageSegments, TruncatedDirectoryChainScansEverySegment) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("v4_tail");
+  std::string Path = tempPath("seg_tail");
   ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
   std::vector<uint8_t> Good = readAll(Path);
-  V4Layout L = v4Layout(Good);
+  SegLayout L = segLayout(Good);
   ASSERT_TRUE(L.Ok);
 
   // Cut inside the trailer, then inside the footer: either way the
@@ -787,13 +719,56 @@ TEST(SalvageV4, TruncatedDirectoryChainScansEverySegment) {
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, DamagedSideDeltaDropsSegmentAndSuffix) {
+TEST(SalvageSegments, CutInsideASegmentCountsItsLostEntries) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("v4_side");
+  std::string Path = tempPath("seg_midcut");
+  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/64));
+  std::vector<uint8_t> Good = readAll(Path);
+  SegLayout L = segLayout(Good);
+  ASSERT_TRUE(L.Ok);
+  ASSERT_GE(L.Segments.size(), 3u);
+
+  // Cut the file in the middle of a middle segment's Value column: the
+  // segments before it survive whole, the cut one keeps nothing (the
+  // columns after Value are gone), and its declared entries must be
+  // counted as dropped — the later segments are unreachable.
+  size_t Mid = L.Segments.size() / 2;
+  SectionRec Value = segSection(Good, L.Segments[Mid].Offset, 16);
+  ASSERT_GT(Value.Length, 0u);
+  std::vector<uint8_t> Bytes = Good;
+  Bytes.resize(static_cast<size_t>(Value.Offset + Value.Length / 2));
+  writeAll(Path, Bytes);
+
+  ASSERT_FALSE(bool(readTrace(Path, Strings)));
+  TelemetryWindow W;
+  TraceReadReport Report;
+  ReadOptions Options;
+  Options.Salvage = true;
+  Options.Report = &Report;
+  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
+  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+  EXPECT_TRUE(Report.Salvaged);
+  uint32_t Prefix = L.Segments[Mid].BeginEid;
+  ASSERT_EQ(Salvaged->size(), Prefix);
+  EXPECT_EQ(Report.EntriesRecovered, Prefix);
+  EXPECT_GT(Report.EntriesDropped, 0u);
+  EXPECT_EQ(Report.EntriesDropped, L.Segments[Mid].NumEntries);
+  EXPECT_EQ(Report.SegmentsDropped, 1u);
+  EXPECT_EQ(W.counter("robust.salvage.dropped_entries"),
+            L.Segments[Mid].NumEntries);
+  for (uint32_t I = 0; I != Salvaged->size(); ++I)
+    ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
+  std::remove(Path.c_str());
+}
+
+TEST(SalvageSegments, DamagedSideDeltaDropsSegmentAndSuffix) {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = workloadTrace(Strings);
+  std::string Path = tempPath("seg_side");
   ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
   std::vector<uint8_t> Bytes = readAll(Path);
-  V4Layout L = v4Layout(Bytes);
+  SegLayout L = segLayout(Bytes);
   ASSERT_TRUE(L.Ok);
   ASSERT_GE(L.Segments.size(), 3u);
 
@@ -823,22 +798,27 @@ TEST(SalvageV4, DamagedSideDeltaDropsSegmentAndSuffix) {
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, AllSegmentsDamagedIsUnsalvageable) {
+TEST(SalvageSegments, AllSegmentsDamagedIsUnsalvageable) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = traceOf("class A { } main { var a = new A(); }", Strings);
-  std::string Path = tempPath("v4_allgone");
-  // One segment holds everything; damaging its Kind column leaves no
-  // intact segment, and salvage must refuse rather than return an empty
-  // trace that looks legitimately empty.
-  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/100000));
+  std::string Path = tempPath("seg_allgone");
+  // One segment holds everything, and a section checksum covers a whole
+  // column: one flipped byte discredits the entire Kind column, so no
+  // prefix is trustworthy. Salvage must refuse rather than return an
+  // empty trace that looks legitimately empty.
+  ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  V4Layout L = v4Layout(Bytes);
+  SegLayout L = segLayout(Bytes);
   ASSERT_TRUE(L.Ok);
   ASSERT_EQ(L.Segments.size(), 1u);
   SectionRec Kind = segSection(Bytes, L.Segments[0].Offset, 13);
   ASSERT_GT(Kind.Length, 0u);
   Bytes[static_cast<size_t>(Kind.Offset)] ^= 0xff;
   writeAll(Path, Bytes);
+
+  Expected<Trace> Strict = readTrace(Path, Strings);
+  ASSERT_FALSE(bool(Strict));
+  EXPECT_EQ(Strict.error().Code, "trace.section_checksum");
 
   ReadOptions Options;
   Options.Salvage = true;

@@ -249,25 +249,37 @@ TEST(Serialize, RoundTripPreservesEverything) {
   std::remove(Path.c_str());
 }
 
-TEST(Serialize, V3ColumnsLoadByteIdenticalAndZeroCopy) {
+TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
   Trace T = traceOf(R"(
     class A { Int x; A(Int x) { this.x = x; }
       Int bump() { this.x = this.x + 1; return this.x; } }
     main { var a = new A(7); a.bump(); a.bump(); spawn a.bump(); }
   )");
   ASSERT_TRUE(T.HasFingerprints);
-  std::string Path = tempPath("v3_bytes");
+  std::string Path = tempPath("oneseg_bytes");
   ASSERT_TRUE(writeTrace(T, Path));
 
   // A fresh interner re-interns the file's string table in order, so
   // symbol ids are preserved and the loader takes the zero-copy borrow
-  // path: Backing holds the file bytes, and every column — including the
-  // fingerprints, which are not recomputed — is byte-identical.
+  // path: Backing holds the file bytes, every column — including the
+  // fingerprints, which are not recomputed — is borrowed from them and
+  // byte-identical, and so are the argument pool and view-index entries.
   Expected<Trace> Loaded = readTrace(Path, nullptr);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   EXPECT_TRUE(Loaded->Backing != nullptr);
-  EXPECT_TRUE(Loaded->Fps.borrowed());
   EXPECT_TRUE(Loaded->HasFingerprints);
+  for (bool Borrowed :
+       {Loaded->Tids.borrowed(), Loaded->Methods.borrowed(),
+        Loaded->Selfs.borrowed(), Loaded->Kinds.borrowed(),
+        Loaded->Names.borrowed(), Loaded->Targets.borrowed(),
+        Loaded->Values.borrowed(), Loaded->ArgsBegins.borrowed(),
+        Loaded->ArgsEnds.borrowed(), Loaded->ChildTids.borrowed(),
+        Loaded->Provs.borrowed(), Loaded->Fps.borrowed(),
+        Loaded->ArgPool.borrowed(), Loaded->ViewIdx.Entries.borrowed()})
+    EXPECT_TRUE(Borrowed);
+  // One segment covering the whole trace: the diff layer's segment map.
+  ASSERT_EQ(Loaded->Segments.size(), 1u);
+  EXPECT_EQ(Loaded->Segments[0].End, T.size());
 
   ASSERT_EQ(Loaded->size(), T.size());
   auto ExpectColumnBytes = [](const auto &Want, const auto &Got) {
@@ -297,26 +309,6 @@ TEST(Serialize, V3ColumnsLoadByteIdenticalAndZeroCopy) {
   std::remove(Path.c_str());
 }
 
-TEST(Serialize, LegacyV1AndV2LoadAndRefingerprint) {
-  Trace T = traceOf(R"(
-    class A { Int x; A(Int x) { this.x = x; }
-      Int bump() { this.x = this.x + 1; return this.x; } }
-    main { var a = new A(3); a.bump(); spawn a.bump(); print(a.x); }
-  )");
-  for (uint32_t Version : {1u, 2u}) {
-    std::string Path = tempPath("legacy_v" + std::to_string(Version));
-    ASSERT_TRUE(writeTraceLegacy(T, Path, Version));
-    Expected<Trace> Loaded = readTrace(Path, nullptr);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    expectTracesEqual(T, *Loaded);
-    // Legacy files carry no fingerprint column; the loader recomputes.
-    EXPECT_TRUE(Loaded->HasFingerprints);
-    for (uint32_t Eid = 0; Eid != Loaded->size(); ++Eid)
-      EXPECT_EQ(Loaded->fp(Eid), Loaded->entryFingerprint(Eid));
-    std::remove(Path.c_str());
-  }
-}
-
 TEST(Serialize, ReloadedTraceDiffsCleanAgainstLive) {
   Trace T = traceOf(R"(
     class A { Int x; A(Int x) { this.x = x; }
@@ -329,27 +321,6 @@ TEST(Serialize, ReloadedTraceDiffsCleanAgainstLive) {
   ASSERT_TRUE(bool(Loaded));
   EXPECT_EQ(viewsDiff(T, *Loaded).numDiffs(), 0u);
   std::remove(Path.c_str());
-}
-
-TEST(Serialize, SegmentationReassemblesExactly) {
-  GeneratorOptions Options;
-  Options.OuterIters = 20;
-  Trace T = traceOf(generateProgram(Options));
-  ASSERT_GT(T.size(), 300u);
-
-  std::string Base = tempPath("segments");
-  for (size_t SegmentSize : {1ul, 7ul, 100ul, 100000ul}) {
-    unsigned N = writeTraceSegments(T, Base, SegmentSize);
-    ASSERT_GT(N, 0u) << "segment size " << SegmentSize;
-    Expected<Trace> Loaded = readTraceSegments(Base, N, nullptr);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    expectTracesEqual(T, *Loaded);
-    for (unsigned I = 0; I != N; ++I) {
-      char Suffix[16];
-      std::snprintf(Suffix, sizeof(Suffix), ".seg%03u", I);
-      std::remove((Base + Suffix).c_str());
-    }
-  }
 }
 
 TEST(Serialize, RejectsMissingAndCorruptFiles) {
@@ -374,14 +345,44 @@ TEST(Serialize, RejectsTruncatedFiles) {
   std::fseek(F, 0, SEEK_END);
   long Size = std::ftell(F);
   std::fclose(F);
-  // Every truncation point must be rejected cleanly — the v3 reader
-  // validates section bounds against the mapped size before touching any
-  // payload byte, so no cut can cause out-of-bounds reads.
+  // Every truncation point must be rejected cleanly — a cut file has no
+  // trailer, and the reader validates every extent against the mapped
+  // size before touching any payload byte, so no cut can read out of
+  // bounds.
   for (long Cut : {Size / 2, Size - 1, long(20), long(8)}) {
     ASSERT_TRUE(truncate(Path.c_str(), Cut) == 0);
     EXPECT_FALSE(bool(readTrace(Path, nullptr))) << "cut at " << Cut;
   }
   std::remove(Path.c_str());
+}
+
+std::string readFileBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  EXPECT_TRUE(In.good()) << Path;
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Flips the last byte of the last section payload of a one-segment
+/// file. The segment's section table starts right after the 32-byte file
+/// header and 32-byte segment header; the trailing directory and padding
+/// carry no payload bytes.
+void flipLastPayloadByte(const std::string &Path) {
+  std::string Bytes = readFileBytes(Path);
+  ASSERT_GE(Bytes.size(), 64u);
+  uint32_t NumSections;
+  std::memcpy(&NumSections, Bytes.data() + 32 + 20, 4);
+  uint64_t End = 0;
+  for (uint32_t I = 0; I != NumSections; ++I) {
+    uint64_t Offset, Length;
+    std::memcpy(&Offset, Bytes.data() + 64 + I * 32 + 8, 8);
+    std::memcpy(&Length, Bytes.data() + 64 + I * 32 + 16, 8);
+    if (Length != 0)
+      End = std::max(End, 32 + Offset + Length);
+  }
+  ASSERT_GT(End, 0u);
+  Bytes[End - 1] ^= 0xff;
+  std::ofstream(Path, std::ios::binary | std::ios::trunc) << Bytes;
 }
 
 TEST(Serialize, RejectsCorruptSectionBytes) {
@@ -390,19 +391,11 @@ TEST(Serialize, RejectsCorruptSectionBytes) {
     main { var a = new A(5); print(a.x); }
   )");
   std::string Path = tempPath("badsec");
-  // Without the optional view-index sections the file's last payload byte
-  // belongs to a core section, so the flip must be a hard error.
+  // Without the optional view-index sections the last payload belongs to
+  // a core section (the fingerprint lane), so the flip must be a hard
+  // error: the section checksum catches it.
   ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/false));
-
-  // Flip one payload byte (the last byte of the file sits inside the last
-  // section's payload): the section checksum must catch it.
-  std::FILE *F = std::fopen(Path.c_str(), "rb+");
-  ASSERT_TRUE(F != nullptr);
-  std::fseek(F, -1, SEEK_END);
-  int Byte = std::fgetc(F);
-  std::fseek(F, -1, SEEK_END);
-  std::fputc(Byte ^ 0xff, F);
-  std::fclose(F);
+  flipLastPayloadByte(Path);
 
   Expected<Trace> Loaded = readTrace(Path, nullptr);
   ASSERT_FALSE(bool(Loaded));
@@ -417,17 +410,11 @@ TEST(Serialize, CorruptViewIndexByteDegradesNotFails) {
     main { var a = new A(5); print(a.x); }
   )");
   std::string Path = tempPath("badidx");
-  // With the view index on, the file's last payload byte sits inside the
-  // index sections — derived data, so damage there must degrade (index
-  // dropped, web rebuilt from the columns), never fail the load.
+  // With the view index on, the last payload is the index's entry lists —
+  // derived data, so damage there must degrade (index dropped, web
+  // rebuilt from the columns), never fail the load.
   ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/true));
-  std::FILE *F = std::fopen(Path.c_str(), "rb+");
-  ASSERT_TRUE(F != nullptr);
-  std::fseek(F, -1, SEEK_END);
-  int Byte = std::fgetc(F);
-  std::fseek(F, -1, SEEK_END);
-  std::fputc(Byte ^ 0xff, F);
-  std::fclose(F);
+  flipLastPayloadByte(Path);
 
   TraceReadReport Report;
   ReadOptions Options;
@@ -531,17 +518,11 @@ TEST(Serialize, SharedInternerMergesSymbolSpaces) {
 }
 
 //===----------------------------------------------------------------------===//
-// Segmented v4 serialization
+// Segmentations: one segment, one segment without the view index, and
+// small segments must load into the same trace and the same diff
 //===----------------------------------------------------------------------===//
 
-std::string readFileBytes(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  EXPECT_TRUE(In.good()) << Path;
-  return std::string(std::istreambuf_iterator<char>(In),
-                     std::istreambuf_iterator<char>());
-}
-
-/// A small multi-thread trace with arguments and field traffic: every v4
+/// A small multi-thread trace with arguments and field traffic: every
 /// section (deltas, columns, fingerprints, view index) comes out nonempty.
 Trace bumpTrace() {
   return traceOf(R"(
@@ -551,12 +532,12 @@ Trace bumpTrace() {
   )");
 }
 
-TEST(SerializeV4, MultiSegmentRoundTripsAcrossSegmentSizes) {
+TEST(SerializeSegments, MultiSegmentRoundTripsAcrossSegmentSizes) {
   GeneratorOptions Options;
   Options.OuterIters = 20;
   Trace T = traceOf(generateProgram(Options));
   ASSERT_GT(T.size(), 300u);
-  std::string Path = tempPath("v4_roundtrip");
+  std::string Path = tempPath("seg_roundtrip");
   for (size_t SegmentEntries : {1ul, 7ul, 64ul, 100000ul}) {
     SCOPED_TRACE("segment entries " + std::to_string(SegmentEntries));
     ASSERT_TRUE(writeTraceSegmented(T, Path, SegmentEntries));
@@ -579,10 +560,10 @@ TEST(SerializeV4, MultiSegmentRoundTripsAcrossSegmentSizes) {
   std::remove(Path.c_str());
 }
 
-TEST(SerializeV4, BusyInternerRemapsAndRefingerprints) {
+TEST(SerializeSegments, BusyInternerRemapsAndRefingerprints) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = bumpTrace();
-  std::string Path = tempPath("v4_remap");
+  std::string Path = tempPath("seg_remap");
   ASSERT_TRUE(writeTraceSegmented(T, Path, 4));
   auto Busy = std::make_shared<StringInterner>();
   Busy->intern("occupying-symbol-id-one");
@@ -597,35 +578,35 @@ TEST(SerializeV4, BusyInternerRemapsAndRefingerprints) {
   std::remove(Path.c_str());
 }
 
-TEST(SerializeV4, LoadedTraceRewritesToV3ByteIdentically) {
+TEST(SerializeSegments, SmallSegmentsRewriteAsOneSegmentByteIdentically) {
   Trace T = bumpTrace();
-  std::string DirectV3 = tempPath("v4_direct_v3");
-  std::string V4Path = tempPath("v4_middle");
-  std::string ReV3 = tempPath("v4_re_v3");
-  ASSERT_TRUE(writeTrace(T, DirectV3));
-  ASSERT_TRUE(writeTraceSegmented(T, V4Path, 4));
-  Expected<Trace> Loaded = readTrace(V4Path, nullptr);
+  std::string Direct = tempPath("seg_direct");
+  std::string Small = tempPath("seg_small");
+  std::string Rewritten = tempPath("seg_rewritten");
+  ASSERT_TRUE(writeTrace(T, Direct));
+  ASSERT_TRUE(writeTraceSegmented(T, Small, 4));
+  Expected<Trace> Loaded = readTrace(Small, nullptr);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  // Round-tripping through the segmented format loses nothing: rewriting
-  // the loaded trace as v3 reproduces the direct v3 file byte for byte
+  // Round-tripping through small segments loses nothing: rewriting the
+  // loaded trace as one segment reproduces the direct write byte for byte
   // (same string table, same columns, same fingerprints, same view index).
-  ASSERT_TRUE(writeTrace(*Loaded, ReV3));
-  std::string Want = readFileBytes(DirectV3);
-  std::string Got = readFileBytes(ReV3);
+  ASSERT_TRUE(writeTrace(*Loaded, Rewritten));
+  std::string Want = readFileBytes(Direct);
+  std::string Got = readFileBytes(Rewritten);
   ASSERT_FALSE(Want.empty());
-  EXPECT_TRUE(Want == Got) << "v3 bytes diverge after a v4 round trip";
-  std::remove(DirectV3.c_str());
-  std::remove(V4Path.c_str());
-  std::remove(ReV3.c_str());
+  EXPECT_TRUE(Want == Got) << "bytes diverge after a small-segment round trip";
+  std::remove(Direct.c_str());
+  std::remove(Small.c_str());
+  std::remove(Rewritten.c_str());
 }
 
-TEST(SerializeV4, EmptyAndSingleEntryTracesRoundTrip) {
+TEST(SerializeSegments, EmptyAndSingleEntryTracesRoundTrip) {
   auto Strings = std::make_shared<StringInterner>();
   Trace Empty;
   Empty.Strings = Strings;
   Empty.Name = "empty";
   Empty.computeFingerprints();
-  std::string Path = tempPath("v4_tiny");
+  std::string Path = tempPath("seg_tiny");
   // An entry-less trace still writes one placeholder segment so the side
   // tables (name, strings, threads) have somewhere to live.
   ASSERT_TRUE(writeTraceSegmented(Empty, Path, 8));
@@ -644,35 +625,32 @@ TEST(SerializeV4, EmptyAndSingleEntryTracesRoundTrip) {
   std::remove(Path.c_str());
 }
 
-TEST(SerializeV4, EnvVarRoutesWriteTraceToSegmentedFormat) {
-  Trace T = traceOf("class A { } main { var a = new A(); }");
-  std::string Path = tempPath("v4_env");
-  // Restore the ambient value afterwards — the trace_test_v4 ctest leg
-  // runs this whole suite with the variable force-set.
-  const char *Prev = ::getenv("RPRISM_TRACE_FORMAT");
-  ::setenv("RPRISM_TRACE_FORMAT", "v4", 1);
-  bool Wrote = writeTrace(T, Path);
-  if (Prev)
-    ::setenv("RPRISM_TRACE_FORMAT", Prev, 1);
-  else
-    ::unsetenv("RPRISM_TRACE_FORMAT");
-  ASSERT_TRUE(Wrote);
+TEST(SerializeSegments, WriteTraceWritesOneSegment) {
+  GeneratorOptions G;
+  G.OuterIters = 8;
+  Trace T = traceOf(generateProgram(G));
+  ASSERT_GT(T.size(), 100u);
+  std::string Path = tempPath("oneseg");
+  ASSERT_TRUE(writeTrace(T, Path));
   std::string Bytes = readFileBytes(Path);
-  ASSERT_GE(Bytes.size(), 8u);
-  uint32_t Version = 0;
+  ASSERT_GE(Bytes.size(), 56u);
+  uint32_t Version = 0, Segments = 0;
   std::memcpy(&Version, Bytes.data() + 4, 4);
-  EXPECT_EQ(Version, 6u); // The segmented (v4) layout's version word.
+  std::memcpy(&Segments, Bytes.data() + Bytes.size() - 8, 4);
+  EXPECT_EQ(Version, 6u);
+  EXPECT_EQ(Segments, 1u) << "a whole trace is one segment";
   Expected<Trace> Loaded = readTrace(Path, nullptr);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   expectTracesEqual(T, *Loaded);
+  EXPECT_TRUE(Loaded->Kinds.borrowed());
   std::remove(Path.c_str());
 }
 
-TEST(SerializeV4, StreamingRecorderSinkMatchesBatchWrite) {
+TEST(SerializeSegments, StreamingRecorderSinkMatchesBatchWrite) {
   GeneratorOptions G;
   G.OuterIters = 8;
   std::string Source = generateProgram(G);
-  std::string StreamPath = tempPath("v4_stream");
+  std::string StreamPath = tempPath("seg_stream");
   auto Strings = std::make_shared<StringInterner>();
   Trace T;
   {
@@ -696,7 +674,7 @@ TEST(SerializeV4, StreamingRecorderSinkMatchesBatchWrite) {
   // A batch rewrite of the finished trace at the same granularity loads
   // equal (the files may differ in how side-table deltas split across
   // segments, but the reassembled traces must not).
-  std::string BatchPath = tempPath("v4_batch");
+  std::string BatchPath = tempPath("seg_batch");
   ASSERT_TRUE(writeTraceSegmented(T, BatchPath, 8));
   Expected<Trace> Batch = readTrace(BatchPath, nullptr);
   ASSERT_TRUE(bool(Batch)) << Batch.error().render();
@@ -705,12 +683,12 @@ TEST(SerializeV4, StreamingRecorderSinkMatchesBatchWrite) {
   std::remove(BatchPath.c_str());
 }
 
-TEST(SerializeV4, ViewIndexDeltaMergeMatchesBulkCompute) {
+TEST(SerializeSegments, ViewIndexDeltaMergeMatchesBulkCompute) {
   GeneratorOptions G;
   G.OuterIters = 8;
   G.NumThreads = 2;
   Trace T = traceOf(generateProgram(G));
-  std::string Path = tempPath("v4_viewidx");
+  std::string Path = tempPath("seg_viewidx");
   ASSERT_TRUE(writeTraceSegmented(T, Path, 16));
   Expected<Trace> Loaded = readTrace(Path, nullptr);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
@@ -735,26 +713,26 @@ TEST(SerializeV4, ViewIndexDeltaMergeMatchesBulkCompute) {
   std::remove(Path.c_str());
 }
 
-TEST(SerializeV4, FileDigestStablePerFormatDistinctAcrossFormats) {
+TEST(SerializeSegments, FileDigestStablePerWriteDistinctAcrossSegmentations) {
   Trace T = bumpTrace();
-  std::string V3Path = tempPath("digest_v3");
-  std::string V4Path = tempPath("digest_v4");
-  std::string V4Again = tempPath("digest_v4b");
-  ASSERT_TRUE(writeTrace(T, V3Path));
-  ASSERT_TRUE(writeTraceSegmented(T, V4Path, 8));
-  ASSERT_TRUE(writeTraceSegmented(T, V4Again, 8));
-  Expected<uint64_t> D3 = traceFileDigest(V3Path);
-  Expected<uint64_t> D4 = traceFileDigest(V4Path);
-  Expected<uint64_t> D4b = traceFileDigest(V4Again);
-  ASSERT_TRUE(bool(D3) && bool(D4) && bool(D4b));
-  EXPECT_EQ(*D4, *D4b) << "identical v4 writes must digest identically";
-  EXPECT_NE(*D3, *D4) << "format change must change the digest";
-  std::remove(V3Path.c_str());
-  std::remove(V4Path.c_str());
-  std::remove(V4Again.c_str());
+  std::string OnePath = tempPath("digest_one");
+  std::string SmallPath = tempPath("digest_small");
+  std::string SmallAgain = tempPath("digest_small_b");
+  ASSERT_TRUE(writeTrace(T, OnePath));
+  ASSERT_TRUE(writeTraceSegmented(T, SmallPath, 8));
+  ASSERT_TRUE(writeTraceSegmented(T, SmallAgain, 8));
+  Expected<uint64_t> DOne = traceFileDigest(OnePath);
+  Expected<uint64_t> DSmall = traceFileDigest(SmallPath);
+  Expected<uint64_t> DSmallB = traceFileDigest(SmallAgain);
+  ASSERT_TRUE(bool(DOne) && bool(DSmall) && bool(DSmallB));
+  EXPECT_EQ(*DSmall, *DSmallB) << "identical writes must digest identically";
+  EXPECT_NE(*DOne, *DSmall) << "a different segmentation is different bytes";
+  std::remove(OnePath.c_str());
+  std::remove(SmallPath.c_str());
+  std::remove(SmallAgain.c_str());
 }
 
-TEST(SerializeV4, CrossFormatDiffDeterministicAcrossJobs) {
+TEST(SerializeSegments, CrossSegmentationDiffDeterministicAcrossJobs) {
   GeneratorOptions Base;
   Base.OuterIters = 10;
   Base.NumThreads = 2;
@@ -764,95 +742,92 @@ TEST(SerializeV4, CrossFormatDiffDeterministicAcrossJobs) {
   auto Gen = std::make_shared<StringInterner>();
   Trace L = traceOf(generateProgram(Base), Gen);
   Trace R = traceOf(generateProgram(Perturbed), Gen);
-  std::string L3 = tempPath("xfmt_l3"), R3 = tempPath("xfmt_r3");
-  std::string L4 = tempPath("xfmt_l4"), R4 = tempPath("xfmt_r4");
-  ASSERT_TRUE(writeTrace(L, L3));
-  ASSERT_TRUE(writeTrace(R, R3));
-  ASSERT_TRUE(writeTraceSegmented(L, L4, 32));
-  ASSERT_TRUE(writeTraceSegmented(R, R4, 32));
+  std::string L1 = tempPath("xseg_l1"), R1 = tempPath("xseg_r1");
+  std::string LP = tempPath("xseg_lp"), RP = tempPath("xseg_rp");
+  std::string LS = tempPath("xseg_ls"), RS = tempPath("xseg_rs");
+  ASSERT_TRUE(writeTrace(L, L1));
+  ASSERT_TRUE(writeTrace(R, R1));
+  ASSERT_TRUE(writeTrace(L, LP, /*WithViewIndex=*/false));
+  ASSERT_TRUE(writeTrace(R, RP, /*WithViewIndex=*/false));
+  ASSERT_TRUE(writeTraceSegmented(L, LS, 32));
+  ASSERT_TRUE(writeTraceSegmented(R, RS, 32));
 
-  // One shared interner across all four loads, as a diff session would.
+  // One shared interner across all six loads, as a diff session would.
   auto Shared = std::make_shared<StringInterner>();
-  Expected<Trace> LV3 = readTrace(L3, Shared), RV3 = readTrace(R3, Shared);
-  Expected<Trace> LV4 = readTrace(L4, Shared), RV4 = readTrace(R4, Shared);
-  ASSERT_TRUE(bool(LV3) && bool(RV3) && bool(LV4) && bool(RV4));
+  Expected<Trace> LOne = readTrace(L1, Shared), ROne = readTrace(R1, Shared);
+  Expected<Trace> LPlain = readTrace(LP, Shared),
+                  RPlain = readTrace(RP, Shared);
+  Expected<Trace> LSmall = readTrace(LS, Shared),
+                  RSmall = readTrace(RS, Shared);
+  ASSERT_TRUE(bool(LOne) && bool(ROne) && bool(LPlain) && bool(RPlain) &&
+              bool(LSmall) && bool(RSmall));
 
   ViewsDiffOptions Opt;
   Opt.Jobs = 1;
   Opt.ParallelCutoffEntries = 0; // Exercise the pool on small traces too.
-  DiffResult Ref = viewsDiff(*LV3, *RV3, Opt);
+  DiffResult Ref = viewsDiff(L, R, Opt);
   std::string RefRender = Ref.render();
 
   struct Pair {
     const char *What;
     const Trace *Lhs;
     const Trace *Rhs;
-  } Pairs[] = {{"v3-v3", &*LV3, &*RV3},
-               {"v4-v4", &*LV4, &*RV4},
-               {"v3-v4", &*LV3, &*RV4}};
+  } Pairs[] = {{"one-one", &*LOne, &*ROne},
+               {"noindex-noindex", &*LPlain, &*RPlain},
+               {"small-small", &*LSmall, &*RSmall},
+               {"one-small", &*LOne, &*RSmall}};
   for (const Pair &P : Pairs)
     for (unsigned Jobs : {1u, 4u, 0u}) {
       SCOPED_TRACE(std::string(P.What) + " jobs=" + std::to_string(Jobs));
       Opt.Jobs = Jobs;
       DiffResult D = viewsDiff(*P.Lhs, *P.Rhs, Opt);
-      // The report and the work accounting must be identical across both
-      // formats and every worker count — segment-granular run skipping is
+      // The report and the work accounting must be identical across every
+      // segmentation and worker count — segment-granular run skipping is
       // not allowed to change what gets compared, only how it's found.
       EXPECT_EQ(D.render(), RefRender);
       EXPECT_EQ(D.Stats.CompareOps, Ref.Stats.CompareOps);
       EXPECT_EQ(D.numLeftDiffs(), Ref.numLeftDiffs());
       EXPECT_EQ(D.numRightDiffs(), Ref.numRightDiffs());
     }
-  for (const std::string &Path : {L3, R3, L4, R4})
+  for (const std::string &Path : {L1, R1, LP, RP, LS, RS})
     std::remove(Path.c_str());
 }
 
-TEST(SerializeV4, IdenticalPairDiffSkipsSegments) {
+TEST(SerializeSegments, IdenticalPairDiffSkipsSegments) {
   GeneratorOptions G;
   G.OuterIters = 12;
   Trace T = traceOf(generateProgram(G));
-  std::string V3Path = tempPath("skip_v3");
-  std::string V4Path = tempPath("skip_v4");
-  // The baseline must really be v3 (no segment map) even when the suite
-  // runs under the env-forced v4 ctest leg.
-  const char *Prev = ::getenv("RPRISM_TRACE_FORMAT");
-  ::unsetenv("RPRISM_TRACE_FORMAT");
-  bool WroteV3 = writeTrace(T, V3Path);
-  if (Prev)
-    ::setenv("RPRISM_TRACE_FORMAT", Prev, 1);
-  ASSERT_TRUE(WroteV3);
-  ASSERT_TRUE(writeTraceSegmented(T, V4Path, 64));
+  std::string Path = tempPath("skip_small");
+  ASSERT_TRUE(writeTraceSegmented(T, Path, 64));
   auto Shared = std::make_shared<StringInterner>();
-  Expected<Trace> A3 = readTrace(V3Path, Shared);
-  Expected<Trace> B3 = readTrace(V3Path, Shared);
-  Expected<Trace> A4 = readTrace(V4Path, Shared);
-  Expected<Trace> B4 = readTrace(V4Path, Shared);
-  ASSERT_TRUE(bool(A3) && bool(B3) && bool(A4) && bool(B4));
-  ASSERT_FALSE(A4->Segments.empty());
+  Expected<Trace> A = readTrace(Path, Shared);
+  Expected<Trace> B = readTrace(Path, Shared);
+  ASSERT_TRUE(bool(A) && bool(B));
+  ASSERT_GT(A->Segments.size(), 1u);
+  Trace Copy = T;
 
   ViewsDiffOptions Opt;
   Opt.Jobs = 1;
   Telemetry::get().reset();
   Telemetry::get().setEnabled(true);
-  DiffResult D3 = viewsDiff(*A3, *B3, Opt);
-  uint64_t SkipsV3 =
+  DiffResult InMemory = viewsDiff(T, Copy, Opt);
+  uint64_t SkipsInMemory =
       Telemetry::get().snapshot().counter("trace.segments_skipped");
-  DiffResult D4 = viewsDiff(*A4, *B4, Opt);
+  DiffResult Loaded = viewsDiff(*A, *B, Opt);
   uint64_t SkipsTotal =
       Telemetry::get().snapshot().counter("trace.segments_skipped");
   Telemetry::get().setEnabled(false);
   Telemetry::get().reset();
 
-  // v3 files carry no segment map, so nothing can be skipped; the v4 pair
-  // skips whole digest-equal segments — and still does the exact same
-  // amount of reported work.
-  EXPECT_EQ(SkipsV3, 0u);
-  EXPECT_GT(SkipsTotal, SkipsV3);
-  EXPECT_EQ(D3.numDiffs(), 0u);
-  EXPECT_EQ(D4.numDiffs(), 0u);
-  EXPECT_EQ(D3.Stats.CompareOps, D4.Stats.CompareOps);
-  std::remove(V3Path.c_str());
-  std::remove(V4Path.c_str());
+  // In-memory traces carry no segment map, so nothing can be skipped; the
+  // loaded pair skips whole digest-equal segments — and still does the
+  // exact same amount of reported work.
+  EXPECT_EQ(SkipsInMemory, 0u);
+  EXPECT_GT(SkipsTotal, SkipsInMemory);
+  EXPECT_EQ(InMemory.numDiffs(), 0u);
+  EXPECT_EQ(Loaded.numDiffs(), 0u);
+  EXPECT_EQ(InMemory.Stats.CompareOps, Loaded.Stats.CompareOps);
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -986,7 +961,7 @@ TEST(Fingerprint, SurvivesZeroCopyReloadVerbatim) {
   )");
   std::string Path = tempPath("fp_reload");
   ASSERT_TRUE(writeTrace(T, Path));
-  // Fresh interner: the v3 string table re-interns to identical symbol
+  // Fresh interner: the file's string table re-interns to identical symbol
   // ids, so the stored fingerprints are loaded verbatim — and must equal
   // a from-scratch recomputation over the loaded columns.
   Expected<Trace> Loaded = readTrace(Path, nullptr);
@@ -1186,14 +1161,14 @@ TEST(ScalarPayload, RecordedScalarsRoundTripWithEagerTextAndHash) {
   };
   ExpectScalars(T, "recorded");
 
-  std::string V3Path = tempPath("scalars_v3");
-  std::string V4Path = tempPath("scalars_v4");
-  ASSERT_TRUE(writeTrace(T, V3Path));
-  ASSERT_TRUE(writeTraceSegmented(T, V4Path, /*SegmentEntries=*/4));
-  for (const std::string &Path : {V3Path, V4Path}) {
+  std::string OnePath = tempPath("scalars_one");
+  std::string SmallPath = tempPath("scalars_small");
+  ASSERT_TRUE(writeTrace(T, OnePath));
+  ASSERT_TRUE(writeTraceSegmented(T, SmallPath, /*SegmentEntries=*/4));
+  for (const std::string &Path : {OnePath, SmallPath}) {
     Expected<Trace> Loaded = readTrace(Path, nullptr);
     ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    ExpectScalars(*Loaded, Path == V3Path ? "v3" : "v4");
+    ExpectScalars(*Loaded, Path == OnePath ? "one segment" : "small segments");
     std::remove(Path.c_str());
   }
 }
@@ -1328,25 +1303,25 @@ TEST(ValueDiversePair, SecondLoadBorrowsAndFileDiffMatchesInMemory) {
 TEST(FormatVersion, FilesFromBeforeInlinePayloadsAreUnsupported) {
   Trace T = traceOf("class A { Int x; A(Int x) { this.x = x; } } "
                     "main { var a = new A(5); print(a.x); }");
-  std::string V3Path = tempPath("oldver_v3");
-  std::string V4Path = tempPath("oldver_v4");
-  ASSERT_TRUE(writeTrace(T, V3Path));
-  ASSERT_TRUE(writeTraceSegmented(T, V4Path));
-  // 3 and 4 are the version words of the same two layouts before scalar
-  // payloads moved inline and the checksums changed: a typed version
-  // error, not a misleading checksum mismatch.
-  for (auto [Path, OldVersion] :
-       {std::pair{V3Path, 3u}, std::pair{V4Path, 4u}}) {
-    std::string Bytes = readFileBytes(Path);
-    ASSERT_GE(Bytes.size(), 8u);
+  std::string Path = tempPath("oldver");
+  ASSERT_TRUE(writeTrace(T, Path));
+  std::string Good = readFileBytes(Path);
+  ASSERT_GE(Good.size(), 8u);
+  // 1-2 (stream layout), 3 and 5 (whole-trace layout), and 4 (this
+  // layout before scalar payloads moved inline and the checksums changed)
+  // are retired: a typed version error, not a misleading checksum
+  // mismatch.
+  for (uint32_t OldVersion : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("version " + std::to_string(OldVersion));
+    std::string Bytes = Good;
     std::memcpy(Bytes.data() + 4, &OldVersion, 4);
     std::ofstream(Path, std::ios::binary | std::ios::trunc) << Bytes;
     Expected<Trace> Loaded = readTrace(Path, nullptr);
-    ASSERT_FALSE(bool(Loaded)) << Path;
-    EXPECT_EQ(Loaded.error().Code, "trace.version") << Path;
-    EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt) << Path;
-    std::remove(Path.c_str());
+    ASSERT_FALSE(bool(Loaded));
+    EXPECT_EQ(Loaded.error().Code, "trace.version");
+    EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt);
   }
+  std::remove(Path.c_str());
 }
 
 } // namespace
