@@ -597,10 +597,8 @@ int main(int Argc, char **Argv) {
   }
 
   // Trace production: how fast the VM turns a program into a finished
-  // trace (the recorder's columnar-emission path), per dispatch tier. The
-  // compiled program is reused across reps — the run itself is what's
-  // being timed — and the switch-tier row doubles as a cheap cross-check
-  // that both tiers produce the same entry count.
+  // trace (the recorder's columnar-emission path). The compiled program is
+  // reused across reps — the run itself is what's being timed.
   std::string TraceGenJson = ",\n  \"trace_gen\": [\n";
   double TraceGenEntriesPerSec = 0;
   {
@@ -615,60 +613,34 @@ int main(int Argc, char **Argv) {
     Options.TraceName = "trace-gen";
     std::printf("== trace generation (iters=%u, workload threads=%u) ==\n",
                 GenOpt.OuterIters, GenOpt.NumThreads);
-    bool GenFirst = true;
-    uint64_t ThreadedEntries = 0, SwitchEntries = 0;
-    for (bool Threaded : {true, false}) {
-#if defined(_WIN32)
-      if (!Threaded)
-        continue; // No setenv; the threaded row covers the build's tier.
-#else
-      if (!Threaded)
-        setenv("RPRISM_NO_THREADED_DISPATCH", "1", 1);
-#endif
-      uint64_t Entries = 0, Steps = 0;
-      uint64_t PeakBefore = peakRssBytes();
-      unsigned Reps = 0;
-      double Seconds = bestOf(
-          [&](unsigned) {
-            RunResult R = runProgram(*Prog, Options);
-            Entries = R.ExecTrace.size();
-            Steps = R.Steps;
-          },
-          &Reps);
-      uint64_t Peak = peakRssBytes();
-#if !defined(_WIN32)
-      if (!Threaded)
-        unsetenv("RPRISM_NO_THREADED_DISPATCH");
-#endif
-      (Threaded ? ThreadedEntries : SwitchEntries) = Entries;
-      double Rate = Seconds > 0 ? static_cast<double>(Entries) / Seconds : 0;
-      if (Threaded)
-        TraceGenEntriesPerSec = Rate;
-      char Buf[512];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "%s    {\"dispatch\": \"%s\", \"outer_iters\": %u, "
-          "\"workload_threads\": %u, \"entries\": %llu, \"steps\": %llu, "
-          "\"reps\": %u, \"seconds\": %.6f, \"entries_per_sec\": %.1f, "
-          "\"peak_rss_bytes\": %llu, \"peak_rss_delta_bytes\": %llu}",
-          GenFirst ? "" : ",\n", Threaded ? "threaded" : "switch",
-          GenOpt.OuterIters, GenOpt.NumThreads,
-          static_cast<unsigned long long>(Entries),
-          static_cast<unsigned long long>(Steps), Reps, Seconds, Rate,
-          static_cast<unsigned long long>(Peak),
-          static_cast<unsigned long long>(Peak - PeakBefore));
-      TraceGenJson += Buf;
-      GenFirst = false;
-      std::printf("  %-10s %8.2f ms  %12.0f entries/s\n",
-                  Threaded ? "threaded" : "switch", Seconds * 1e3, Rate);
-    }
-    if (SwitchEntries != 0 && SwitchEntries != ThreadedEntries) {
-      std::printf("  ERROR: dispatch tiers produced different entry "
-                  "counts (%llu vs %llu)\n",
-                  static_cast<unsigned long long>(ThreadedEntries),
-                  static_cast<unsigned long long>(SwitchEntries));
-      Exit = 1;
-    }
+    uint64_t Entries = 0, Steps = 0;
+    uint64_t PeakBefore = peakRssBytes();
+    unsigned Reps = 0;
+    double Seconds = bestOf(
+        [&](unsigned) {
+          RunResult R = runProgram(*Prog, Options);
+          Entries = R.ExecTrace.size();
+          Steps = R.Steps;
+        },
+        &Reps);
+    uint64_t Peak = peakRssBytes();
+    TraceGenEntriesPerSec =
+        Seconds > 0 ? static_cast<double>(Entries) / Seconds : 0;
+    char Buf[512];
+    std::snprintf(
+        Buf, sizeof(Buf),
+        "    {\"outer_iters\": %u, "
+        "\"workload_threads\": %u, \"entries\": %llu, \"steps\": %llu, "
+        "\"reps\": %u, \"seconds\": %.6f, \"entries_per_sec\": %.1f, "
+        "\"peak_rss_bytes\": %llu, \"peak_rss_delta_bytes\": %llu}",
+        GenOpt.OuterIters, GenOpt.NumThreads,
+        static_cast<unsigned long long>(Entries),
+        static_cast<unsigned long long>(Steps), Reps, Seconds,
+        TraceGenEntriesPerSec, static_cast<unsigned long long>(Peak),
+        static_cast<unsigned long long>(Peak - PeakBefore));
+    TraceGenJson += Buf;
+    std::printf("  %8.2f ms  %12.0f entries/s\n", Seconds * 1e3,
+                TraceGenEntriesPerSec);
     TraceGenJson += "\n  ]";
   }
 

@@ -93,8 +93,8 @@ scanLanes(const ViewWeb &BaseWeb, const BaselineLanes &Lanes,
     const View &RV = MutWeb.view(R);
     std::vector<uint64_t> MutLane = gatherLane(MT, RV);
     size_t Common = std::min(BaseLane->size(), MutLane.size());
-    // Run-boundary verify: one whole-lane equality scan at the widest
-    // dispatched tier answers the common case (mutant thread untouched).
+    // Run-boundary verify: one whole-lane equality scan answers the
+    // common case (mutant thread untouched).
     if (BaseLane->size() == MutLane.size() &&
         lanesEqual(BaseLane->data(), MutLane.data(), Common))
       continue;

@@ -26,6 +26,7 @@
 namespace rprism {
 
 /// Opcodes. Operands A/B are indices or immediates as documented per-op.
+/// Builtin stays last: the VM's dispatch table is checked against it.
 enum class Op : uint8_t {
   PushInt,     ///< A: index into IntPool.
   PushFloat,   ///< A: index into FloatPool.

@@ -7,40 +7,12 @@
 
 #include "support/SimdDispatch.h"
 
-#include <cstdlib>
-#include <cstring>
-
-#if defined(__x86_64__) || defined(__i386__)
-#define RPRISM_X86 1
-#include <immintrin.h>
-#else
-#define RPRISM_X86 0
-#endif
-
 using namespace rprism;
 
-const char *rprism::simdTierName(SimdTier Tier) {
-  switch (Tier) {
-  case SimdTier::Scalar:
-    return "scalar";
-  case SimdTier::Sse2:
-    return "sse2";
-  case SimdTier::Avx2:
-    return "avx2";
-  }
-  return "unknown";
-}
-
-//===----------------------------------------------------------------------===//
-// Scalar kernels — the determinism oracle. laneMatchRun's scalar form is
-// the exact loop the lock-step evaluator ran before the dispatch existed
-// (eight 64-bit XORs OR-folded per iteration, scalar tail for the
-// boundary); the vector tiers must agree with it bit for bit.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-size_t matchRunScalar(const uint64_t *A, const uint64_t *B, size_t Max) {
+/// Eight 64-bit XORs OR-folded per iteration; a block that shows any
+/// difference drops to the element loop, which pins the exact boundary.
+size_t rprism::laneMatchRun(const uint64_t *A, const uint64_t *B,
+                            size_t Max) {
   size_t K = 0;
   while (K + 8 <= Max) {
     uint64_t Diff = (A[K] ^ B[K]) | (A[K + 1] ^ B[K + 1]) |
@@ -56,299 +28,14 @@ size_t matchRunScalar(const uint64_t *A, const uint64_t *B, size_t Max) {
   return K;
 }
 
-size_t mismatchRunScalar(const uint64_t *A, const uint64_t *B, size_t Max) {
+size_t rprism::laneMismatchRun(const uint64_t *A, const uint64_t *B,
+                               size_t Max) {
   size_t K = 0;
   while (K < Max && A[K] != B[K])
     ++K;
   return K;
 }
 
-bool lanesEqualScalar(const uint64_t *A, const uint64_t *B, size_t Len) {
-  return matchRunScalar(A, B, Len) == Len;
+bool rprism::lanesEqual(const uint64_t *A, const uint64_t *B, size_t Len) {
+  return laneMatchRun(A, B, Len) == Len;
 }
-
-#if RPRISM_X86
-
-//===----------------------------------------------------------------------===//
-// SSE2 tier: 16-byte XOR-OR blocks, two per iteration (32 bytes / 4 lanes
-// of uint64_t). SSE2 is baseline on x86-64, so no target attribute needed.
-// A block that shows any difference (or, for mismatch runs, any equality)
-// drops to the scalar kernel to pin the exact index.
-//===----------------------------------------------------------------------===//
-
-/// Scalar probe of the first \p Head elements shared by every vector
-/// kernel: in the lock-step workload most runs end within a few elements
-/// (a mismatch terminates every run), and a vector round-trip on those
-/// costs ~2x a scalar exit. Returns the equal-prefix length within Head;
-/// the caller enters its vector loop only when the whole probe matched.
-inline size_t matchProbeScalar(const uint64_t *A, const uint64_t *B,
-                               size_t Head) {
-  size_t K = 0;
-  while (K < Head && A[K] == B[K])
-    ++K;
-  return K;
-}
-
-inline size_t mismatchProbeScalar(const uint64_t *A, const uint64_t *B,
-                                  size_t Head) {
-  size_t K = 0;
-  while (K < Head && A[K] != B[K])
-    ++K;
-  return K;
-}
-
-size_t matchRunSse2(const uint64_t *A, const uint64_t *B, size_t Max) {
-  size_t Head = Max < 8 ? Max : 8;
-  size_t K = matchProbeScalar(A, B, Head);
-  if (K < Head || K == Max)
-    return K;
-  const __m128i Zero = _mm_setzero_si128();
-  while (K + 4 <= Max) {
-    __m128i X0 = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(A + K)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(B + K)));
-    __m128i X1 = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(A + K + 2)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(B + K + 2)));
-    __m128i Acc = _mm_or_si128(X0, X1);
-    // All-zero accumulator <=> every byte equal: cmpeq against zero sets
-    // 0xFF per equal byte, movemask folds to 16 bits.
-    if (_mm_movemask_epi8(_mm_cmpeq_epi8(Acc, Zero)) != 0xFFFF)
-      break;
-    K += 4;
-  }
-  return K + matchRunScalar(A + K, B + K, Max - K);
-}
-
-size_t mismatchRunSse2(const uint64_t *A, const uint64_t *B, size_t Max) {
-  size_t Head = Max < 8 ? Max : 8;
-  size_t K = mismatchProbeScalar(A, B, Head);
-  if (K < Head || K == Max)
-    return K;
-  while (K + 4 <= Max) {
-    __m128i E0 = _mm_cmpeq_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(A + K)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(B + K)));
-    __m128i E1 = _mm_cmpeq_epi8(
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(A + K + 2)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(B + K + 2)));
-    unsigned M0 = static_cast<unsigned>(_mm_movemask_epi8(E0));
-    unsigned M1 = static_cast<unsigned>(_mm_movemask_epi8(E1));
-    // A uint64_t lane is equal iff its 8 equality bytes are all set.
-    if ((M0 & 0xFF) == 0xFF || ((M0 >> 8) & 0xFF) == 0xFF ||
-        (M1 & 0xFF) == 0xFF || ((M1 >> 8) & 0xFF) == 0xFF)
-      break;
-    K += 4;
-  }
-  return K + mismatchRunScalar(A + K, B + K, Max - K);
-}
-
-bool lanesEqualSse2(const uint64_t *A, const uint64_t *B, size_t Len) {
-  return matchRunSse2(A, B, Len) == Len;
-}
-
-//===----------------------------------------------------------------------===//
-// AVX2 tier: 32-byte XOR-OR blocks, two per iteration (64 bytes / 8 lanes
-// — the same stride as the scalar loop, one testz per 64 bytes). Compiled
-// with a function-level target attribute so the rest of the TU stays at
-// the build's baseline ISA; only dispatched when CPUID reports AVX2.
-//===----------------------------------------------------------------------===//
-
-__attribute__((target("avx2"))) size_t
-matchRunAvx2(const uint64_t *A, const uint64_t *B, size_t Max) {
-  size_t Head = Max < 8 ? Max : 8;
-  size_t K = matchProbeScalar(A, B, Head);
-  if (K < Head || K == Max)
-    return K;
-  while (K + 8 <= Max) {
-    __m256i X0 = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + K)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + K)));
-    __m256i X1 = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + K + 4)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + K + 4)));
-    __m256i Acc = _mm256_or_si256(X0, X1);
-    if (!_mm256_testz_si256(Acc, Acc))
-      break;
-    K += 8;
-  }
-  return K + matchRunScalar(A + K, B + K, Max - K);
-}
-
-__attribute__((target("avx2"))) size_t
-mismatchRunAvx2(const uint64_t *A, const uint64_t *B, size_t Max) {
-  size_t Head = Max < 8 ? Max : 8;
-  size_t K = mismatchProbeScalar(A, B, Head);
-  if (K < Head || K == Max)
-    return K;
-  while (K + 8 <= Max) {
-    __m256i E0 = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + K)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + K)));
-    __m256i E1 = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + K + 4)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + K + 4)));
-    // Any equal lane in either block ends the mismatch run.
-    if (!_mm256_testz_si256(_mm256_or_si256(E0, E1),
-                            _mm256_or_si256(E0, E1)))
-      break;
-    K += 8;
-  }
-  return K + mismatchRunScalar(A + K, B + K, Max - K);
-}
-
-__attribute__((target("avx2"))) bool
-lanesEqualAvx2(const uint64_t *A, const uint64_t *B, size_t Len) {
-  return matchRunAvx2(A, B, Len) == Len;
-}
-
-#endif // RPRISM_X86
-
-/// True when RPRISM_NO_SIMD is set to anything but "" or "0".
-bool noSimdRequested() {
-  const char *Env = std::getenv("RPRISM_NO_SIMD");
-  return Env && *Env && std::strcmp(Env, "0") != 0;
-}
-
-SimdTier detectTier() {
-  if (noSimdRequested())
-    return SimdTier::Scalar;
-#if RPRISM_X86
-  if (__builtin_cpu_supports("avx2"))
-    return SimdTier::Avx2;
-  return SimdTier::Sse2; // Baseline on x86-64.
-#else
-  return SimdTier::Scalar;
-#endif
-}
-
-} // namespace
-
-bool rprism::simdTierSupported(SimdTier Tier) {
-  switch (Tier) {
-  case SimdTier::Scalar:
-    return true;
-#if RPRISM_X86
-  case SimdTier::Sse2:
-    return true;
-  case SimdTier::Avx2:
-    return __builtin_cpu_supports("avx2");
-#else
-  case SimdTier::Sse2:
-  case SimdTier::Avx2:
-    return false;
-#endif
-  }
-  return false;
-}
-
-SimdTier rprism::activeSimdTier() {
-  static const SimdTier Tier = [] {
-    SimdTier T = detectTier();
-    simd_detail::resolveDispatch();
-    return T;
-  }();
-  return Tier;
-}
-
-size_t rprism::laneMatchRun(SimdTier Tier, const uint64_t *A,
-                            const uint64_t *B, size_t Max) {
-  switch (Tier) {
-#if RPRISM_X86
-  case SimdTier::Sse2:
-    return matchRunSse2(A, B, Max);
-  case SimdTier::Avx2:
-    return matchRunAvx2(A, B, Max);
-#endif
-  default:
-    return matchRunScalar(A, B, Max);
-  }
-}
-
-size_t rprism::laneMismatchRun(SimdTier Tier, const uint64_t *A,
-                               const uint64_t *B, size_t Max) {
-  switch (Tier) {
-#if RPRISM_X86
-  case SimdTier::Sse2:
-    return mismatchRunSse2(A, B, Max);
-  case SimdTier::Avx2:
-    return mismatchRunAvx2(A, B, Max);
-#endif
-  default:
-    return mismatchRunScalar(A, B, Max);
-  }
-}
-
-bool rprism::lanesEqual(SimdTier Tier, const uint64_t *A, const uint64_t *B,
-                        size_t Len) {
-  switch (Tier) {
-#if RPRISM_X86
-  case SimdTier::Sse2:
-    return lanesEqualSse2(A, B, Len);
-  case SimdTier::Avx2:
-    return lanesEqualAvx2(A, B, Len);
-#endif
-  default:
-    return lanesEqualScalar(A, B, Len);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Dispatch pointers. The initial values are resolver trampolines: the
-// first call (from any thread; resolution is idempotent and the stores
-// are of identical values) detects the tier, installs the direct kernel
-// pointers, and answers through them. Every later call is one indirect
-// jump with no branch on tier or env.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-size_t matchRunResolver(const uint64_t *A, const uint64_t *B, size_t Max) {
-  simd_detail::resolveDispatch();
-  return simd_detail::DispatchedMatchRun(A, B, Max);
-}
-
-size_t mismatchRunResolver(const uint64_t *A, const uint64_t *B, size_t Max) {
-  simd_detail::resolveDispatch();
-  return simd_detail::DispatchedMismatchRun(A, B, Max);
-}
-
-bool lanesEqualResolver(const uint64_t *A, const uint64_t *B, size_t Len) {
-  simd_detail::resolveDispatch();
-  return simd_detail::DispatchedLanesEqual(A, B, Len);
-}
-
-} // namespace
-
-namespace rprism {
-namespace simd_detail {
-
-MatchRunFn DispatchedMatchRun = matchRunResolver;
-MatchRunFn DispatchedMismatchRun = mismatchRunResolver;
-LanesEqualFn DispatchedLanesEqual = lanesEqualResolver;
-
-void resolveDispatch() {
-  SimdTier Tier = detectTier();
-  switch (Tier) {
-#if RPRISM_X86
-  case SimdTier::Sse2:
-    DispatchedMatchRun = matchRunSse2;
-    DispatchedMismatchRun = mismatchRunSse2;
-    DispatchedLanesEqual = lanesEqualSse2;
-    break;
-  case SimdTier::Avx2:
-    DispatchedMatchRun = matchRunAvx2;
-    DispatchedMismatchRun = mismatchRunAvx2;
-    DispatchedLanesEqual = lanesEqualAvx2;
-    break;
-#endif
-  default:
-    DispatchedMatchRun = matchRunScalar;
-    DispatchedMismatchRun = mismatchRunScalar;
-    DispatchedLanesEqual = lanesEqualScalar;
-    break;
-  }
-}
-
-} // namespace simd_detail
-} // namespace rprism

@@ -1,4 +1,4 @@
-//===- support/SimdDispatch.h - Runtime-dispatched lane kernels -----------===//
+//===- support/SimdDispatch.h - Lane kernels ------------------------------===//
 //
 // Part of the RPrism/C++ reproduction of "Semantics-Aware Trace Analysis"
 // (Hoffman, Eugster, Jagannathan; PLDI 2009).
@@ -8,9 +8,7 @@
 /// \file
 /// The lock-step core of the views-based differencing spends its time
 /// scanning pairs of dense uint64_t fingerprint lanes. This header exposes
-/// those scans as *kernels* with three implementations each — scalar,
-/// SSE2 (16-byte XOR-OR blocks), AVX2 (32-byte blocks) — selected once per
-/// process by CPUID:
+/// those scans as three kernels:
 ///
 ///   laneMatchRun     — length of the equal prefix of A[0..Max)/B[0..Max)
 ///                      (the STEP-VIEW-MATCH run-skip scan);
@@ -19,13 +17,9 @@
 ///   lanesEqual       — whole-block equality (run-boundary verify: an
 ///                      entire view lane against a baseline lane).
 ///
-/// Every tier returns bit-identical results: the vector blocks only decide
-/// "any difference in these 16/32 bytes?", and a scalar tail always pins
-/// the exact boundary. The scalar kernel is the determinism oracle — it is
-/// compiled in unconditionally, tested against the vector tiers on
-/// randomized lanes, and forced process-wide by setting RPRISM_NO_SIMD=1
-/// in the environment. Tiers above the host's capability are reported
-/// unsupported and never dispatched to.
+/// The kernels are portable scalar loops. The scans stream contiguous
+/// lanes and are memory-bound: SSE2 and AVX2 variants were measured at
+/// parity end to end and removed (docs/PERFORMANCE.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,70 +31,25 @@
 
 namespace rprism {
 
-/// Instruction-set tiers the lane kernels are compiled for, in capability
-/// order. Numeric values are stable — they surface in telemetry as the
-/// `diff.simd_tier` gauge (0 scalar, 1 sse2, 2 avx2).
-enum class SimdTier : uint8_t { Scalar = 0, Sse2 = 1, Avx2 = 2 };
+/// Instruction-set tier of the lane kernels. There is one; host reports
+/// (perfbench's `host` line) still name it.
+enum class SimdTier : uint8_t { Scalar = 0 };
 
-/// Printable tier name ("scalar", "sse2", "avx2").
-const char *simdTierName(SimdTier Tier);
+/// Printable tier name: "scalar".
+inline const char *simdTierName(SimdTier) { return "scalar"; }
 
-/// True when the host can execute \p Tier (CPUID capability only; ignores
-/// RPRISM_NO_SIMD). Scalar is always supported.
-bool simdTierSupported(SimdTier Tier);
-
-/// The tier the process dispatches to: the highest supported tier, clamped
-/// to Scalar when RPRISM_NO_SIMD is set (non-empty and not "0") in the
-/// environment. Resolved once on first call and cached.
-SimdTier activeSimdTier();
-
-//===----------------------------------------------------------------------===//
-// Tier-explicit kernels (tests pin tiers; production uses the dispatched
-// forms below). Calling an unsupported tier is undefined — guard with
-// simdTierSupported().
-//===----------------------------------------------------------------------===//
+/// The tier the kernels run at: always Scalar.
+inline SimdTier activeSimdTier() { return SimdTier::Scalar; }
 
 /// Length of the equal prefix of A[0..Max) and B[0..Max).
-size_t laneMatchRun(SimdTier Tier, const uint64_t *A, const uint64_t *B,
-                    size_t Max);
+size_t laneMatchRun(const uint64_t *A, const uint64_t *B, size_t Max);
 
 /// Length of the unequal prefix: the first index K with A[K] == B[K], or
 /// Max when every position differs.
-size_t laneMismatchRun(SimdTier Tier, const uint64_t *A, const uint64_t *B,
-                       size_t Max);
+size_t laneMismatchRun(const uint64_t *A, const uint64_t *B, size_t Max);
 
 /// True when A[0..Len) == B[0..Len) elementwise.
-bool lanesEqual(SimdTier Tier, const uint64_t *A, const uint64_t *B,
-                size_t Len);
-
-//===----------------------------------------------------------------------===//
-// Dispatched forms: activeSimdTier() resolved through a per-kernel
-// function pointer loaded once (no per-call CPUID or env probing).
-//===----------------------------------------------------------------------===//
-
-namespace simd_detail {
-using MatchRunFn = size_t (*)(const uint64_t *, const uint64_t *, size_t);
-using LanesEqualFn = bool (*)(const uint64_t *, const uint64_t *, size_t);
-extern MatchRunFn DispatchedMatchRun;
-extern MatchRunFn DispatchedMismatchRun;
-extern LanesEqualFn DispatchedLanesEqual;
-/// Resolves the three pointers (idempotent; called lazily from the inline
-/// wrappers via activeSimdTier()'s one-time init).
-void resolveDispatch();
-} // namespace simd_detail
-
-inline size_t laneMatchRun(const uint64_t *A, const uint64_t *B, size_t Max) {
-  return simd_detail::DispatchedMatchRun(A, B, Max);
-}
-
-inline size_t laneMismatchRun(const uint64_t *A, const uint64_t *B,
-                              size_t Max) {
-  return simd_detail::DispatchedMismatchRun(A, B, Max);
-}
-
-inline bool lanesEqual(const uint64_t *A, const uint64_t *B, size_t Len) {
-  return simd_detail::DispatchedLanesEqual(A, B, Len);
-}
+bool lanesEqual(const uint64_t *A, const uint64_t *B, size_t Len);
 
 } // namespace rprism
 

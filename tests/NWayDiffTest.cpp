@@ -1,4 +1,4 @@
-//===- tests/NWayDiffTest.cpp - SIMD tiers & 1-vs-N variational diff ------===//
+//===- tests/NWayDiffTest.cpp - Lane kernels & 1-vs-N variational diff ----===//
 //
 // Part of the RPrism/C++ reproduction of "Semantics-Aware Trace Analysis"
 // (Hoffman, Eugster, Jagannathan; PLDI 2009).
@@ -8,10 +8,10 @@
 /// \file
 /// Two contracts under test:
 ///
-///   1. Every SIMD tier of the lane kernels (laneMatchRun, laneMismatchRun,
-///      lanesEqual) returns bit-identical results to the scalar oracle, on
-///      randomized lanes at unaligned offsets and awkward lengths (0, 1,
-///      one-past-a-block, tails).
+///   1. The lane kernels (laneMatchRun, laneMismatchRun, lanesEqual) agree
+///      with one-element-at-a-time reference loops, on randomized lanes at
+///      unaligned starts, at every length 0..80 (across the 8-element block
+///      edge), with the first difference planted at every position.
 ///
 ///   2. nwayDiff is pure amortization: per-mutant reports are byte-identical
 ///      to the pairwise viewsDiff and compare-op totals match exactly, with
@@ -43,118 +43,135 @@ uint64_t nextRand(uint64_t &State) {
   return X ^ (X >> 31);
 }
 
-/// The tiers above scalar the host can run (SSE2 on any x86-64; AVX2 when
-/// the CPU reports it).
-std::vector<SimdTier> vectorTiers() {
-  std::vector<SimdTier> Tiers;
-  for (SimdTier T : {SimdTier::Sse2, SimdTier::Avx2})
-    if (simdTierSupported(T))
-      Tiers.push_back(T);
-  return Tiers;
+/// One-element-at-a-time reference loops the kernels are checked against.
+size_t refMatchRun(const uint64_t *A, const uint64_t *B, size_t Max) {
+  size_t K = 0;
+  for (; K != Max; ++K)
+    if (A[K] != B[K])
+      break;
+  return K;
 }
 
-/// Lengths that straddle every kernel block boundary: empty, single,
-/// 16/32-byte block edges (2 and 4 uint64s), and tails past them.
-const size_t AwkwardLengths[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,
-                                 15, 16, 17, 31, 32, 33, 63, 64, 65,
-                                 100, 127, 128, 129, 256};
+size_t refMismatchRun(const uint64_t *A, const uint64_t *B, size_t Max) {
+  size_t K = 0;
+  for (; K != Max; ++K)
+    if (A[K] == B[K])
+      break;
+  return K;
+}
+
+/// Lane lengths 0..MaxLen: every position relative to the kernels'
+/// 8-element block edge, over several whole blocks.
+constexpr size_t MaxLen = 80;
+/// Backing buffers leave slack past the longest lane at every start
+/// offset 0..3, equal on both sides unless a test plants otherwise, so a
+/// kernel that reads past Max runs on instead of stopping.
+constexpr size_t BufLen = MaxLen + 16;
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// SIMD tier equivalence (scalar is the oracle)
+// Lane kernels vs the reference loops
 //===----------------------------------------------------------------------===//
 
-TEST(SimdDispatch, MatchRunAllTiersEqualScalar) {
+TEST(LaneKernels, MatchRunAgreesWithReference) {
   uint64_t Rng = 0xfeedface;
-  std::vector<SimdTier> Tiers = vectorTiers();
-  // Backing buffers with slack so every offset 0..3 stays in bounds.
-  std::vector<uint64_t> A(300), B(300);
+  std::vector<uint64_t> A(BufLen), B(BufLen);
   for (size_t Round = 0; Round != 50; ++Round) {
     for (size_t I = 0; I != A.size(); ++I) {
       A[I] = nextRand(Rng);
       // Mostly-equal lanes so planted prefixes of every length occur.
       B[I] = (nextRand(Rng) % 8 == 0) ? nextRand(Rng) : A[I];
     }
-    for (size_t Offset = 0; Offset != 4; ++Offset) {
-      for (size_t Len : AwkwardLengths) {
+    for (size_t Offset = 0; Offset != 4; ++Offset)
+      for (size_t Len = 0; Len <= MaxLen; ++Len) {
         const uint64_t *PA = A.data() + Offset;
         const uint64_t *PB = B.data() + Offset;
-        size_t Want = laneMatchRun(SimdTier::Scalar, PA, PB, Len);
-        for (SimdTier T : Tiers)
-          ASSERT_EQ(laneMatchRun(T, PA, PB, Len), Want)
-              << simdTierName(T) << " len " << Len << " off " << Offset;
+        ASSERT_EQ(laneMatchRun(PA, PB, Len), refMatchRun(PA, PB, Len))
+            << "len " << Len << " off " << Offset;
+      }
+  }
+  // Equal lanes with the first difference planted at every position.
+  for (uint64_t &V : A)
+    V = nextRand(Rng);
+  for (size_t Offset = 0; Offset != 4; ++Offset)
+    for (size_t Len = 0; Len <= MaxLen; ++Len) {
+      B = A;
+      ASSERT_EQ(laneMatchRun(A.data() + Offset, B.data() + Offset, Len), Len)
+          << "equal, len " << Len << " off " << Offset;
+      for (size_t Diff = 0; Diff < Len; ++Diff) {
+        B[Offset + Diff] ^= 1;
+        ASSERT_EQ(laneMatchRun(A.data() + Offset, B.data() + Offset, Len),
+                  Diff)
+            << "len " << Len << " off " << Offset;
+        B[Offset + Diff] ^= 1;
       }
     }
-  }
 }
 
-TEST(SimdDispatch, MismatchRunAllTiersEqualScalar) {
+TEST(LaneKernels, MismatchRunAgreesWithReference) {
   uint64_t Rng = 0xdeadbeef;
-  std::vector<SimdTier> Tiers = vectorTiers();
-  std::vector<uint64_t> A(300), B(300);
+  std::vector<uint64_t> A(BufLen), B(BufLen);
   for (size_t Round = 0; Round != 50; ++Round) {
     for (size_t I = 0; I != A.size(); ++I) {
       A[I] = nextRand(Rng);
       // Mostly-differing lanes so unequal prefixes of every length occur.
       B[I] = (nextRand(Rng) % 8 == 0) ? A[I] : nextRand(Rng);
     }
-    for (size_t Offset = 0; Offset != 4; ++Offset) {
-      for (size_t Len : AwkwardLengths) {
+    for (size_t Offset = 0; Offset != 4; ++Offset)
+      for (size_t Len = 0; Len <= MaxLen; ++Len) {
         const uint64_t *PA = A.data() + Offset;
         const uint64_t *PB = B.data() + Offset;
-        size_t Want = laneMismatchRun(SimdTier::Scalar, PA, PB, Len);
-        for (SimdTier T : Tiers)
-          ASSERT_EQ(laneMismatchRun(T, PA, PB, Len), Want)
-              << simdTierName(T) << " len " << Len << " off " << Offset;
+        ASSERT_EQ(laneMismatchRun(PA, PB, Len), refMismatchRun(PA, PB, Len))
+            << "len " << Len << " off " << Offset;
       }
-    }
   }
-}
-
-TEST(SimdDispatch, LanesEqualAllTiersEqualScalar) {
-  uint64_t Rng = 0xabad1dea;
-  std::vector<SimdTier> Tiers = vectorTiers();
-  for (size_t Len : AwkwardLengths) {
-    std::vector<uint64_t> A(Len ? Len : 1), B;
-    for (uint64_t &V : A)
-      V = nextRand(Rng);
-    B = A;
-    // Equal case, then a single flipped element at each position (first,
-    // last, every block edge in between).
-    EXPECT_TRUE(lanesEqual(SimdTier::Scalar, A.data(), B.data(), Len));
-    for (SimdTier T : Tiers)
-      EXPECT_TRUE(lanesEqual(T, A.data(), B.data(), Len));
-    for (size_t Flip = 0; Flip < Len; ++Flip) {
-      B[Flip] ^= 1;
-      bool Want = lanesEqual(SimdTier::Scalar, A.data(), B.data(), Len);
-      EXPECT_FALSE(Want);
-      for (SimdTier T : Tiers)
-        ASSERT_EQ(lanesEqual(T, A.data(), B.data(), Len), Want)
-            << simdTierName(T) << " len " << Len << " flip " << Flip;
-      B[Flip] ^= 1;
-    }
-  }
-}
-
-TEST(SimdDispatch, DispatchedFormsMatchScalar) {
-  // The production entry points (function-pointer dispatch, honoring
-  // RPRISM_NO_SIMD) agree with an explicit scalar call.
-  uint64_t Rng = 0x5eed;
-  std::vector<uint64_t> A(128), B(128);
+  // Differing lanes with the first equal pair planted at every position.
   for (size_t I = 0; I != A.size(); ++I) {
     A[I] = nextRand(Rng);
-    B[I] = (I % 3 == 0) ? nextRand(Rng) : A[I];
+    B[I] = ~A[I];
   }
-  EXPECT_EQ(laneMatchRun(A.data(), B.data(), A.size()),
-            laneMatchRun(SimdTier::Scalar, A.data(), B.data(), A.size()));
-  EXPECT_EQ(laneMismatchRun(A.data(), B.data(), A.size()),
-            laneMismatchRun(SimdTier::Scalar, A.data(), B.data(), A.size()));
-  EXPECT_EQ(lanesEqual(A.data(), B.data(), A.size()),
-            lanesEqual(SimdTier::Scalar, A.data(), B.data(), A.size()));
-  EXPECT_TRUE(simdTierSupported(SimdTier::Scalar));
-  EXPECT_TRUE(simdTierSupported(activeSimdTier()));
-  EXPECT_STREQ(simdTierName(SimdTier::Scalar), "scalar");
+  std::vector<uint64_t> Differ = B;
+  for (size_t Offset = 0; Offset != 4; ++Offset)
+    for (size_t Len = 0; Len <= MaxLen; ++Len) {
+      B = Differ;
+      ASSERT_EQ(laneMismatchRun(A.data() + Offset, B.data() + Offset, Len),
+                Len)
+          << "differing, len " << Len << " off " << Offset;
+      for (size_t Same = 0; Same < Len; ++Same) {
+        B[Offset + Same] = A[Offset + Same];
+        ASSERT_EQ(laneMismatchRun(A.data() + Offset, B.data() + Offset, Len),
+                  Same)
+            << "len " << Len << " off " << Offset;
+        B[Offset + Same] = Differ[Offset + Same];
+      }
+    }
+}
+
+TEST(LaneKernels, LanesEqualAgreesWithReference) {
+  uint64_t Rng = 0xabad1dea;
+  std::vector<uint64_t> A(BufLen), B;
+  for (uint64_t &V : A)
+    V = nextRand(Rng);
+  for (size_t Offset = 0; Offset != 4; ++Offset)
+    for (size_t Len = 0; Len <= MaxLen; ++Len) {
+      B = A;
+      // Equal case, then a single flipped element at each position.
+      EXPECT_TRUE(lanesEqual(A.data() + Offset, B.data() + Offset, Len));
+      for (size_t Flip = 0; Flip < Len; ++Flip) {
+        B[Offset + Flip] ^= 1;
+        ASSERT_FALSE(lanesEqual(A.data() + Offset, B.data() + Offset, Len))
+            << "len " << Len << " off " << Offset << " flip " << Flip;
+        B[Offset + Flip] ^= 1;
+      }
+      // A difference just past the lane is outside it.
+      B[Offset + Len] ^= 1;
+      EXPECT_TRUE(lanesEqual(A.data() + Offset, B.data() + Offset, Len));
+    }
+}
+
+TEST(LaneKernels, ReportsTheScalarTier) {
+  EXPECT_STREQ(simdTierName(activeSimdTier()), "scalar");
 }
 
 //===----------------------------------------------------------------------===//

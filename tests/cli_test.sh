@@ -103,10 +103,6 @@ echo "$NWAY" | grep -q "1 agree" || fail "diff-nway missed the agreeing twin"
 echo "$NWAY" | grep -q "cluster #0" || fail "diff-nway emitted no cluster"
 echo "$NWAY" | grep -q "lanes bit-identical" \
   || fail "diff-nway twin not lane-verified"
-# Forced-scalar output must be byte-identical (SIMD determinism contract).
-NWAY_SCALAR="$(RPRISM_NO_SIMD=1 "$RPRISM" diff-nway "$WORK/old.rpt" \
-               "$WORK/new.rpt" "$WORK/twin.rpt" 2>/dev/null)"
-[ "$NWAY" = "$NWAY_SCALAR" ] || fail "diff-nway output differs under RPRISM_NO_SIMD=1"
 # Needs at least one mutant.
 set +e
 "$RPRISM" diff-nway "$WORK/old.rpt" > /dev/null 2>&1
@@ -119,8 +115,6 @@ set -e
 grep -q "divergence clusters" "$WORK/nway.html" || fail "html nway not written"
 grep -q '"nway.mutants": 2' "$WORK/nway_metrics.json" \
   || fail "nway metrics missing mutant count"
-grep -q '"diff.simd_tier"' "$WORK/nway_metrics.json" \
-  || fail "nway metrics missing simd tier gauge"
 
 # --- fault injection control (--fault-spec / RPRISM_FAULT_SPEC) --------------
 set +e
