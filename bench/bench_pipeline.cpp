@@ -51,8 +51,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -211,13 +209,11 @@ void appendJson(std::string &Json, unsigned OuterIters,
   Json += Buf;
 }
 
-/// Writes both traces in one segmentation of the trace format, reloads
-/// them into one fresh interner, and re-diffs: the report and compare-op
-/// totals must be identical to the in-memory reference. \p Label is
-/// "one-segment" (what writeTrace produces), "one-segment-noindex" (the
-/// same without the optional view-index sections), or "small-segments"
-/// (so the reload crosses many segment boundaries). Returns the JSON
-/// fragment.
+/// Writes both traces to trace files, reloads them into one fresh
+/// interner, and re-diffs: the report and compare-op totals must be
+/// identical to the in-memory reference. \p Label is "one-segment" (what
+/// writeTrace produces) or "one-segment-noindex" (the same without the
+/// optional view-index sections). Returns the JSON fragment.
 std::string checkFormatDeterminism(const TracePair &Pair,
                                    const std::string &RefRender,
                                    uint64_t RefOps, const char *Label,
@@ -225,13 +221,8 @@ std::string checkFormatDeterminism(const TracePair &Pair,
   std::string Name = Label;
   std::string LPath = "/tmp/bench_pipeline_L_" + Name + ".trace";
   std::string RPath = "/tmp/bench_pipeline_R_" + Name + ".trace";
-  bool Wrote;
-  if (Name == "small-segments")
-    Wrote = writeTraceSegmented(Pair.Left, LPath, /*SegmentEntries=*/256) &&
-            writeTraceSegmented(Pair.Right, RPath, /*SegmentEntries=*/256);
-  else
-    Wrote = writeTrace(Pair.Left, LPath, Name == "one-segment") &&
-            writeTrace(Pair.Right, RPath, Name == "one-segment");
+  bool Wrote = writeTrace(Pair.Left, LPath, Name == "one-segment") &&
+               writeTrace(Pair.Right, RPath, Name == "one-segment");
   bool ReportIdentical = false, OpsIdentical = false;
   if (Wrote) {
     auto Shared = std::make_shared<StringInterner>();
@@ -260,59 +251,6 @@ std::string checkFormatDeterminism(const TracePair &Pair,
                 ReportIdentical ? "true" : "false",
                 OpsIdentical ? "true" : "false");
   return Buf;
-}
-
-/// Whole-file read/write for the salvage exercise (bench-local; the
-/// production load path is what the exercise measures, not this).
-std::vector<uint8_t> slurpFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return {};
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(In),
-                              std::istreambuf_iterator<char>());
-}
-
-bool spitFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(reinterpret_cast<const char *>(Bytes.data()),
-            static_cast<std::streamsize>(Bytes.size()));
-  return static_cast<bool>(Out);
-}
-
-/// Flips one byte inside a middle segment's Kind-column payload of a trace
-/// file, walking trailer -> footer directory -> segment section table.
-/// Exactly one segment's checksum breaks, so a salvage read must drop
-/// that segment alone. Returns false if \p Bytes does not parse as a
-/// multi-segment trace file.
-bool flipMiddleSegmentColumnByte(std::vector<uint8_t> &Bytes) {
-  auto Rd32 = [&](size_t Off) {
-    uint32_t V;
-    std::memcpy(&V, Bytes.data() + Off, sizeof(V));
-    return V;
-  };
-  auto Rd64 = [&](size_t Off) {
-    uint64_t V;
-    std::memcpy(&V, Bytes.data() + Off, sizeof(V));
-    return V;
-  };
-  if (Bytes.size() < 56 || Rd32(Bytes.size() - 4) != 0x52505445u)
-    return false;
-  uint64_t Footer = Rd64(Bytes.size() - 24);
-  uint32_t NumSegments = Rd32(Footer + 4);
-  if (NumSegments < 2)
-    return false;
-  uint64_t SegOff = Rd64(Footer + 8 + (NumSegments / 2) * 32);
-  uint32_t NumSections = Rd32(SegOff + 20);
-  for (uint32_t I = 0; I < NumSections; ++I) {
-    size_t Rec = SegOff + 32 + I * 32;
-    if (Rd32(Rec) != 13) // SecKind: a per-entry column in every segment.
-      continue;
-    if (Rd64(Rec + 16) == 0)
-      return false;
-    Bytes[SegOff + Rd64(Rec + 8)] ^= 0x40;
-    return true;
-  }
-  return false;
 }
 
 } // namespace
@@ -418,9 +356,9 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Cross-segmentation determinism: every segmentation of the on-disk
-  // format must reload into a report byte-identical to the in-memory diff,
-  // with identical compare-op totals.
+  // Format determinism: trace files with and without the view index must
+  // reload into a report byte-identical to the in-memory diff, with
+  // identical compare-op totals.
   std::string FormatJson = ",\n  \"format_determinism\": [\n";
   {
     TracePair Pair = makePair(Quick ? 100 : 400, 2);
@@ -429,8 +367,7 @@ int main(int Argc, char **Argv) {
     DiffResult Ref = viewsDiff(Pair.Left, Pair.Right, RefOptions);
     std::string RefRender = Ref.render(50, 12);
     bool FormatFirst = true;
-    for (const char *Label :
-         {"one-segment", "one-segment-noindex", "small-segments"}) {
+    for (const char *Label : {"one-segment", "one-segment-noindex"}) {
       FormatJson += checkFormatDeterminism(Pair, RefRender,
                                            Ref.Stats.CompareOps, Label,
                                            FormatFirst, Exit);
@@ -651,7 +588,6 @@ int main(int Argc, char **Argv) {
   // results. makePair runs *inside* the instrumented window so the VM's
   // trace-production telemetry (vm-run spans, vm.* counters) lands in the
   // exported metrics too.
-  std::string SegmentedJson;
   {
     Telemetry::get().reset();
     Telemetry::get().setEnabled(true);
@@ -665,91 +601,16 @@ int main(int Argc, char **Argv) {
       Result = viewsDiff(Pair.Left, Pair.Right, Options);
     }
 
-    // Segmented re-diff + salvage, still inside the instrumented window.
-    // An identical multi-segment pair re-diffs by skipping every
-    // digest-equal segment (`trace.segments_skipped`), then a single
-    // flipped byte in a middle segment's column payload salvages down to
-    // the other segments (`robust.salvage.segments_dropped` == 1). Both
-    // counters land in the exported metrics artifact, where CI jq-gates
-    // them.
-    bool SegRediffClean = false, SegSalvageOk = false;
-    uint64_t SegOps = 0;
-    {
-      const std::string SegPath = "/tmp/bench_pipeline_seg.trace";
-      // ~8 segments regardless of the generated trace's entry count, so
-      // the flip always has intact neighbors on both sides.
-      size_t SegEntries = std::max<size_t>(1, Pair.Left.size() / 8);
-      bool Wrote = writeTraceSegmented(Pair.Left, SegPath, SegEntries);
-      if (Wrote) {
-        auto Shared = std::make_shared<StringInterner>();
-        Expected<Trace> L = readTrace(SegPath, Shared);
-        Expected<Trace> R = readTrace(SegPath, Shared);
-        if (L && R) {
-          ViewsDiffOptions SegOptions;
-          SegOptions.Jobs = 1;
-          TelemetrySpan SegRoot("bench-pipeline-segmented");
-          DiffResult SegResult = viewsDiff(*L, *R, SegOptions);
-          SegRediffClean = SegResult.numDiffs() == 0;
-          SegOps = SegResult.Stats.CompareOps;
-        }
-      }
-      std::vector<uint8_t> Bytes = slurpFile(SegPath);
-      if (Wrote && !Bytes.empty() && flipMiddleSegmentColumnByte(Bytes) &&
-          spitFile(SegPath, Bytes)) {
-        auto Shared = std::make_shared<StringInterner>();
-        ReadOptions SalvageOpts;
-        SalvageOpts.Salvage = true;
-        TraceReadReport Report;
-        SalvageOpts.Report = &Report;
-        Expected<Trace> Salvaged = readTrace(SegPath, Shared, SalvageOpts);
-        SegSalvageOk = Salvaged && Report.Salvaged &&
-                       Report.SegmentsDropped == 1 &&
-                       Salvaged->size() + Report.EntriesDropped ==
-                           Pair.Left.size();
-      }
-      std::remove(SegPath.c_str());
-    }
-
     Telemetry::get().setEnabled(false);
     TelemetrySnapshot Snap = Telemetry::get().snapshot();
-    uint64_t SegSkipped = Snap.counter("trace.segments_skipped");
-    uint64_t SegDropped = Snap.counter("robust.salvage.segments_dropped");
-    if (!SegRediffClean || SegSkipped == 0) {
-      std::printf("ERROR: segmented re-diff skipped no segments "
-                  "(clean=%d, skipped=%llu)\n",
-                  SegRediffClean,
-                  static_cast<unsigned long long>(SegSkipped));
-      Exit = 1;
-    }
-    if (!SegSalvageOk || SegDropped == 0) {
-      std::printf("ERROR: segmented salvage did not drop exactly the "
-                  "damaged segment (ok=%d, dropped=%llu)\n",
-                  SegSalvageOk, static_cast<unsigned long long>(SegDropped));
-      Exit = 1;
-    }
-    {
-      char Buf[256];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          ",\n  \"segmented_rediff\": {\"segments_skipped\": %llu, "
-          "\"rediff_identical\": %s, \"salvage_segments_dropped\": %llu, "
-          "\"salvage_ok\": %s}",
-          static_cast<unsigned long long>(SegSkipped),
-          SegRediffClean ? "true" : "false",
-          static_cast<unsigned long long>(SegDropped),
-          SegSalvageOk ? "true" : "false");
-      SegmentedJson = Buf;
-    }
-    // The window holds two diffs (the jobs=2 verification pair plus the
-    // segmented re-diff), so the registry counter must equal the sum of
-    // both DiffStats totals.
-    if (Snap.counter("diff.compare_ops") != Result.Stats.CompareOps + SegOps) {
+    // The registry counter must equal the DiffStats total of the one
+    // diff in the window.
+    if (Snap.counter("diff.compare_ops") != Result.Stats.CompareOps) {
       std::printf("ERROR: telemetry compare-op counter (%llu) != "
-                  "DiffStats.CompareOps sum (%llu)\n",
+                  "DiffStats.CompareOps (%llu)\n",
                   static_cast<unsigned long long>(
                       Snap.counter("diff.compare_ops")),
-                  static_cast<unsigned long long>(Result.Stats.CompareOps +
-                                                  SegOps));
+                  static_cast<unsigned long long>(Result.Stats.CompareOps));
       Exit = 1;
     }
     MetricsRunInfo Info;
@@ -769,7 +630,6 @@ int main(int Argc, char **Argv) {
   Json += FormatJson;
   Json += RepeatJson;
   Json += TraceGenJson;
-  Json += SegmentedJson;
 
   // Headline numbers the regression trajectory tracks, pulled up front so
   // history consumers don't have to re-derive them from the row arrays.

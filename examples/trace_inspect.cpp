@@ -6,12 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// RPRISM collects traces online and analyzes them offline: "once a trace
-/// segment has finished executing, all trace data is offloaded to disk"
-/// (§5). This example runs a program, writes the trace as a file of
-/// 64-entry segments, reloads it into a fresh interner, verifies the round
-/// trip, and dumps a readable excerpt. Differencing works identically on
-/// reloaded traces.
+/// RPRISM collects traces online and analyzes them offline, "after the
+/// trace data has been serialized to disk" (§5). This example runs a
+/// program, writes the trace to a file, reloads it into a fresh interner,
+/// verifies the round trip, and dumps a readable excerpt. Differencing
+/// works identically on reloaded traces.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,9 +58,8 @@ int main() {
   RunResult Run = runProgram(*Prog, Options);
   std::printf("traced %zu entries\n", Run.ExecTrace.size());
 
-  // Offload in segments of 64 entries (tracing-memory bound in RPRISM).
   const char *Path = "/tmp/rprism_trace_inspect.rpt";
-  if (!writeTraceSegmented(Run.ExecTrace, Path, /*SegmentEntries=*/64)) {
+  if (!writeTrace(Run.ExecTrace, Path)) {
     std::fprintf(stderr, "error: could not write '%s'\n", Path);
     return 1;
   }
@@ -74,8 +72,7 @@ int main() {
     std::fprintf(stderr, "error: %s\n", Reloaded.error().render().c_str());
     return 1;
   }
-  std::printf("offloaded to %s as %zu segment(s); reloaded %zu entries\n",
-              Path, Reloaded->Segments.size(), Reloaded->size());
+  std::printf("wrote %s; reloaded %zu entries\n", Path, Reloaded->size());
 
   // The round trip is lossless up to event equality: a views diff of the
   // live trace against the reloaded one finds nothing.

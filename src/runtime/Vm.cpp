@@ -51,10 +51,7 @@ public:
   Vm(const CompiledProgram &ProgIn, const RunOptions &OptionsIn)
       : Prog(ProgIn), Options(OptionsIn), Store(ProgIn.Classes.size()),
         Recorder(ProgIn, Store, RtStrings, OptionsIn.Tracing,
-                 OptionsIn.TraceName) {
-    if (OptionsIn.Tracing.SegmentSink)
-      Recorder.attachSegmentSink(OptionsIn.Tracing.SegmentSink);
-  }
+                 OptionsIn.TraceName) {}
 
   RunResult run();
 

@@ -1,4 +1,4 @@
-//===- trace/Serialize.h - Trace (de)serialization and segmentation -------===//
+//===- trace/Serialize.h - Trace (de)serialization ------------------------===//
 //
 // Part of the RPrism/C++ reproduction of "Semantics-Aware Trace Analysis"
 // (Hoffman, Eugster, Jagannathan; PLDI 2009).
@@ -8,29 +8,26 @@
 /// \file
 /// Binary serialization of traces. RPRISM collects traces online but
 /// analyzes them offline "after the trace data has been serialized to disk"
-/// (§5), using *trace segmentation* to bound tracing memory: a long trace is
-/// offloaded in segments and the in-memory buffer reclaimed.
+/// (§5). The paper also segments traces during collection to bound tracing
+/// memory; here a trace is recorded in memory and written whole, so a file
+/// holds exactly one segment.
 ///
-/// There is one on-disk format (version word 6): a file header, then
-/// fixed-entry-count segments, then a footer segment directory and a fixed
-/// trailer. Each segment is a header, a table of (id, offset, length,
-/// checksum) section records, and 8-byte-aligned payloads: the entry
-/// columns written verbatim, an optional fingerprint lane, an optional
-/// view-index delta, and *deltas* of the side tables (strings and threads
-/// new since the previous segment, the argument-pool slice its entries
-/// reference). writeTrace writes a whole trace as one segment;
-/// SegmentedTraceWriter seals segments while a run is still producing
-/// entries.
+/// There is one on-disk format (version word 6): a file header, one
+/// segment, a footer directory listing that segment, and a fixed trailer.
+/// The segment is a header, a table of (id, offset, length, checksum)
+/// section records, and 8-byte-aligned payloads: the entry columns written
+/// verbatim, an optional fingerprint lane, an optional view index, and the
+/// side tables (strings, threads, argument pool). A directory listing any
+/// other number of segments is corrupt.
 ///
 /// Readers mmap the file (falling back to an aligned arena read), verify
 /// every section checksum, and validate the untrusted bytes (kinds, symbol
-/// ids, argument slices). A one-segment file whose string table interns to
-/// identical symbol ids — a fresh interner, or one already holding this
-/// exact table — is then *borrowed* zero-copy: the columns, argument pool,
-/// fingerprint lane, and view-index entry lists stay in the mapping, so
-/// loading skips re-fingerprinting entirely. Multi-segment files are
-/// concatenated into owned columns, and any file whose symbols re-intern
-/// to different ids is materialized and remapped.
+/// ids, argument slices). A file whose string table interns to identical
+/// symbol ids — a fresh interner, or one already holding this exact table
+/// — is then *borrowed* zero-copy: the columns, argument pool, fingerprint
+/// lane, and view-index entry lists stay in the mapping, so loading skips
+/// re-fingerprinting entirely. A file whose symbols re-intern to different
+/// ids is materialized and remapped.
 ///
 /// Symbols are file-local on disk; readers re-intern through the supplied
 /// StringInterner, so traces written by different runs can be loaded into
@@ -58,63 +55,6 @@ namespace rprism {
 bool writeTrace(const Trace &T, const std::string &Path,
                 bool WithViewIndex = true);
 
-/// Default entry count per segment of a streamed trace file.
-inline constexpr size_t DefaultSegmentEntries = 1u << 16;
-
-/// Streaming writer for the trace format: a single file of
-/// fixed-entry-count segments, each carrying its own column slices,
-/// per-section checksums, fingerprint lane, side-table *deltas*
-/// (strings/threads newly seen since the previous seal, the argument-pool
-/// slice the segment's entries reference), and a view-index delta — closed
-/// by a footer segment directory and a fixed-size trailer. Because every
-/// segment checksums independently, salvage recovers every intact segment
-/// even when damage sits mid-column in an earlier one, and a recorder can
-/// seal segments while the run is still producing entries (side tables and
-/// the argument pool grow monotonically, so a sealed prefix never needs
-/// rewriting).
-///
-/// Usage: appendSegment() once per sealed entry range (ranges must be
-/// adjacent, starting at 0), then finalize() exactly once to write the
-/// directory. A file without finalize() has no footer; strict reads reject
-/// it, salvage reads chain-scan the sealed segments.
-class SegmentedTraceWriter {
-public:
-  explicit SegmentedTraceWriter(const std::string &Path,
-                                size_t SegmentEntries = DefaultSegmentEntries,
-                                bool WithViewIndex = true);
-  ~SegmentedTraceWriter();
-  SegmentedTraceWriter(const SegmentedTraceWriter &) = delete;
-  SegmentedTraceWriter &operator=(const SegmentedTraceWriter &) = delete;
-
-  bool ok() const;
-  size_t segmentEntries() const;
-  size_t entriesSealed() const;
-
-  /// Seals entries [\p Begin, \p End) of \p T as the next segment. \p Begin
-  /// must equal entriesSealed(). The fingerprint lane is persisted when
-  /// T.Fps covers the range AND it is trustworthy: either the trace is
-  /// fully fingerprinted (HasFingerprints) or the caller vouches for the
-  /// range with \p TrustRangeFps — streaming recorders fill exactly the
-  /// sealed range with computeFingerprintRange, which deliberately does
-  /// not set the whole-trace flag.
-  bool appendSegment(const Trace &T, size_t Begin, size_t End,
-                     bool TrustRangeFps = false);
-
-  /// Writes the footer directory + trailer and flushes. Returns overall
-  /// success; the writer accepts no further segments.
-  bool finalize();
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> I;
-};
-
-/// Writes \p T to \p Path (see SegmentedTraceWriter), splitting the
-/// entries into segments of \p SegmentEntries.
-bool writeTraceSegmented(const Trace &T, const std::string &Path,
-                         size_t SegmentEntries = DefaultSegmentEntries,
-                         bool WithViewIndex = true);
-
 /// What actually happened during a read — filled in when ReadOptions
 /// carries a Report pointer. Degradations are also counted process-wide
 /// (`robust.view_index_dropped`, `robust.salvage.*`, `robust.io_retry`).
@@ -125,10 +65,6 @@ struct TraceReadReport {
   uint64_t EntriesRecovered = 0;
   /// Entries the file declared but salvage could not recover.
   uint64_t EntriesDropped = 0;
-  /// Segments whose entries salvage could not fully recover (damaged
-  /// segments, the one the file ends inside unless its whole column range
-  /// survives, and any suffix lost to side-table damage).
-  uint64_t SegmentsDropped = 0;
   /// The persisted view index was damaged and dropped; the trace loads
   /// without it and view webs rebuild from the columns.
   bool ViewIndexDropped = false;
@@ -136,11 +72,11 @@ struct TraceReadReport {
 
 /// Options for readTrace.
 struct ReadOptions {
-  /// Recover what a damaged file still holds instead of failing: every
-  /// segment whose side deltas and entry columns verify, plus the
-  /// surviving column prefix of a segment the file ends inside. Damaged
-  /// side deltas cost their segment and every later one. Off by default —
-  /// strict reads reject damage.
+  /// Recover what a damaged file still holds instead of failing: the
+  /// longest prefix of entries that every entry column covers and that
+  /// validates. A checksum-failed column covers none; a column the file
+  /// ends inside covers its surviving bytes. Damaged side tables leave
+  /// nothing to recover. Off by default — strict reads reject damage.
   bool Salvage = false;
   /// Optional out-param describing degradations taken.
   TraceReadReport *Report = nullptr;
@@ -161,8 +97,8 @@ Expected<Trace> readTrace(const std::string &Path,
 
 /// Content digest of a trace file, for cache keying (DiffCache): two
 /// paths with equal digests hold the same trace bytes. Hashes only the
-/// file header and the footer directory (whose records embed each segment
-/// table's digest, and the tables each payload's checksum); a file without
+/// file header and the footer directory (whose record embeds the segment
+/// table's digest, and the table each payload's checksum); a file without
 /// a verifiable footer hashes in full. Errors on unreadable or non-trace
 /// files.
 Expected<uint64_t> traceFileDigest(const std::string &Path);

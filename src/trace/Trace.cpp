@@ -45,11 +45,9 @@ TraceEntry Trace::entry(uint32_t Eid) const {
 
 void Trace::append(const TraceEntry &Entry) {
   // Any entry mutation makes a previously loaded/computed view index
-  // stale; drop it rather than serve a wrong partitioning. Same for the
-  // segment table: its ranges and lane digests describe the loaded bytes.
+  // stale; drop it rather than serve a wrong partitioning.
   if (ViewIdx.Present)
     ViewIdx.clear();
-  Segments.clear();
   Tids.push_back(Entry.Tid);
   Methods.push_back(Entry.Method);
   Selfs.push_back(Entry.Self);
@@ -251,14 +249,6 @@ void Trace::computeFingerprints(ThreadPool *Pool) {
       Out[I] = entryFingerprint(static_cast<uint32_t>(I));
   }
   HasFingerprints = true;
-}
-
-void Trace::computeFingerprintRange(size_t Begin, size_t End) {
-  if (End > Fps.size())
-    Fps.resize(End);
-  uint64_t *Out = Fps.mutData();
-  for (size_t I = Begin; I < End; ++I)
-    Out[I] = entryFingerprint(static_cast<uint32_t>(I));
 }
 
 void rprism::fingerprintTracePair(Trace &Left, Trace &Right,

@@ -207,7 +207,7 @@ struct ViewIndex {
   Column<uint32_t> Entries;
 
   /// True when the index describes the owning trace's current entries.
-  /// Any entry mutation (append, segment reassembly) resets it; readers
+  /// Any entry mutation (append) resets it; readers
   /// must treat a non-Present index as absent.
   bool Present = false;
 
@@ -233,17 +233,6 @@ struct ViewIndex {
       Bytes += Keys[F].byteSize() + Counts[F].byteSize();
     return Bytes;
   }
-};
-
-/// Provenance of one segment of a trace file: the entry range it covered
-/// after loading and a digest of its fingerprint and tid lanes. Two traces
-/// loaded in the same session expose comparable digests (they hash
-/// post-remap fingerprints), so the diff layer can skip whole aligned
-/// segments whose lanes match without touching the entries.
-struct TraceSegmentInfo {
-  uint32_t Begin = 0; ///< First eid of the segment (post-load numbering).
-  uint32_t End = 0;   ///< One past the last eid.
-  uint64_t Digest = 0; ///< Hash of the segment's fp + tid lanes.
 };
 
 /// A full execution trace, stored as columns indexed by eid (see the file
@@ -280,13 +269,6 @@ struct Trace {
   /// index sections (or computed by computeViewIndex). Present only while
   /// it matches the entry columns — appends invalidate it.
   ViewIndex ViewIdx;
-
-  /// Segment table of a trace loaded from a file with every segment
-  /// intact: contiguous entry ranges covering [0, size()) with per-segment
-  /// lane digests. Empty for traces built in memory, for salvaged loads
-  /// that dropped entries or lacked a verified directory, and after any
-  /// entry mutation.
-  std::vector<TraceSegmentInfo> Segments;
 
   /// True when every entry's fingerprint is current. Set by
   /// computeFingerprints (called at trace-finalize and deserialize time) or
@@ -342,12 +324,6 @@ struct Trace {
   /// the entries are chunked across the pool's workers (the result does not
   /// depend on the chunking).
   void computeFingerprints(ThreadPool *Pool = nullptr);
-
-  /// Fills fingerprints for entries [\p Begin, \p End) only, growing the
-  /// column to \p End if needed. Does NOT set HasFingerprints — streaming
-  /// recorders use this to fingerprint sealed segments early; the final
-  /// computeFingerprints() covers the tail and flips the flag.
-  void computeFingerprintRange(size_t Begin, size_t End);
 
   /// Argument list of a materialized event, as a span into the pool.
   const ValueRepr *argsBegin(const Event &Ev) const {

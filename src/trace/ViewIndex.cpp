@@ -36,8 +36,7 @@ struct FamilyScan {
 
 } // namespace
 
-ViewIndex rprism::computeViewIndexRange(const Trace &T, uint32_t Begin,
-                                        uint32_t End) {
+ViewIndex rprism::computeViewIndex(const Trace &T) {
   TelemetrySpan Span("view-index");
   const uint32_t *Tids = T.Tids.data();
   const Symbol *Methods = T.Methods.data();
@@ -49,7 +48,8 @@ ViewIndex rprism::computeViewIndexRange(const Trace &T, uint32_t Begin,
   // entry joins its thread and method views; target/active-object views
   // only when the event has a target / the context has a receiver.
   FamilyScan Families[NumViewFamilies];
-  for (uint32_t Eid = Begin; Eid != End; ++Eid) {
+  for (uint32_t Eid = 0, End = static_cast<uint32_t>(T.size()); Eid != End;
+       ++Eid) {
     Families[0].listFor(Tids[Eid]).push_back(Eid);
     Families[1].listFor(Methods[Eid].Id).push_back(Eid);
     if (eventHasTargetObject(static_cast<EventKind>(Kinds[Eid]),
@@ -76,10 +76,6 @@ ViewIndex rprism::computeViewIndexRange(const Trace &T, uint32_t Begin,
   }
   Idx.Present = true;
   return Idx;
-}
-
-ViewIndex rprism::computeViewIndex(const Trace &T) {
-  return computeViewIndexRange(T, 0, static_cast<uint32_t>(T.size()));
 }
 
 bool rprism::viewIndexIsValid(const ViewIndex &Idx, size_t NumEntries) {

@@ -34,14 +34,6 @@ namespace rprism {
 /// pure function of the entry columns.
 ViewIndex computeViewIndex(const Trace &T);
 
-/// As computeViewIndex, restricted to entries [\p Begin, \p End). Entry
-/// ids in the result stay *global* (they index \p T, not the sub-range),
-/// so per-segment deltas of a segmented trace file concatenate into the
-/// whole-trace index: appending each segment's per-view lists in segment
-/// order, with views keyed across segments in first-appearance order,
-/// reproduces computeViewIndex(T) exactly.
-ViewIndex computeViewIndexRange(const Trace &T, uint32_t Begin, uint32_t End);
-
 /// Structural sanity of \p Idx against a trace of \p NumEntries entries:
 /// thread and method families cover every entry exactly once, object
 /// families at most once each, every per-view entry list is non-empty,

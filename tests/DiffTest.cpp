@@ -555,10 +555,9 @@ TEST(ViewsDiff, RunSkipMatchesEventEqualsOnGeneratedTraces) {
   }
 }
 
-TEST(ViewsDiff, DeterministicAcrossSegmentationsAndJobs) {
+TEST(ViewsDiff, DeterministicAcrossViewIndexAndJobs) {
   // Byte-identical reports and identical compare-op totals for every
-  // --jobs value and every segmentation of the on-disk format: one
-  // segment, one segment without the view index, and small segments.
+  // --jobs value, whether the trace files carry the view index or not.
   GeneratorOptions Base;
   Base.OuterIters = 60;
   Base.NumThreads = 3;
@@ -574,15 +573,12 @@ TEST(ViewsDiff, DeterministicAcrossSegmentationsAndJobs) {
   ASSERT_GT(Ref.numDiffs(), 0u);
   const std::string RefRender = Ref.render(50, 12);
 
-  enum Segmentation { OneSegment, OneSegmentNoIndex, SmallSegments };
-  for (Segmentation Seg : {OneSegment, OneSegmentNoIndex, SmallSegments}) {
-    std::string Tag = std::to_string(Seg);
-    std::string LPath = diffTempPath("L_seg" + Tag);
-    std::string RPath = diffTempPath("R_seg" + Tag);
+  for (bool WithIndex : {true, false}) {
+    std::string Tag = WithIndex ? "idx" : "plain";
+    std::string LPath = diffTempPath("L_" + Tag);
+    std::string RPath = diffTempPath("R_" + Tag);
     for (auto [T, Path] : {std::pair{&L, LPath}, std::pair{&R, RPath}})
-      ASSERT_TRUE(Seg == SmallSegments
-                      ? writeTraceSegmented(*T, Path, /*SegmentEntries=*/64)
-                      : writeTrace(*T, Path, Seg == OneSegment));
+      ASSERT_TRUE(writeTrace(*T, Path, WithIndex));
     // Loading both sides into one fresh interner, as diff-traces does:
     // both must still diff identically to the in-memory pair.
     auto Shared = std::make_shared<StringInterner>();
@@ -598,9 +594,9 @@ TEST(ViewsDiff, DeterministicAcrossSegmentationsAndJobs) {
       Options.ParallelCutoffEntries = 0;
       DiffResult Out = viewsDiff(*LLoaded, *RLoaded, Options);
       EXPECT_EQ(Out.render(50, 12), RefRender)
-          << "segmentation " << Seg << " jobs " << Jobs;
+          << Tag << " jobs " << Jobs;
       EXPECT_EQ(Out.Stats.CompareOps, Ref.Stats.CompareOps)
-          << "segmentation " << Seg << " jobs " << Jobs;
+          << Tag << " jobs " << Jobs;
     }
     std::remove(LPath.c_str());
     std::remove(RPath.c_str());

@@ -18,8 +18,8 @@
 ///      cache-insert fallback, pool-dispatch stalls — each leaves results
 ///      correct and increments its `robust.*` counter.
 ///   4. Salvage mode recovers a byte-identical entry prefix from damaged
-///      files, drops exactly the damaged segments, counts what it could not
-///      recover, and refuses when the side tables are gone.
+///      files, counts what it could not recover, and refuses when the side
+///      tables are gone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,18 +114,18 @@ struct SectionRec {
   size_t RecordPos = 0; ///< Byte offset of the 32-byte record itself.
 };
 
-/// The section table of the segment headered at \p SegOffset, straight off
-/// the written bytes (independent of the reader under test). Payload
-/// offsets in a segment's table are relative to its header; the returned
-/// ones are absolute.
-std::vector<SectionRec> segmentTable(const std::vector<uint8_t> &Bytes,
-                                     uint64_t SegOffset) {
+/// The section table of a one-segment file, straight off the written
+/// bytes (independent of the reader under test). The segment header sits
+/// right after the 32-byte file header, and payload offsets in its table
+/// are relative to it; the returned ones are absolute.
+std::vector<SectionRec> sectionTable(const std::vector<uint8_t> &Bytes) {
+  constexpr size_t SegOffset = 32;
   std::vector<SectionRec> Table;
   if (Bytes.size() < SegOffset + 32)
     return Table;
   uint32_t NumSections = loadLE<uint32_t>(Bytes.data() + SegOffset + 20);
   for (uint32_t I = 0; I != NumSections; ++I) {
-    size_t Pos = static_cast<size_t>(SegOffset) + 32 + size_t{I} * 32;
+    size_t Pos = SegOffset + 32 + size_t{I} * 32;
     if (Pos + 32 > Bytes.size())
       break;
     SectionRec R;
@@ -136,12 +136,6 @@ std::vector<SectionRec> segmentTable(const std::vector<uint8_t> &Bytes,
     Table.push_back(R);
   }
   return Table;
-}
-
-/// The section table of a one-segment file: its only segment starts right
-/// after the 32-byte file header.
-std::vector<SectionRec> sectionTable(const std::vector<uint8_t> &Bytes) {
-  return segmentTable(Bytes, 32);
 }
 
 /// The record for section \p Id in \p Table (Id 0 when absent).
@@ -274,6 +268,82 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
   }
   std::remove(Base.c_str());
   std::remove(Mutant.c_str());
+}
+
+TEST(CorruptionMatrix, WrappingFooterOffsetIsTypedNotACrash) {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = traceOf("class A { } main { var a = new A(); }", Strings);
+  std::string Path = tempPath("wrap_trailer");
+  ASSERT_TRUE(writeTrace(T, Path));
+  std::vector<uint8_t> Bytes = readAll(Path);
+  ASSERT_GE(Bytes.size(), 64u);
+  // A hostile trailer: the largest directory count, and a footer offset
+  // chosen so that offset + footer length wraps around 2^64 to land
+  // exactly on the trailer. Any bound checked as `offset + length` passes
+  // and the footer then points far outside the file.
+  uint32_t NumSegments = 0xFFFFFFFFu;
+  uint64_t FooterBytes = 8 + uint64_t{NumSegments} * 32;
+  size_t TrailerAt = Bytes.size() - 24;
+  uint64_t FooterOffset = uint64_t{TrailerAt} - FooterBytes; // Wraps.
+  ASSERT_EQ(FooterOffset + FooterBytes, uint64_t{TrailerAt});
+  ASSERT_GT(FooterOffset, uint64_t{Bytes.size()});
+  std::memcpy(Bytes.data() + TrailerAt, &FooterOffset, 8);
+  std::memcpy(Bytes.data() + TrailerAt + 16, &NumSegments, 4);
+  writeAll(Path, Bytes);
+
+  Expected<Trace> Strict = readTrace(Path, Strings);
+  ASSERT_FALSE(bool(Strict));
+  EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
+  EXPECT_EQ(Strict.error().Code, "trace.section");
+  // The digest (the cache key `diff-traces` computes first) falls back to
+  // hashing the whole file, and the cached load reports the typed error.
+  EXPECT_TRUE(bool(traceFileDigest(Path)));
+  DiffCache Cache;
+  Err Error;
+  EXPECT_EQ(Cache.load(Path, Strings, &Error), nullptr);
+  EXPECT_EQ(Error.Class, ErrClass::Corrupt);
+  EXPECT_EQ(Error.Code, "trace.section");
+  // The segment itself is intact, so salvage recovers every entry.
+  ReadOptions Options;
+  Options.Salvage = true;
+  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
+  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+  EXPECT_EQ(Salvaged->size(), T.size());
+  std::remove(Path.c_str());
+}
+
+TEST(CorruptionMatrix, SectionOffsetFarPastTheFileIsNeverDereferenced) {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = traceOf("class A { } main { var a = new A(); }", Strings);
+  std::string Path = tempPath("far_section");
+  ASSERT_TRUE(writeTrace(T, Path));
+  std::vector<uint8_t> Bytes = readAll(Path);
+  std::vector<SectionRec> Table = sectionTable(Bytes);
+  SectionRec Name = findSection(Table, 1);
+  ASSERT_EQ(Name.Id, 1u);
+  // The segment header declares a payload of nearly 2^64 bytes (a
+  // truncated segment, as far as the reader can tell), and the empty name
+  // section's record points 15/16 of the way there: inside the declared
+  // extent, but adding it to the mapping's address would wrap.
+  uint64_t PayloadBytes = ~uint64_t{0} - 0xff;
+  uint64_t FarOffset = 0xF000000000000000ull;
+  uint64_t Zero = 0;
+  std::memcpy(Bytes.data() + 32 + 24, &PayloadBytes, 8);
+  std::memcpy(Bytes.data() + Name.RecordPos + 8, &FarOffset, 8);
+  std::memcpy(Bytes.data() + Name.RecordPos + 16, &Zero, 8);
+  writeAll(Path, Bytes);
+
+  Expected<Trace> Strict = readTrace(Path, Strings);
+  ASSERT_FALSE(bool(Strict));
+  EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
+  // Salvage reads the segment in place; every other section is intact.
+  ReadOptions Options;
+  Options.Salvage = true;
+  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
+  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+  EXPECT_EQ(Salvaged->size(), T.size());
+  EXPECT_TRUE(Salvaged->Name.empty());
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -522,10 +592,9 @@ TEST(Salvage, TruncatedOneSegmentRecoversByteIdenticalPrefix) {
     if (C.Shrinks) {
       EXPECT_LT(Salvaged->size(), T.size());
       EXPECT_GT(Salvaged->size(), 0u);
-      EXPECT_EQ(Report.SegmentsDropped, 1u) << "the cut segment lost entries";
     } else {
       EXPECT_EQ(Salvaged->size(), T.size());
-      EXPECT_EQ(Report.SegmentsDropped, 0u);
+      EXPECT_EQ(Report.EntriesDropped, 0u);
     }
     expectByteIdenticalPrefix(T, *Salvaged);
     // The recovered prefix renders identically entry for entry.
@@ -579,117 +648,30 @@ TEST(Salvage, IntactFilesReadIdenticallyWithSalvageOn) {
 }
 
 //===----------------------------------------------------------------------===//
-// Multi-segment salvage
+// Salvage without a directory
 //===----------------------------------------------------------------------===//
 
-/// Parsed file skeleton: the trailer's footer pointer plus one record
-/// per segment, straight off the written bytes (independent of the reader
-/// under test).
-struct SegDirRec {
-  uint64_t Offset = 0;     ///< Absolute offset of the segment header.
-  uint32_t BeginEid = 0;
-  uint32_t NumEntries = 0;
-};
-
-struct SegLayout {
-  uint64_t FooterOffset = 0;
-  std::vector<SegDirRec> Segments;
-  bool Ok = false;
-};
-
-SegLayout segLayout(const std::vector<uint8_t> &Bytes) {
-  SegLayout L;
+/// The trailer's footer pointer, straight off the written bytes
+/// (independent of the reader under test).
+uint64_t footerOffset(const std::vector<uint8_t> &Bytes) {
+  EXPECT_GE(Bytes.size(), 32u + 24u);
   if (Bytes.size() < 32 + 24)
-    return L;
-  size_t Trailer = Bytes.size() - 24;
-  if (loadLE<uint32_t>(Bytes.data() + Trailer + 20) != 0x52505445u)
-    return L; // "RPTE"
-  L.FooterOffset = loadLE<uint64_t>(Bytes.data() + Trailer);
-  uint32_t NumSegments = loadLE<uint32_t>(Bytes.data() + Trailer + 16);
-  size_t Pos = static_cast<size_t>(L.FooterOffset) + 8;
-  for (uint32_t I = 0; I != NumSegments; ++I, Pos += 32) {
-    if (Pos + 32 > Bytes.size())
-      return L;
-    SegDirRec R;
-    R.Offset = loadLE<uint64_t>(Bytes.data() + Pos);
-    R.BeginEid = loadLE<uint32_t>(Bytes.data() + Pos + 24);
-    R.NumEntries = loadLE<uint32_t>(Bytes.data() + Pos + 28);
-    L.Segments.push_back(R);
-  }
-  L.Ok = true;
-  return L;
+    return 0;
+  return loadLE<uint64_t>(Bytes.data() + Bytes.size() - 24);
 }
 
-/// The section-table record for section \p Id of the segment headered at
-/// \p SegOffset (absolute payload offset).
-SectionRec segSection(const std::vector<uint8_t> &Bytes, uint64_t SegOffset,
-                      uint32_t Id) {
-  return findSection(segmentTable(Bytes, SegOffset), Id);
-}
-
-TEST(SalvageSegments, MidSegmentColumnFlipDropsOnlyThatSegment) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  ASSERT_GT(T.size(), 50u);
-  std::string Path = tempPath("seg_segflip");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
-  std::vector<uint8_t> Bytes = readAll(Path);
-  SegLayout L = segLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  ASSERT_GE(L.Segments.size(), 3u);
-
-  // Flip one byte inside a middle segment's Value column payload.
-  size_t Mid = L.Segments.size() / 2;
-  SectionRec Value = segSection(Bytes, L.Segments[Mid].Offset, 16);
-  ASSERT_GT(Value.Length, 0u);
-  Bytes[static_cast<size_t>(Value.Offset + Value.Length / 2)] ^= 0x40;
-  writeAll(Path, Bytes);
-
-  TelemetryWindow W;
-  Expected<Trace> Strict = readTrace(Path, Strings);
-  ASSERT_FALSE(bool(Strict));
-  EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
-
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = true;
-  Options.Report = &Report;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  EXPECT_TRUE(Report.Salvaged);
-  EXPECT_EQ(Report.SegmentsDropped, 1u);
-  uint32_t SegBegin = L.Segments[Mid].BeginEid;
-  uint32_t SegN = L.Segments[Mid].NumEntries;
-  EXPECT_EQ(Report.EntriesDropped, SegN);
-  EXPECT_EQ(Report.EntriesRecovered, Salvaged->size());
-  ASSERT_EQ(Salvaged->size(), T.size() - SegN);
-  // Per-segment checksums localize the damage: every entry before AND
-  // after the bad segment survives and renders identically (the recovered
-  // trace closes the hole, so later originals shift down by SegN).
-  for (uint32_t I = 0; I != Salvaged->size(); ++I) {
-    uint32_t Orig = I < SegBegin ? I : I + SegN;
-    ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(Orig)) << I;
-  }
-  // A gap-toothed trace carries no segment map (eids shifted), so a later
-  // re-diff can't run-skip against it — correctness over speed.
-  EXPECT_TRUE(Salvaged->Segments.empty());
-  EXPECT_EQ(W.counter("robust.salvage.segments_dropped"), 1u);
-  EXPECT_GE(W.counter("robust.salvage.used"), 1u);
-  std::remove(Path.c_str());
-}
-
-TEST(SalvageSegments, TruncatedDirectoryChainScansEverySegment) {
+TEST(SalvageSegments, TruncatedDirectoryReadsSegmentZero) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("seg_tail");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
+  ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Good = readAll(Path);
-  SegLayout L = segLayout(Good);
-  ASSERT_TRUE(L.Ok);
+  uint64_t Footer = footerOffset(Good);
+  ASSERT_GT(Footer, 32u);
 
   // Cut inside the trailer, then inside the footer: either way the
-  // directory is gone but every segment body is intact.
-  for (size_t Cut : {Good.size() - 10, size_t(L.FooterOffset) + 12}) {
+  // directory is gone but the segment body is intact.
+  for (size_t Cut : {Good.size() - 10, size_t(Footer) + 12}) {
     SCOPED_TRACE("cut at " + std::to_string(Cut));
     std::vector<uint8_t> Bytes = Good;
     Bytes.resize(Cut);
@@ -705,100 +687,19 @@ TEST(SalvageSegments, TruncatedDirectoryChainScansEverySegment) {
     Options.Report = &Report;
     Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
     ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-    // The chain scan walks header-to-header and recovers everything; the
-    // read still reports salvage so callers know the file needs rewriting.
+    // Salvage reads the segment header right after the file header and
+    // recovers everything; the read still reports salvage so callers know
+    // the file needs rewriting.
     EXPECT_TRUE(Report.Salvaged);
-    EXPECT_EQ(Report.SegmentsDropped, 0u);
     EXPECT_EQ(Report.EntriesDropped, 0u);
     ASSERT_EQ(Salvaged->size(), T.size());
     for (uint32_t I = 0; I != Salvaged->size(); ++I)
       ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
-    // No verified directory, no segment map.
-    EXPECT_TRUE(Salvaged->Segments.empty());
   }
   std::remove(Path.c_str());
 }
 
-TEST(SalvageSegments, CutInsideASegmentCountsItsLostEntries) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("seg_midcut");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/64));
-  std::vector<uint8_t> Good = readAll(Path);
-  SegLayout L = segLayout(Good);
-  ASSERT_TRUE(L.Ok);
-  ASSERT_GE(L.Segments.size(), 3u);
-
-  // Cut the file in the middle of a middle segment's Value column: the
-  // segments before it survive whole, the cut one keeps nothing (the
-  // columns after Value are gone), and its declared entries must be
-  // counted as dropped — the later segments are unreachable.
-  size_t Mid = L.Segments.size() / 2;
-  SectionRec Value = segSection(Good, L.Segments[Mid].Offset, 16);
-  ASSERT_GT(Value.Length, 0u);
-  std::vector<uint8_t> Bytes = Good;
-  Bytes.resize(static_cast<size_t>(Value.Offset + Value.Length / 2));
-  writeAll(Path, Bytes);
-
-  ASSERT_FALSE(bool(readTrace(Path, Strings)));
-  TelemetryWindow W;
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = true;
-  Options.Report = &Report;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  EXPECT_TRUE(Report.Salvaged);
-  uint32_t Prefix = L.Segments[Mid].BeginEid;
-  ASSERT_EQ(Salvaged->size(), Prefix);
-  EXPECT_EQ(Report.EntriesRecovered, Prefix);
-  EXPECT_GT(Report.EntriesDropped, 0u);
-  EXPECT_EQ(Report.EntriesDropped, L.Segments[Mid].NumEntries);
-  EXPECT_EQ(Report.SegmentsDropped, 1u);
-  EXPECT_EQ(W.counter("robust.salvage.dropped_entries"),
-            L.Segments[Mid].NumEntries);
-  for (uint32_t I = 0; I != Salvaged->size(); ++I)
-    ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
-  std::remove(Path.c_str());
-}
-
-TEST(SalvageSegments, DamagedSideDeltaDropsSegmentAndSuffix) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("seg_side");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
-  std::vector<uint8_t> Bytes = readAll(Path);
-  SegLayout L = segLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  ASSERT_GE(L.Segments.size(), 3u);
-
-  // Damage a middle segment's string delta. Side deltas are cumulative —
-  // later segments build on earlier ones — so unlike a column flip this
-  // costs the damaged segment AND its suffix.
-  size_t Mid = L.Segments.size() / 2;
-  SectionRec StrDelta = segSection(Bytes, L.Segments[Mid].Offset, 24);
-  ASSERT_GT(StrDelta.Length, 0u);
-  Bytes[static_cast<size_t>(StrDelta.Offset + StrDelta.Length / 2)] ^= 0x10;
-  writeAll(Path, Bytes);
-
-  ASSERT_FALSE(bool(readTrace(Path, Strings)));
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = true;
-  Options.Report = &Report;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  EXPECT_TRUE(Report.Salvaged);
-  uint32_t Prefix = L.Segments[Mid].BeginEid;
-  EXPECT_EQ(Salvaged->size(), Prefix);
-  EXPECT_EQ(Report.EntriesDropped, T.size() - Prefix);
-  EXPECT_EQ(Report.SegmentsDropped, L.Segments.size() - Mid);
-  for (uint32_t I = 0; I != Salvaged->size(); ++I)
-    ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
-  std::remove(Path.c_str());
-}
-
-TEST(SalvageSegments, AllSegmentsDamagedIsUnsalvageable) {
+TEST(SalvageSegments, OneDamagedColumnIsUnsalvageable) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = traceOf("class A { } main { var a = new A(); }", Strings);
   std::string Path = tempPath("seg_allgone");
@@ -808,10 +709,7 @@ TEST(SalvageSegments, AllSegmentsDamagedIsUnsalvageable) {
   // empty trace that looks legitimately empty.
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  SegLayout L = segLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  ASSERT_EQ(L.Segments.size(), 1u);
-  SectionRec Kind = segSection(Bytes, L.Segments[0].Offset, 13);
+  SectionRec Kind = findSection(sectionTable(Bytes), 13);
   ASSERT_GT(Kind.Length, 0u);
   Bytes[static_cast<size_t>(Kind.Offset)] ^= 0xff;
   writeAll(Path, Bytes);

@@ -11,6 +11,7 @@
 #include "runtime/TraceRecorder.h"
 #include "support/Telemetry.h"
 #include "runtime/Vm.h"
+#include "support/Hashing.h"
 #include "trace/Serialize.h"
 #include "trace/ViewIndex.h"
 #include "workload/Corpus.h"
@@ -277,9 +278,6 @@ TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
         Loaded->Provs.borrowed(), Loaded->Fps.borrowed(),
         Loaded->ArgPool.borrowed(), Loaded->ViewIdx.Entries.borrowed()})
     EXPECT_TRUE(Borrowed);
-  // One segment covering the whole trace: the diff layer's segment map.
-  ASSERT_EQ(Loaded->Segments.size(), 1u);
-  EXPECT_EQ(Loaded->Segments[0].End, T.size());
 
   ASSERT_EQ(Loaded->size(), T.size());
   auto ExpectColumnBytes = [](const auto &Want, const auto &Got) {
@@ -404,6 +402,52 @@ TEST(Serialize, RejectsCorruptSectionBytes) {
   std::remove(Path.c_str());
 }
 
+TEST(Serialize, RejectsMultiSegmentDirectory) {
+  Trace T = traceOf(R"(
+    class A { Int x; A(Int x) { this.x = x; } }
+    main { var a = new A(5); print(a.x); }
+  )");
+  std::string Path = tempPath("twoseg_dir");
+  ASSERT_TRUE(writeTrace(T, Path));
+  // Grow the footer directory to two records (the second a copy of the
+  // first), then fix up the counts and the footer checksum so the trailer
+  // and footer verify: only the segment count is wrong.
+  std::string Bytes = readFileBytes(Path);
+  ASSERT_GE(Bytes.size(), 120u);
+  size_t TrailerAt = Bytes.size() - 24;
+  uint64_t FooterOffset = 0;
+  std::memcpy(&FooterOffset, Bytes.data() + TrailerAt, 8);
+  ASSERT_EQ(FooterOffset + 8 + 32, TrailerAt);
+  std::string Footer = Bytes.substr(FooterOffset, 8 + 32);
+  Footer += Footer.substr(8, 32);
+  uint32_t Two = 2;
+  std::memcpy(&Footer[4], &Two, 4);
+  std::string Trailer = Bytes.substr(TrailerAt);
+  uint64_t FooterChecksum = checksumBytes(Footer.data(), Footer.size());
+  std::memcpy(&Trailer[8], &FooterChecksum, 8);
+  std::memcpy(&Trailer[16], &Two, 4);
+  Bytes = Bytes.substr(0, FooterOffset) + Footer + Trailer;
+  std::ofstream(Path, std::ios::binary | std::ios::trunc) << Bytes;
+
+  Expected<Trace> Strict = readTrace(Path, nullptr);
+  ASSERT_FALSE(bool(Strict));
+  EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
+  EXPECT_EQ(Strict.error().Code, "trace.section");
+
+  // Salvage ignores the directory and reads the segment after the file
+  // header, which is intact.
+  ReadOptions Options;
+  TraceReadReport Report;
+  Options.Salvage = true;
+  Options.Report = &Report;
+  Expected<Trace> Salvaged = readTrace(Path, nullptr, Options);
+  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+  EXPECT_TRUE(Report.Salvaged);
+  EXPECT_EQ(Report.EntriesDropped, 0u);
+  expectTracesEqual(T, *Salvaged);
+  std::remove(Path.c_str());
+}
+
 TEST(Serialize, CorruptViewIndexByteDegradesNotFails) {
   Trace T = traceOf(R"(
     class A { Int x; A(Int x) { this.x = x; } }
@@ -518,12 +562,13 @@ TEST(Serialize, SharedInternerMergesSymbolSpaces) {
 }
 
 //===----------------------------------------------------------------------===//
-// Segmentations: one segment, one segment without the view index, and
-// small segments must load into the same trace and the same diff
+// One segment per file: its layout, remapped loads, digests, and diffs of
+// loaded traces with and without the view index
 //===----------------------------------------------------------------------===//
 
 /// A small multi-thread trace with arguments and field traffic: every
-/// section (deltas, columns, fingerprints, view index) comes out nonempty.
+/// section (side tables, columns, fingerprints, view index) comes out
+/// nonempty.
 Trace bumpTrace() {
   return traceOf(R"(
     class A { Int x; A(Int x) { this.x = x; }
@@ -532,44 +577,16 @@ Trace bumpTrace() {
   )");
 }
 
-TEST(SerializeSegments, MultiSegmentRoundTripsAcrossSegmentSizes) {
-  GeneratorOptions Options;
-  Options.OuterIters = 20;
-  Trace T = traceOf(generateProgram(Options));
-  ASSERT_GT(T.size(), 300u);
-  std::string Path = tempPath("seg_roundtrip");
-  for (size_t SegmentEntries : {1ul, 7ul, 64ul, 100000ul}) {
-    SCOPED_TRACE("segment entries " + std::to_string(SegmentEntries));
-    ASSERT_TRUE(writeTraceSegmented(T, Path, SegmentEntries));
-    // Fresh interner: segment 0's string delta re-interns the whole table
-    // in order, so symbol ids are preserved and the per-segment
-    // fingerprint lanes load verbatim.
-    Expected<Trace> Loaded = readTrace(Path, nullptr);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    expectTracesEqual(T, *Loaded);
-    EXPECT_TRUE(Loaded->HasFingerprints);
-    for (uint32_t Eid = 0; Eid != Loaded->size(); ++Eid)
-      ASSERT_EQ(Loaded->fp(Eid), T.fp(Eid)) << Eid;
-    // A clean read of a directory-complete file carries the segment map
-    // (the re-diff run-skip input), one range per written segment.
-    size_t WantSegments =
-        (T.size() + SegmentEntries - 1) / SegmentEntries;
-    EXPECT_EQ(Loaded->Segments.size(), WantSegments);
-    EXPECT_EQ(viewsDiff(T, *Loaded).numDiffs(), 0u);
-  }
-  std::remove(Path.c_str());
-}
-
 TEST(SerializeSegments, BusyInternerRemapsAndRefingerprints) {
-  auto Strings = std::make_shared<StringInterner>();
   Trace T = bumpTrace();
   std::string Path = tempPath("seg_remap");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, 4));
+  ASSERT_TRUE(writeTrace(T, Path));
   auto Busy = std::make_shared<StringInterner>();
   Busy->intern("occupying-symbol-id-one");
   Expected<Trace> Loaded = readTrace(Path, Busy);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   EXPECT_TRUE(Loaded->HasFingerprints);
+  EXPECT_FALSE(Loaded->Methods.borrowed()) << "a remapped load owns columns";
   ASSERT_EQ(T.size(), Loaded->size());
   for (uint32_t Eid = 0; Eid != Loaded->size(); ++Eid) {
     EXPECT_EQ(T.renderEntry(Eid), Loaded->renderEntry(Eid)) << Eid;
@@ -578,50 +595,38 @@ TEST(SerializeSegments, BusyInternerRemapsAndRefingerprints) {
   std::remove(Path.c_str());
 }
 
-TEST(SerializeSegments, SmallSegmentsRewriteAsOneSegmentByteIdentically) {
-  Trace T = bumpTrace();
-  std::string Direct = tempPath("seg_direct");
-  std::string Small = tempPath("seg_small");
-  std::string Rewritten = tempPath("seg_rewritten");
-  ASSERT_TRUE(writeTrace(T, Direct));
-  ASSERT_TRUE(writeTraceSegmented(T, Small, 4));
-  Expected<Trace> Loaded = readTrace(Small, nullptr);
-  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  // Round-tripping through small segments loses nothing: rewriting the
-  // loaded trace as one segment reproduces the direct write byte for byte
-  // (same string table, same columns, same fingerprints, same view index).
-  ASSERT_TRUE(writeTrace(*Loaded, Rewritten));
-  std::string Want = readFileBytes(Direct);
-  std::string Got = readFileBytes(Rewritten);
-  ASSERT_FALSE(Want.empty());
-  EXPECT_TRUE(Want == Got) << "bytes diverge after a small-segment round trip";
-  std::remove(Direct.c_str());
-  std::remove(Small.c_str());
-  std::remove(Rewritten.c_str());
-}
-
 TEST(SerializeSegments, EmptyAndSingleEntryTracesRoundTrip) {
   auto Strings = std::make_shared<StringInterner>();
   Trace Empty;
   Empty.Strings = Strings;
   Empty.Name = "empty";
   Empty.computeFingerprints();
-  std::string Path = tempPath("seg_tiny");
-  // An entry-less trace still writes one placeholder segment so the side
-  // tables (name, strings, threads) have somewhere to live.
-  ASSERT_TRUE(writeTraceSegmented(Empty, Path, 8));
-  Expected<Trace> LoadedEmpty = readTrace(Path, Strings);
-  ASSERT_TRUE(bool(LoadedEmpty)) << LoadedEmpty.error().render();
-  EXPECT_EQ(LoadedEmpty->size(), 0u);
-  EXPECT_EQ(LoadedEmpty->Name, "empty");
-
   Trace One = singleEntryTrace(Strings);
-  ASSERT_TRUE(writeTraceSegmented(One, Path, 8));
-  Expected<Trace> LoadedOne = readTrace(Path, Strings);
-  ASSERT_TRUE(bool(LoadedOne)) << LoadedOne.error().render();
-  ASSERT_EQ(LoadedOne->size(), 1u);
-  EXPECT_EQ(LoadedOne->renderEntry(0u), One.renderEntry(0u));
-  EXPECT_EQ(LoadedOne->fp(0), One.fp(0));
+  std::string Path = tempPath("seg_tiny");
+  for (const Trace *T : {&Empty, &One}) {
+    SCOPED_TRACE(T->Name);
+    // Even an entry-less trace writes its one segment, so the side tables
+    // (name, strings, threads) have somewhere to live; the file header's
+    // segment-target field holds the entry count, at least 1.
+    ASSERT_TRUE(writeTrace(*T, Path));
+    std::string Bytes = readFileBytes(Path);
+    ASSERT_GE(Bytes.size(), 88u);
+    uint32_t Target = 0, SegEntries = 0, DirSegments = 0;
+    std::memcpy(&Target, Bytes.data() + 12, 4);
+    std::memcpy(&SegEntries, Bytes.data() + 32 + 16, 4);
+    std::memcpy(&DirSegments, Bytes.data() + Bytes.size() - 8, 4);
+    EXPECT_EQ(Target, 1u);
+    EXPECT_EQ(SegEntries, T->size());
+    EXPECT_EQ(DirSegments, 1u);
+    Expected<Trace> Loaded = readTrace(Path, Strings);
+    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+    EXPECT_EQ(Loaded->Name, T->Name);
+    ASSERT_EQ(Loaded->size(), T->size());
+    for (uint32_t Eid = 0; Eid != T->size(); ++Eid) {
+      EXPECT_EQ(Loaded->renderEntry(Eid), T->renderEntry(Eid));
+      EXPECT_EQ(Loaded->fp(Eid), T->fp(Eid));
+    }
+  }
   std::remove(Path.c_str());
 }
 
@@ -634,10 +639,12 @@ TEST(SerializeSegments, WriteTraceWritesOneSegment) {
   ASSERT_TRUE(writeTrace(T, Path));
   std::string Bytes = readFileBytes(Path);
   ASSERT_GE(Bytes.size(), 56u);
-  uint32_t Version = 0, Segments = 0;
+  uint32_t Version = 0, Target = 0, Segments = 0;
   std::memcpy(&Version, Bytes.data() + 4, 4);
+  std::memcpy(&Target, Bytes.data() + 12, 4);
   std::memcpy(&Segments, Bytes.data() + Bytes.size() - 8, 4);
   EXPECT_EQ(Version, 6u);
+  EXPECT_EQ(Target, T.size());
   EXPECT_EQ(Segments, 1u) << "a whole trace is one segment";
   Expected<Trace> Loaded = readTrace(Path, nullptr);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
@@ -646,93 +653,25 @@ TEST(SerializeSegments, WriteTraceWritesOneSegment) {
   std::remove(Path.c_str());
 }
 
-TEST(SerializeSegments, StreamingRecorderSinkMatchesBatchWrite) {
-  GeneratorOptions G;
-  G.OuterIters = 8;
-  std::string Source = generateProgram(G);
-  std::string StreamPath = tempPath("seg_stream");
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T;
-  {
-    SegmentedTraceWriter Sink(StreamPath, /*SegmentEntries=*/8);
-    ASSERT_TRUE(Sink.ok());
-    RunOptions Options;
-    Options.Tracing.SegmentSink = &Sink;
-    T = traceOf(Source, Strings, Options);
-    ASSERT_GT(T.size(), 8u); // Genuinely multi-segment.
-    // The recorder sealed segments while the program ran and finalized
-    // the file when the trace was taken.
-    EXPECT_TRUE(Sink.ok());
-    EXPECT_EQ(Sink.entriesSealed(), T.size());
-  }
-  Expected<Trace> Streamed = readTrace(StreamPath, nullptr);
-  ASSERT_TRUE(bool(Streamed)) << Streamed.error().render();
-  expectTracesEqual(T, *Streamed);
-  EXPECT_TRUE(Streamed->HasFingerprints);
-  EXPECT_EQ(viewsDiff(T, *Streamed).numDiffs(), 0u);
-
-  // A batch rewrite of the finished trace at the same granularity loads
-  // equal (the files may differ in how side-table deltas split across
-  // segments, but the reassembled traces must not).
-  std::string BatchPath = tempPath("seg_batch");
-  ASSERT_TRUE(writeTraceSegmented(T, BatchPath, 8));
-  Expected<Trace> Batch = readTrace(BatchPath, nullptr);
-  ASSERT_TRUE(bool(Batch)) << Batch.error().render();
-  expectTracesEqual(*Streamed, *Batch);
-  std::remove(StreamPath.c_str());
-  std::remove(BatchPath.c_str());
-}
-
-TEST(SerializeSegments, ViewIndexDeltaMergeMatchesBulkCompute) {
-  GeneratorOptions G;
-  G.OuterIters = 8;
-  G.NumThreads = 2;
-  Trace T = traceOf(generateProgram(G));
-  std::string Path = tempPath("seg_viewidx");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, 16));
-  Expected<Trace> Loaded = readTrace(Path, nullptr);
-  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  // The reader merges the per-segment view-index deltas; the merged index
-  // must equal a from-scratch computation over the reassembled columns.
-  ASSERT_TRUE(Loaded->ViewIdx.Present);
-  ViewIndex Want = computeViewIndex(*Loaded);
-  for (size_t F = 0; F != NumViewFamilies; ++F) {
-    SCOPED_TRACE("family " + std::to_string(F));
-    ASSERT_EQ(Loaded->ViewIdx.Keys[F].size(), Want.Keys[F].size());
-    EXPECT_EQ(std::memcmp(Loaded->ViewIdx.Keys[F].data(),
-                          Want.Keys[F].data(), Want.Keys[F].byteSize()),
-              0);
-    EXPECT_EQ(std::memcmp(Loaded->ViewIdx.Counts[F].data(),
-                          Want.Counts[F].data(), Want.Counts[F].byteSize()),
-              0);
-  }
-  ASSERT_EQ(Loaded->ViewIdx.Entries.size(), Want.Entries.size());
-  EXPECT_EQ(std::memcmp(Loaded->ViewIdx.Entries.data(), Want.Entries.data(),
-                        Want.Entries.byteSize()),
-            0);
-  std::remove(Path.c_str());
-}
-
-TEST(SerializeSegments, FileDigestStablePerWriteDistinctAcrossSegmentations) {
+TEST(SerializeSegments, FileDigestStablePerWrite) {
   Trace T = bumpTrace();
-  std::string OnePath = tempPath("digest_one");
-  std::string SmallPath = tempPath("digest_small");
-  std::string SmallAgain = tempPath("digest_small_b");
-  ASSERT_TRUE(writeTrace(T, OnePath));
-  ASSERT_TRUE(writeTraceSegmented(T, SmallPath, 8));
-  ASSERT_TRUE(writeTraceSegmented(T, SmallAgain, 8));
-  Expected<uint64_t> DOne = traceFileDigest(OnePath);
-  Expected<uint64_t> DSmall = traceFileDigest(SmallPath);
-  Expected<uint64_t> DSmallB = traceFileDigest(SmallAgain);
-  ASSERT_TRUE(bool(DOne) && bool(DSmall) && bool(DSmallB));
-  EXPECT_EQ(*DSmall, *DSmallB) << "identical writes must digest identically";
-  EXPECT_NE(*DOne, *DSmall) << "a different segmentation is different bytes";
-  std::remove(OnePath.c_str());
-  std::remove(SmallPath.c_str());
-  std::remove(SmallAgain.c_str());
+  std::string First = tempPath("digest_a");
+  std::string Again = tempPath("digest_b");
+  std::string Plain = tempPath("digest_plain");
+  ASSERT_TRUE(writeTrace(T, First));
+  ASSERT_TRUE(writeTrace(T, Again));
+  ASSERT_TRUE(writeTrace(T, Plain, /*WithViewIndex=*/false));
+  Expected<uint64_t> DFirst = traceFileDigest(First);
+  Expected<uint64_t> DAgain = traceFileDigest(Again);
+  Expected<uint64_t> DPlain = traceFileDigest(Plain);
+  ASSERT_TRUE(bool(DFirst) && bool(DAgain) && bool(DPlain));
+  EXPECT_EQ(*DFirst, *DAgain) << "identical writes must digest identically";
+  EXPECT_NE(*DFirst, *DPlain) << "dropping the view index changes the bytes";
+  for (const std::string &Path : {First, Again, Plain})
+    std::remove(Path.c_str());
 }
 
-TEST(SerializeSegments, CrossSegmentationDiffDeterministicAcrossJobs) {
+TEST(SerializeSegments, LoadedDiffDeterministicAcrossIndexAndJobs) {
   GeneratorOptions Base;
   Base.OuterIters = 10;
   Base.NumThreads = 2;
@@ -744,23 +683,17 @@ TEST(SerializeSegments, CrossSegmentationDiffDeterministicAcrossJobs) {
   Trace R = traceOf(generateProgram(Perturbed), Gen);
   std::string L1 = tempPath("xseg_l1"), R1 = tempPath("xseg_r1");
   std::string LP = tempPath("xseg_lp"), RP = tempPath("xseg_rp");
-  std::string LS = tempPath("xseg_ls"), RS = tempPath("xseg_rs");
   ASSERT_TRUE(writeTrace(L, L1));
   ASSERT_TRUE(writeTrace(R, R1));
   ASSERT_TRUE(writeTrace(L, LP, /*WithViewIndex=*/false));
   ASSERT_TRUE(writeTrace(R, RP, /*WithViewIndex=*/false));
-  ASSERT_TRUE(writeTraceSegmented(L, LS, 32));
-  ASSERT_TRUE(writeTraceSegmented(R, RS, 32));
 
-  // One shared interner across all six loads, as a diff session would.
+  // One shared interner across all four loads, as a diff session would.
   auto Shared = std::make_shared<StringInterner>();
   Expected<Trace> LOne = readTrace(L1, Shared), ROne = readTrace(R1, Shared);
   Expected<Trace> LPlain = readTrace(LP, Shared),
                   RPlain = readTrace(RP, Shared);
-  Expected<Trace> LSmall = readTrace(LS, Shared),
-                  RSmall = readTrace(RS, Shared);
-  ASSERT_TRUE(bool(LOne) && bool(ROne) && bool(LPlain) && bool(RPlain) &&
-              bool(LSmall) && bool(RSmall));
+  ASSERT_TRUE(bool(LOne) && bool(ROne) && bool(LPlain) && bool(RPlain));
 
   ViewsDiffOptions Opt;
   Opt.Jobs = 1;
@@ -772,62 +705,24 @@ TEST(SerializeSegments, CrossSegmentationDiffDeterministicAcrossJobs) {
     const char *What;
     const Trace *Lhs;
     const Trace *Rhs;
-  } Pairs[] = {{"one-one", &*LOne, &*ROne},
+  } Pairs[] = {{"index-index", &*LOne, &*ROne},
                {"noindex-noindex", &*LPlain, &*RPlain},
-               {"small-small", &*LSmall, &*RSmall},
-               {"one-small", &*LOne, &*RSmall}};
+               {"index-noindex", &*LOne, &*RPlain}};
   for (const Pair &P : Pairs)
     for (unsigned Jobs : {1u, 4u, 0u}) {
       SCOPED_TRACE(std::string(P.What) + " jobs=" + std::to_string(Jobs));
       Opt.Jobs = Jobs;
       DiffResult D = viewsDiff(*P.Lhs, *P.Rhs, Opt);
-      // The report and the work accounting must be identical across every
-      // segmentation and worker count — segment-granular run skipping is
-      // not allowed to change what gets compared, only how it's found.
+      // The report and the work accounting must match the in-memory diff
+      // whether or not the view web came from the persisted index, at
+      // every worker count.
       EXPECT_EQ(D.render(), RefRender);
       EXPECT_EQ(D.Stats.CompareOps, Ref.Stats.CompareOps);
       EXPECT_EQ(D.numLeftDiffs(), Ref.numLeftDiffs());
       EXPECT_EQ(D.numRightDiffs(), Ref.numRightDiffs());
     }
-  for (const std::string &Path : {L1, R1, LP, RP, LS, RS})
+  for (const std::string &Path : {L1, R1, LP, RP})
     std::remove(Path.c_str());
-}
-
-TEST(SerializeSegments, IdenticalPairDiffSkipsSegments) {
-  GeneratorOptions G;
-  G.OuterIters = 12;
-  Trace T = traceOf(generateProgram(G));
-  std::string Path = tempPath("skip_small");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, 64));
-  auto Shared = std::make_shared<StringInterner>();
-  Expected<Trace> A = readTrace(Path, Shared);
-  Expected<Trace> B = readTrace(Path, Shared);
-  ASSERT_TRUE(bool(A) && bool(B));
-  ASSERT_GT(A->Segments.size(), 1u);
-  Trace Copy = T;
-
-  ViewsDiffOptions Opt;
-  Opt.Jobs = 1;
-  Telemetry::get().reset();
-  Telemetry::get().setEnabled(true);
-  DiffResult InMemory = viewsDiff(T, Copy, Opt);
-  uint64_t SkipsInMemory =
-      Telemetry::get().snapshot().counter("trace.segments_skipped");
-  DiffResult Loaded = viewsDiff(*A, *B, Opt);
-  uint64_t SkipsTotal =
-      Telemetry::get().snapshot().counter("trace.segments_skipped");
-  Telemetry::get().setEnabled(false);
-  Telemetry::get().reset();
-
-  // In-memory traces carry no segment map, so nothing can be skipped; the
-  // loaded pair skips whole digest-equal segments — and still does the
-  // exact same amount of reported work.
-  EXPECT_EQ(SkipsInMemory, 0u);
-  EXPECT_GT(SkipsTotal, SkipsInMemory);
-  EXPECT_EQ(InMemory.numDiffs(), 0u);
-  EXPECT_EQ(Loaded.numDiffs(), 0u);
-  EXPECT_EQ(InMemory.Stats.CompareOps, Loaded.Stats.CompareOps);
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1161,16 +1056,19 @@ TEST(ScalarPayload, RecordedScalarsRoundTripWithEagerTextAndHash) {
   };
   ExpectScalars(T, "recorded");
 
-  std::string OnePath = tempPath("scalars_one");
-  std::string SmallPath = tempPath("scalars_small");
-  ASSERT_TRUE(writeTrace(T, OnePath));
-  ASSERT_TRUE(writeTraceSegmented(T, SmallPath, /*SegmentEntries=*/4));
-  for (const std::string &Path : {OnePath, SmallPath}) {
-    Expected<Trace> Loaded = readTrace(Path, nullptr);
+  // A fresh interner borrows the columns; a busy one copies and remaps
+  // them. Inline scalars carry no symbol, so both load them verbatim.
+  std::string Path = tempPath("scalars");
+  ASSERT_TRUE(writeTrace(T, Path));
+  auto Busy = std::make_shared<StringInterner>();
+  Busy->intern("occupying-symbol-id-one");
+  for (bool Remap : {false, true}) {
+    Expected<Trace> Loaded = readTrace(Path, Remap ? Busy : nullptr);
     ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    ExpectScalars(*Loaded, Path == OnePath ? "one segment" : "small segments");
-    std::remove(Path.c_str());
+    EXPECT_EQ(Loaded->Values.borrowed(), !Remap);
+    ExpectScalars(*Loaded, Remap ? "remapped load" : "borrowed load");
   }
+  std::remove(Path.c_str());
 }
 
 TEST(ScalarPayload, EqualityIsExactOnThePayload) {

@@ -222,6 +222,26 @@ printf '\003' | dd of="$WORK/oldver.rpt" bs=1 seek=4 conv=notrunc 2>/dev/null
 [ $? -eq 3 ] || fail "pre-change version word was not exit 3"
 grep -q "unsupported trace version (3)" "$WORK/oldver.err" \
   || fail "pre-change version word error was: $(cat "$WORK/oldver.err")"
+# A hostile trailer: the largest directory count and a footer offset whose
+# sum with the footer length wraps around 2^64 onto the trailer itself.
+# diff-traces digests each file for its cache key before reading it; both
+# steps must refuse it with exit 3, not crash.
+cp "$WORK/old.rpt" "$WORK/wrap.rpt"
+python3 - "$WORK/wrap.rpt" <<'EOF'
+import struct, sys
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+trailer = len(data) - 24
+count = 0xFFFFFFFF
+offset = (trailer - (8 + count * 32)) % (1 << 64)
+struct.pack_into("<Q", data, trailer, offset)
+struct.pack_into("<I", data, trailer + 16, count)
+open(path, "wb").write(data)
+EOF
+"$RPRISM" diff-traces "$WORK/wrap.rpt" "$WORK/old.rpt" > /dev/null 2>&1
+[ $? -eq 3 ] || fail "wrapping trailer in diff-traces was not exit 3"
+"$RPRISM" trace-dump "$WORK/wrap.rpt" > /dev/null 2>&1
+[ $? -eq 3 ] || fail "wrapping trailer in trace-dump was not exit 3"
 set -e
 
 # --- salvage ------------------------------------------------------------------

@@ -7,13 +7,14 @@
 ///
 /// \file
 /// Deterministic corruption fuzzer for the trace reader. Writes a small
-/// corpus of base traces (empty, single-entry, generated workloads) in
-/// three segmentations (one segment with and without the view index, and
-/// small segments), then applies seeded mutations — truncation, bit
-/// flips, byte overwrites, section-table and header tampering, zeroed
-/// ranges, appended garbage, plus the segment framing: trailer fields,
-/// footer-directory records, and segment headers — and requires every
-/// strict read, salvage read, and digest of the mutant to return cleanly.
+/// corpus of base traces (empty, single-entry, generated workloads), each
+/// with and without the view index, then applies seeded mutations —
+/// truncation, bit flips, byte overwrites, section-table and header
+/// tampering, zeroed ranges, appended garbage, plus the segment framing:
+/// trailer fields, footer-directory records, the segment header, and a
+/// footer offset whose sum with the footer length wraps around 2^64 — and
+/// requires every strict read, salvage read, and digest of the mutant to
+/// return cleanly.
 /// A crash, hang, or sanitizer report is the failure mode; any error
 /// return is a pass.
 ///
@@ -75,11 +76,12 @@ bool writeAll(const std::string &Path, const std::vector<uint8_t> &Bytes) {
   return Out.good();
 }
 
-/// Applies one seeded mutation to \p Bytes. Twelve mutation kinds, chosen
-/// and parameterised by \p Rng; always leaves at least an empty file. The
-/// last three target the segment framing (trailer, footer directory,
-/// segment headers) and degrade to a plain bit flip once an earlier
-/// mutation has destroyed the trailer.
+/// Applies one seeded mutation to \p Bytes. Thirteen mutation kinds, chosen
+/// and parameterised by \p Rng; always leaves at least an empty file.
+/// Kinds 9-12 target the segment framing (trailer, footer directory,
+/// segment header, wrapping footer offset); the directory and header
+/// tampers degrade to a plain bit flip once an earlier mutation has
+/// destroyed the trailer.
 void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
   auto Index = [&](size_t Bound) {
     return Bound ? static_cast<size_t>(Rng() % Bound) : 0;
@@ -103,7 +105,7 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     Bytes.push_back(static_cast<uint8_t>(Rng()));
     return;
   }
-  switch (Rng() % 12) {
+  switch (Rng() % 13) {
   case 0: // Truncate to a random prefix (possibly empty).
     Bytes.resize(Index(Bytes.size() + 1));
     break;
@@ -204,18 +206,36 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     std::memcpy(Bytes.data() + Record + Field, &Garbage, 8);
     break;
   }
-  case 11: { // Segment-header tamper (first segment lives at byte 32).
+  case 11: { // Segment-header tamper (the segment lives at byte 32):
+             // magic/index, begin-eid, counts, or payload size — the last
+             // one can run the payload past the end of the file.
     uint64_t Footer = FooterAt();
     if (!Footer || Footer < 64) {
       FlipBit();
       break;
     }
-    // Walking the chain would need trusted PayloadBytes, so tamper the
-    // first header: magic/index, begin-eid, counts, or payload size —
-    // the last one derails the salvage chain scan's next-header jump.
     size_t Field = (Rng() % 4) * 8;
     uint64_t Garbage = Rng();
     std::memcpy(Bytes.data() + 32 + Field, &Garbage, 8);
+    break;
+  }
+  case 12: { // Wrapping trailer: a huge directory count and a footer
+             // offset chosen so that offset + footer length wraps around
+             // 2^64 onto a point inside the file — by default the trailer
+             // itself, where a well-formed footer ends.
+    if (Bytes.size() < 24) {
+      FlipBit();
+      break;
+    }
+    size_t Trailer = Bytes.size() - 24;
+    uint64_t Target = Rng() % 2 ? Trailer : Index(Bytes.size() + 1);
+    uint32_t NumSegments = 0xFFFFFFFFu - static_cast<uint32_t>(Index(1024));
+    uint64_t FooterBytes = 8 + uint64_t{NumSegments} * 32;
+    uint64_t Offset = Target - FooterBytes; // Wraps: FooterBytes > Target.
+    uint32_t Magic = 0x52505445u; // "RPTE", so the trailer parses.
+    std::memcpy(Bytes.data() + Trailer, &Offset, 8);
+    std::memcpy(Bytes.data() + Trailer + 16, &NumSegments, 4);
+    std::memcpy(Bytes.data() + Trailer + 20, &Magic, 4);
     break;
   }
   }
@@ -265,8 +285,8 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Base corpus: every segmentation x a spread of trace shapes, including
-  // the degenerate ones (empty, single entry).
+  // Base corpus: a spread of trace shapes, including the degenerate ones
+  // (empty, single entry), each with and without the view index.
   GeneratorOptions Small;
   Small.NumClasses = 2;
   Small.OuterIters = 3;
@@ -291,19 +311,8 @@ int main(int Argc, char **Argv) {
   for (size_t I = 0; I != Corpus.size(); ++I) {
     Corpus[I].computeFingerprints();
     std::string Path = Dir + "_base" + std::to_string(I);
-    // One segment stresses the zero-copy borrow path, many small segments
-    // the per-segment framing and the concatenating reassembly.
-    auto WriteOne = [](const Trace &T, const std::string &P) {
-      return writeTrace(T, P, /*WithViewIndex=*/true);
-    };
-    auto WriteOnePlain = [](const Trace &T, const std::string &P) {
-      return writeTrace(T, P, /*WithViewIndex=*/false);
-    };
-    auto WriteSmall = [](const Trace &T, const std::string &P) {
-      return writeTraceSegmented(T, P, /*SegmentEntries=*/8);
-    };
-    for (auto *Write : {+WriteOne, +WriteOnePlain, +WriteSmall}) {
-      if (!Write(Corpus[I], Path)) {
+    for (bool WithViewIndex : {true, false}) {
+      if (!writeTrace(Corpus[I], Path, WithViewIndex)) {
         std::fprintf(stderr, "fatal: cannot write base trace %zu\n", I);
         return 1;
       }
