@@ -15,13 +15,12 @@
 ///               pipeline (every =e compare runs the full field-by-field
 ///               path).
 ///   fp-seq    — fingerprints on, jobs=1: isolates the =e fast-path win.
-///   fp-jobsN  — fingerprints on, jobs=N: adds the thread-pool stages
-///               (web builds, per-pair evaluation, pair fingerprinting).
+///   fp-jobsN  — fingerprints on, jobs=N: adds per-pair evaluation on the
+///               thread pool.
 ///
-/// A second, on-disk phase measures the repeat-diff warm paths: cold
-/// (load + web build + correlate + diff) versus warm (digest-keyed cache
-/// hits) over trace files written with and without the persisted view-index
-/// sections.
+/// A second, on-disk phase measures diffs from trace files (load + web
+/// build + correlate + diff) written with and without the persisted
+/// view-index sections.
 ///
 /// Every configuration must produce an identical rendered report and
 /// compare-op count (checked here; the determinism contract of
@@ -35,7 +34,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cache/DiffCache.h"
 #include "diff/ViewsDiff.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
@@ -297,7 +295,7 @@ int main(int Argc, char **Argv) {
   double LargestSeedSeconds = 0;
   double LargestBestSeconds = 0;
   uint64_t LargestEntries = 0;
-  double WarmSpeedup = 0, IndexedColdSpeedup = 0;
+  double IndexedColdSpeedup = 0;
 
   for (unsigned Threads : WorkloadThreads) {
     for (unsigned Size : Sizes) {
@@ -377,13 +375,13 @@ int main(int Argc, char **Argv) {
   FormatJson += "\n  ],\n  \"determinism_ok\": ";
   FormatJson += Exit == 0 ? "true" : "false";
 
-  // Repeat-diff warm paths: cold (digest + load + web build + correlate +
-  // diff) versus warm (digest-keyed cache hits) over trace files written
-  // with and without the persisted view-index sections. Every run's report and
-  // compare-op total must match the in-memory reference (the rows carry
-  // the identity flags CI asserts), and an instrumented pass pins the span
-  // contract: on indexed files, web-build never appears — webs come from
-  // the view-index sections cold and from the cache warm.
+  // Diffs from trace files, written with and without the persisted
+  // view-index sections: load + web build (or index reconstruction) +
+  // correlate + diff, from a fresh interner each rep. Every run's report
+  // and compare-op total must match the in-memory reference (the rows
+  // carry the identity flags CI asserts), and an instrumented pass pins
+  // the span contract: on indexed files, web-build never appears — webs
+  // come from the view-index sections.
   std::string RepeatJson = ",\n  \"repeat_diff\": [\n";
   {
     TracePair Pair = makePair(Quick ? 100 : 1600, Quick ? 2 : 8);
@@ -392,11 +390,11 @@ int main(int Argc, char **Argv) {
     Options.Jobs = 1;
     DiffResult Ref = viewsDiff(Pair.Left, Pair.Right, Options);
     std::string RefRender = Ref.render(50, 12);
-    std::printf("== repeat diff, %llu entries ==\n",
+    std::printf("== diff from trace files, %llu entries ==\n",
                 static_cast<unsigned long long>(Entries));
 
     bool RowFirst = true;
-    double IndexedCold = 0, IndexedWarm = 0, PlainCold = 0;
+    double IndexedCold = 0, PlainCold = 0;
     for (bool Indexed : {true, false}) {
       const char *FileKind = Indexed ? "indexed" : "plain";
       std::string LPath =
@@ -411,86 +409,53 @@ int main(int Argc, char **Argv) {
       }
 
       bool ReportIdentical = true, OpsIdentical = true;
-      auto RunOnce = [&](DiffCache &Cache,
-                         std::shared_ptr<StringInterner> Strings,
-                         bool Check) {
-        Err Error;
-        auto L = Cache.load(LPath, Strings, &Error);
-        auto R = Cache.load(RPath, std::move(Strings), &Error);
+      auto RunOnce = [&](bool Check) {
+        auto Strings = std::make_shared<StringInterner>();
+        Expected<Trace> L = readTrace(LPath, Strings);
+        Expected<Trace> R = readTrace(RPath, Strings);
         if (!L || !R) {
-          std::printf("error: %s\n", Error.render().c_str());
+          std::printf("error: %s\n",
+                      (!L ? L.error() : R.error()).render().c_str());
           Exit = 1;
           return;
         }
-        DiffResult Result = cachedViewsDiff(*L, *R, Options, Cache);
+        DiffResult Result = viewsDiff(*L, *R, Options);
         if (Check) {
           ReportIdentical &= Result.render(50, 12) == RefRender;
           OpsIdentical &= Result.Stats.CompareOps == Ref.Stats.CompareOps;
         }
       };
 
-      // Cold: a fresh cache and interner per rep — every rep pays digest,
-      // load, web build (or index reconstruction), correlation, and diff.
-      unsigned ColdReps = 0, WarmReps = 0;
-      double Cold = bestOf(
-          [&](unsigned Rep) {
-            DiffCache Cache;
-            auto Strings = std::make_shared<StringInterner>();
-            RunOnce(Cache, Strings, Rep == 0);
-          },
-          &ColdReps);
-      // Warm: one persistent primed cache — every rep is the repeat-diff
-      // hit path (digest lookups plus the evaluation itself).
-      DiffCache WarmCache;
-      auto WarmStrings = std::make_shared<StringInterner>();
-      RunOnce(WarmCache, WarmStrings, /*Check=*/true);
-      double Warm = bestOf(
-          [&](unsigned Rep) { RunOnce(WarmCache, WarmStrings, Rep == 0); },
-          &WarmReps);
-
-      if (Indexed) {
-        IndexedCold = Cold;
-        IndexedWarm = Warm;
-      } else {
-        PlainCold = Cold;
-      }
+      unsigned Reps = 0;
+      double Cold =
+          bestOf([&](unsigned Rep) { RunOnce(Rep == 0); }, &Reps);
+      (Indexed ? IndexedCold : PlainCold) = Cold;
       if (!ReportIdentical || !OpsIdentical) {
         std::printf("  ERROR: %s repeat diff diverged from the in-memory "
                     "report\n",
                     FileKind);
         Exit = 1;
       }
-      for (bool WarmRow : {false, true}) {
-        char Buf[512];
-        std::snprintf(
-            Buf, sizeof(Buf),
-            "%s    {\"file\": \"%s\", \"phase\": \"%s\", \"entries\": %llu, "
-            "\"seconds\": %.6f, \"reps\": %u, \"report_identical\": %s, "
-            "\"compare_ops_identical\": %s}",
-            RowFirst ? "" : ",\n", FileKind, WarmRow ? "warm" : "cold",
-            static_cast<unsigned long long>(Entries),
-            WarmRow ? Warm : Cold, WarmRow ? WarmReps : ColdReps,
-            ReportIdentical ? "true" : "false",
-            OpsIdentical ? "true" : "false");
-        RepeatJson += Buf;
-        RowFirst = false;
-        std::printf("  %-10s %-5s %8.2f ms\n", FileKind,
-                    WarmRow ? "warm" : "cold",
-                    (WarmRow ? Warm : Cold) * 1e3);
-      }
+      char Buf[512];
+      std::snprintf(
+          Buf, sizeof(Buf),
+          "%s    {\"file\": \"%s\", \"phase\": \"cold\", \"entries\": %llu, "
+          "\"seconds\": %.6f, \"reps\": %u, \"report_identical\": %s, "
+          "\"compare_ops_identical\": %s}",
+          RowFirst ? "" : ",\n", FileKind,
+          static_cast<unsigned long long>(Entries), Cold, Reps,
+          ReportIdentical ? "true" : "false",
+          OpsIdentical ? "true" : "false");
+      RepeatJson += Buf;
+      RowFirst = false;
+      std::printf("  %-10s %8.2f ms\n", FileKind, Cold * 1e3);
 
-      // Span contract on indexed files: web-build must never fire — the
-      // cold path reconstructs from the index ("view-index" span), the
-      // warm path hits the cache.
+      // Span contract on indexed files: web-build must never fire — both
+      // webs are reconstructed from the index ("view-index" span).
       if (Indexed) {
         Telemetry::get().reset();
         Telemetry::get().setEnabled(true);
-        {
-          DiffCache Cache;
-          auto Strings = std::make_shared<StringInterner>();
-          RunOnce(Cache, Strings, /*Check=*/false); // cold
-          RunOnce(Cache, Strings, /*Check=*/false); // warm
-        }
+        RunOnce(/*Check=*/false);
         Telemetry::get().setEnabled(false);
         TelemetrySnapshot Snap = Telemetry::get().snapshot();
         bool SawWebBuild = false, SawViewIndex = false;
@@ -499,19 +464,13 @@ int main(int Argc, char **Argv) {
           SawViewIndex |= Span.name() == "view-index";
         }
         if (SawWebBuild || !SawViewIndex ||
-            Snap.counter("web.from_index") != 2 ||
-            Snap.counter("web.cache.hit") != 2 ||
-            Snap.counter("load.cache.hit") != 2) {
-          std::printf("  ERROR: indexed repeat diff violated the span/"
-                      "counter contract (web-build=%d view-index=%d "
-                      "from_index=%llu web_hits=%llu load_hits=%llu)\n",
+            Snap.counter("web.from_index") != 2) {
+          std::printf("  ERROR: indexed diff violated the span/counter "
+                      "contract (web-build=%d view-index=%d "
+                      "from_index=%llu)\n",
                       SawWebBuild, SawViewIndex,
                       static_cast<unsigned long long>(
-                          Snap.counter("web.from_index")),
-                      static_cast<unsigned long long>(
-                          Snap.counter("web.cache.hit")),
-                      static_cast<unsigned long long>(
-                          Snap.counter("load.cache.hit")));
+                          Snap.counter("web.from_index")));
           Exit = 1;
         }
         Telemetry::get().reset();
@@ -519,18 +478,15 @@ int main(int Argc, char **Argv) {
       std::remove(LPath.c_str());
       std::remove(RPath.c_str());
     }
-    WarmSpeedup = IndexedWarm > 0 ? IndexedCold / IndexedWarm : 0;
     IndexedColdSpeedup = IndexedCold > 0 ? PlainCold / IndexedCold : 0;
     char Buf[256];
     std::snprintf(Buf, sizeof(Buf),
-                  "\n  ],\n  \"repeat_diff_summary\": {\"warm_speedup\": "
-                  "%.2f, \"indexed_cold_speedup\": %.2f}",
-                  WarmSpeedup, IndexedColdSpeedup);
+                  "\n  ],\n  \"repeat_diff_summary\": "
+                  "{\"indexed_cold_speedup\": %.2f}",
+                  IndexedColdSpeedup);
     RepeatJson += Buf;
-    if (IndexedWarm > 0)
-      std::printf("  warm speedup vs cold: %.2fx; indexed cold speedup vs "
-                  "unindexed cold: %.2fx\n",
-                  IndexedCold / IndexedWarm, PlainCold / IndexedCold);
+    std::printf("  indexed speedup vs unindexed: %.2fx\n",
+                IndexedColdSpeedup);
   }
 
   // Trace production: how fast the VM turns a program into a finished
@@ -640,10 +596,10 @@ int main(int Argc, char **Argv) {
     char Buf[256];
     std::snprintf(Buf, sizeof(Buf),
                   ",\n  \"key_metrics\": {\"largest_speedup\": %.2f, "
-                  "\"warm_speedup\": %.2f, \"indexed_cold_speedup\": %.2f, "
+                  "\"indexed_cold_speedup\": %.2f, "
                   "\"trace_gen_entries_per_sec\": %.1f, "
                   "\"determinism_ok\": %s}",
-                  LargestSpeedup, WarmSpeedup, IndexedColdSpeedup,
+                  LargestSpeedup, IndexedColdSpeedup,
                   TraceGenEntriesPerSec, Exit == 0 ? "true" : "false");
     Json += Buf;
   }

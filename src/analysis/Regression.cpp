@@ -2,7 +2,6 @@
 
 #include "analysis/Regression.h"
 
-#include "cache/DiffCache.h"
 #include "support/Hashing.h"
 #include "support/Telemetry.h"
 
@@ -49,40 +48,32 @@ std::unordered_map<uint64_t, uint32_t> diffKeyCounts(const DiffResult &D) {
   return Counts;
 }
 
-DiffResult runDiff(const Trace &Left, const Trace &Right,
-                   const RegressionOptions &Options, DiffCache *Cache) {
-  if (Options.Engine == DiffEngineKind::Lcs)
-    return lcsDiff(Left, Right, Options.Lcs);
-  if (Cache)
-    return cachedViewsDiff(Left, Right, Options.Views, *Cache);
-  return viewsDiff(Left, Right, Options.Views);
-}
-
 } // namespace
 
 RegressionReport rprism::analyzeRegression(const RegressionInputs &Inputs,
                                            const RegressionOptions &Options) {
   RegressionReport Report;
-  // Scoped cache for the three diffs: its lifetime is contained in the
-  // input traces', so the address-keyed web entries stay valid. NewRegr's
-  // web carries from A into C and NewOk's from B into C — two of the six
-  // web builds become hits.
-  std::optional<DiffCache> Cache;
-  if (Options.Engine == DiffEngineKind::Views && Options.UseDiffCache)
-    Cache.emplace();
-  DiffCache *CachePtr = Cache ? &*Cache : nullptr;
-  {
-    TelemetrySpan S("diff-a");
-    Report.A = runDiff(*Inputs.OrigRegr, *Inputs.NewRegr, Options, CachePtr);
-  }
-  {
-    TelemetrySpan S("diff-b");
-    Report.B = runDiff(*Inputs.OrigOk, *Inputs.NewOk, Options, CachePtr);
-  }
-  {
-    TelemetrySpan S("diff-c");
-    Report.C = runDiff(*Inputs.NewOk, *Inputs.NewRegr, Options, CachePtr);
-  }
+  // Views engine: each of the four traces gets one web, built on first use.
+  // NewRegr's web serves A and C, NewOk's B and C, so the three diffs take
+  // four web builds instead of six.
+  enum { OrigOk, OrigRegr, NewOk, NewRegr };
+  const Trace *Traces[4] = {Inputs.OrigOk, Inputs.OrigRegr, Inputs.NewOk,
+                            Inputs.NewRegr};
+  std::optional<ViewWeb> Webs[4];
+  auto Diff = [&](const char *SpanName, int L, int R) {
+    TelemetrySpan S(SpanName);
+    if (Options.Engine == DiffEngineKind::Lcs)
+      return lcsDiff(*Traces[L], *Traces[R], Options.Lcs);
+    TelemetrySpan V("views-diff");
+    for (int I : {L, R})
+      if (!Webs[I])
+        Webs[I].emplace(*Traces[I], Options.Views.UseViewIndex);
+    ViewCorrelation X(*Webs[L], *Webs[R]);
+    return viewsDiff(*Webs[L], *Webs[R], X, Options.Views);
+  };
+  Report.A = Diff("diff-a", OrigRegr, NewRegr);
+  Report.B = Diff("diff-b", OrigOk, NewOk);
+  Report.C = Diff("diff-c", NewOk, NewRegr);
   TelemetrySpan CandidateSpan("candidate-set");
 
   Report.Stats.CompareOps = Report.A.Stats.CompareOps +

@@ -56,11 +56,6 @@ struct RegressionOptions {
   LcsDiffOptions Lcs;
   /// Code-removal mode: D = (A - B) - C (§4.1's variant).
   bool CodeRemoval = false;
-  /// Views engine only: route the three diffs through a scoped DiffCache so
-  /// the traces shared between them (NewOk in B and C, NewRegr in A and C)
-  /// have their view webs built once instead of twice. Results are
-  /// identical either way (`rprism --no-view-cache` turns this off).
-  bool UseDiffCache = true;
 };
 
 /// Result of the analysis.

@@ -1,4 +1,4 @@
-//===- cache/DiffCache.h - Digest-keyed LRU cache for repeat diffs --------===//
+//===- cache/DiffCache.h - Uncached forwarding shim for perfbench ---------===//
 //
 // Part of the RPrism/C++ reproduction of "Semantics-Aware Trace Analysis"
 // (Hoffman, Eugster, Jagannathan; PLDI 2009).
@@ -6,114 +6,43 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Regression cause analysis (§6) is a repeat-diff workload: the same
-/// passing/failing traces are differenced again and again as the user
-/// iterates, and batch diffs share a baseline side. DiffCache amortizes
-/// the three rebuildable stages across those repeats, in process:
-///
-///   traces        — keyed by (file content digest, interner), so N pairs
-///                   sharing a baseline load and fingerprint it once;
-///   view webs     — keyed by trace identity, so each side's web is built
-///                   (or reconstructed from its persisted ViewIndex) at
-///                   most once;
-///   correlations  — keyed by the web pair, self-contained result vectors.
-///
-/// Entries live in one LRU list bounded by a byte budget; evicting a
-/// trace also evicts the webs and correlations derived from it, and a
-/// cached web pins its cache-loaded trace so borrowed entry columns never
-/// outlive their backing bytes.
-///
-/// Lifetime contract: a trace or web passed in from *outside* the cache
-/// (not obtained from load()/web()) is keyed by address and must outlive
-/// the cache — use a scoped DiffCache whose lifetime is contained in the
-/// traces' (analyzeRegression does this), or the process-lifetime
-/// global() with traces the cache itself loaded.
-///
-/// Cache hits and misses are counted (`web.cache.{hit,miss}`,
-/// `correlate.cache.{hit,miss}`, `load.cache.{hit,miss}`). The counts are
-/// jobs-invariant — cache behavior does not depend on the worker count —
-/// so they stay inside the determinism contract for counters. The cache
-/// never changes results: hits return exactly what the miss path would
-/// rebuild (byte-identical reports, identical compare-op totals).
-///
+/// Exists only so the frozen perfbench harness (perfbench/tool.cpp) keeps
+/// compiling: stateless, each member forwards to the uncached call.
 //===----------------------------------------------------------------------===//
 
 #ifndef RPRISM_CACHE_DIFFCACHE_H
 #define RPRISM_CACHE_DIFFCACHE_H
 
 #include "diff/NWayDiff.h"
-#include "diff/ViewsDiff.h"
-#include "support/Expected.h"
-
-#include <list>
-#include <memory>
-#include <string>
-#include <unordered_map>
+#include "trace/Serialize.h"
 
 namespace rprism {
 
-class DiffCache {
-public:
-  /// Default byte budget for the payloads an instance retains.
-  static constexpr uint64_t DefaultMaxBytes = uint64_t{1} << 30;
-
-  explicit DiffCache(uint64_t MaxBytes = DefaultMaxBytes);
-  ~DiffCache();
-  DiffCache(const DiffCache &) = delete;
-  DiffCache &operator=(const DiffCache &) = delete;
-
-  /// Process-wide instance used by the rprism tool (`--no-view-cache`
-  /// bypasses it).
-  static DiffCache &global();
-
-  /// Loads the trace at \p Path through the cache: the file's content
-  /// digest plus the interner identity form the key, so re-loading the
-  /// same bytes (same path or a copy) into the same interner returns the
-  /// already-loaded trace without reading, validating, or fingerprinting
-  /// it again. Returns null on error (the typed diagnostic — class, code,
-  /// message — in \p Error).
+struct DiffCache {
+  static DiffCache &global() { static DiffCache G; return G; }
   std::shared_ptr<const Trace> load(const std::string &Path,
                                     std::shared_ptr<StringInterner> Strings,
-                                    Err *Error = nullptr);
-
-  /// The view web of \p T, built on first request (with \p Pool /
-  /// \p UseIndex, see ViewWeb) and returned from cache afterwards.
-  std::shared_ptr<const ViewWeb> web(const Trace &T,
-                                     ThreadPool *Pool = nullptr,
-                                     bool UseIndex = true);
-
-  /// The view correlation of (\p Left, \p Right), computed on first
-  /// request. The result is self-contained (plain index vectors), so it
-  /// stays valid even after the webs are gone.
-  std::shared_ptr<const ViewCorrelation> correlation(const ViewWeb &Left,
-                                                     const ViewWeb &Right);
-
-  /// Drops every entry.
-  void clear();
-
-  uint64_t bytes() const;   ///< Current payload bytes retained.
-  size_t numEntries() const;
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> M;
+                                    Err *Error = nullptr) {
+    Expected<Trace> T = readTrace(Path, std::move(Strings));
+    if (!T && Error)
+      *Error = T.error();
+    return T ? std::make_shared<const Trace>(T.take()) : nullptr;
+  }
+  std::shared_ptr<const ViewWeb> web(const Trace &T, ThreadPool * = nullptr,
+                                     bool UseIndex = true) {
+    return std::make_shared<const ViewWeb>(T, UseIndex);
+  }
+  auto correlation(const ViewWeb &L, const ViewWeb &R) {
+    return std::make_shared<const ViewCorrelation>(L, R);
+  }
+  void clear() {}
 };
 
-/// Drop-in replacement for the trace-level viewsDiff convenience overload
-/// that obtains webs and the correlation through \p Cache. First call per
-/// pair builds everything (cold); repeats skip web build and correlation
-/// (warm). The DiffResult — report bytes and compare-op totals — is
-/// identical to the uncached path for every jobs value.
-DiffResult cachedViewsDiff(const Trace &Left, const Trace &Right,
-                           const ViewsDiffOptions &Options, DiffCache &Cache);
-
-/// 1-vs-N variational diff with webs and correlations routed through
-/// \p Cache (the NWayProviders hook): the baseline web is built at most
-/// once across repeated studies, and mutants re-used between calls skip
-/// their web builds too. Results are identical to the uncached nwayDiff.
-NWayResult cachedNWayDiff(const Trace &Base,
-                          const std::vector<const Trace *> &Mutants,
-                          const ViewsDiffOptions &Options, DiffCache &Cache);
+inline NWayResult cachedNWayDiff(const Trace &Base,
+                                 const std::vector<const Trace *> &Mutants,
+                                 const ViewsDiffOptions &Options, DiffCache &) {
+  return nwayDiff(Base, Mutants, Options);
+}
 
 } // namespace rprism
 

@@ -2,6 +2,7 @@
 
 #include "correlate/Correlate.h"
 
+#include "support/Hashing.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -120,15 +121,23 @@ void ViewCorrelation::correlateMethods(const ViewWeb &Left,
 void ViewCorrelation::correlateObjects(const ViewWeb &Left,
                                        const ViewWeb &Right, ViewType Type) {
   // Index right object views by (class, value-hash) — both first and last
-  // observed representations — and by (class, creation seq).
-  auto HashKey = [](Symbol Class, uint64_t Hash) {
-    return (static_cast<uint64_t>(Class.Id) << 32) ^ Hash;
+  // observed representations — and by (class, creation seq). The value
+  // key is a real pair: folding the class into the 64-bit hash would let
+  // two classes alias (CorrelateEdge.ValueKeyNeverLinksAcrossClasses).
+  using HashKey = std::pair<uint32_t, uint64_t>;
+  struct HashKeyHash {
+    size_t operator()(const HashKey &K) const {
+      return hashCombine(K.first, K.second);
+    }
+  };
+  auto ReprKey = [](const ObjRepr &R) {
+    return HashKey(R.ClassName.Id, R.ValueHash);
   };
   auto SeqKey = [](Symbol Class, uint32_t Seq) {
     return (static_cast<uint64_t>(Class.Id) << 32) | Seq;
   };
 
-  std::unordered_map<uint64_t, uint32_t> ByValueHash;
+  std::unordered_map<HashKey, uint32_t, HashKeyHash> ByValueHash;
   std::unordered_map<uint64_t, uint32_t> BySeq;
   for (const View &RV : Right.views()) {
     if (RV.Type != Type)
@@ -137,11 +146,9 @@ void ViewCorrelation::correlateObjects(const ViewWeb &Left,
     // instances sharing the pre-constructor default state), the more
     // informative representation owns the slot.
     if (RV.LastRepr.HasRepr)
-      ByValueHash.try_emplace(
-          HashKey(RV.LastRepr.ClassName, RV.LastRepr.ValueHash), RV.Id);
+      ByValueHash.try_emplace(ReprKey(RV.LastRepr), RV.Id);
     if (RV.FirstRepr.HasRepr)
-      ByValueHash.try_emplace(
-          HashKey(RV.FirstRepr.ClassName, RV.FirstRepr.ValueHash), RV.Id);
+      ByValueHash.try_emplace(ReprKey(RV.FirstRepr), RV.Id);
     BySeq.try_emplace(SeqKey(RV.FirstRepr.ClassName, RV.FirstRepr.CreationSeq),
                       RV.Id);
   }
@@ -163,14 +170,12 @@ void ViewCorrelation::correlateObjects(const ViewWeb &Left,
     if (LV.Type != Type)
       continue;
     if (LV.LastRepr.HasRepr) {
-      auto It = ByValueHash.find(
-          HashKey(LV.LastRepr.ClassName, LV.LastRepr.ValueHash));
+      auto It = ByValueHash.find(ReprKey(LV.LastRepr));
       if (It != ByValueHash.end() && TryLink(LV.Id, It->second))
         continue;
     }
     if (LV.FirstRepr.HasRepr) {
-      auto It = ByValueHash.find(
-          HashKey(LV.FirstRepr.ClassName, LV.FirstRepr.ValueHash));
+      auto It = ByValueHash.find(ReprKey(LV.FirstRepr));
       if (It != ByValueHash.end())
         TryLink(LV.Id, It->second);
     }

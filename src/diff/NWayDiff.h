@@ -26,8 +26,6 @@
 
 #include "diff/ViewsDiff.h"
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -101,30 +99,13 @@ struct NWayResult {
   std::string render(size_t MaxClusters = 50) const;
 };
 
-/// Pluggable construction of webs and correlations, letting a caller
-/// route them through a cache without this module depending on one (the
-/// cache module layers on top of diff; see cachedNWayDiff there). Both
-/// callbacks must return results identical to direct construction — the
-/// existing DiffCache contract.
-struct NWayProviders {
-  std::function<std::shared_ptr<const ViewWeb>(const Trace &, ThreadPool *,
-                                               bool UseIndex)>
-      Web;
-  std::function<std::shared_ptr<const ViewCorrelation>(const ViewWeb &,
-                                                       const ViewWeb &)>
-      Correlation;
-};
-
 /// Differences \p Base against every trace in \p Mutants (all sharing the
 /// baseline's StringInterner). The baseline's web and fingerprint lanes
-/// are built once and reused by every mutant evaluation; \p Providers,
-/// when its callbacks are set, supplies webs/correlations (cache hook).
-/// Results are byte-identical to the N pairwise viewsDiff calls under
-/// \p Options.
+/// are built once and reused by every mutant evaluation. Results are
+/// byte-identical to the N pairwise viewsDiff calls under \p Options.
 NWayResult nwayDiff(const Trace &Base,
                     const std::vector<const Trace *> &Mutants,
-                    const ViewsDiffOptions &Options = ViewsDiffOptions(),
-                    const NWayProviders &Providers = NWayProviders());
+                    const ViewsDiffOptions &Options = ViewsDiffOptions());
 
 } // namespace rprism
 

@@ -534,7 +534,12 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
 
   std::optional<ThreadPool> OwnPool;
   if (!Pool) {
-    OwnPool.emplace(effectiveDiffJobs(Options, LT.size() + RT.size()));
+    // The adaptive cutoff may clamp the worker count to 1 (sequential
+    // path); the result is identical either way, so only the schedule
+    // changes. The choice is a gauge (exempt from jobs invariance).
+    unsigned Jobs = effectiveDiffJobs(Options, LT.size() + RT.size());
+    Telemetry::gaugeMax("diff.effective_jobs", static_cast<double>(Jobs));
+    OwnPool.emplace(Jobs);
     Pool = &*OwnPool;
   }
 
@@ -712,17 +717,8 @@ unsigned rprism::effectiveDiffJobs(const ViewsDiffOptions &Options,
 DiffResult rprism::viewsDiff(const Trace &Left, const Trace &Right,
                              const ViewsDiffOptions &Options) {
   TelemetrySpan Span("views-diff");
-  // One pool for the whole pipeline: both web builds (four index families
-  // each) and the thread-pair evaluation stage. The adaptive cutoff may
-  // clamp the worker count to 1 (sequential path); the result is identical
-  // by the determinism contract, so only the schedule changes. The chosen
-  // mode is recorded as a gauge (gauges are exempt from the jobs-
-  // invariance contract).
-  unsigned Jobs = effectiveDiffJobs(Options, Left.size() + Right.size());
-  Telemetry::gaugeMax("diff.effective_jobs", static_cast<double>(Jobs));
-  ThreadPool Pool(Jobs);
-  ViewWeb LeftWeb(Left, &Pool, Options.UseViewIndex);
-  ViewWeb RightWeb(Right, &Pool, Options.UseViewIndex);
+  ViewWeb LeftWeb(Left, Options.UseViewIndex);
+  ViewWeb RightWeb(Right, Options.UseViewIndex);
   ViewCorrelation X(LeftWeb, RightWeb);
-  return viewsDiff(LeftWeb, RightWeb, X, Options, &Pool);
+  return viewsDiff(LeftWeb, RightWeb, X, Options);
 }

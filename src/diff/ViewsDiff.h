@@ -45,12 +45,12 @@ struct ViewsDiffOptions {
   unsigned ScanAhead = 4096; ///< Max skip to the next sync point.
   bool ExploreSecondaryViews = true; ///< Ablation: off = pure lock-step.
   bool RelaxedCorrelation = true;    ///< §5 refactoring tolerance.
-  /// Worker threads for the pipeline (view-web builds, per-thread-pair
-  /// evaluation, pair fingerprinting). 0 = hardware_concurrency; 1 runs
-  /// the sequential path bit-for-bit. Every thread-pair evaluation is
-  /// isolated (own anchors, similarity marks, and compare counter) and the
-  /// per-pair results are merged in correlation order, so the DiffResult —
-  /// including total compare-op counts — is identical for every value.
+  /// Worker threads for per-thread-pair evaluation. 0 =
+  /// hardware_concurrency; 1 runs the sequential path bit-for-bit. Every
+  /// thread-pair evaluation is isolated (own anchors, similarity marks,
+  /// and compare counter) and the per-pair results are merged in
+  /// correlation order, so the DiffResult — including total compare-op
+  /// counts — is identical for every value.
   unsigned Jobs = 0;
   /// Adaptive parallelism cutoff: when the two traces together hold fewer
   /// entries than this, `Jobs > 1` silently takes the sequential path —
@@ -64,7 +64,7 @@ struct ViewsDiffOptions {
   /// Reconstruct view webs from a trace's persisted ViewIndex when one is
   /// present (the warm path for indexed trace files). Off = always build by
   /// scanning the entries; the result is identical either way (`rprism
-  /// --no-view-cache` sets this off together with the diff cache).
+  /// --no-view-cache` sets this off).
   bool UseViewIndex = true;
 };
 
@@ -117,8 +117,8 @@ DiffResult viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
                      ThreadPool *Pool = nullptr,
                      const BaselineLanes *SharedLeft = nullptr);
 
-/// Convenience: builds webs + correlation internally (web index families
-/// build concurrently on the Options.Jobs pool).
+/// Convenience: builds both webs and their correlation, then evaluates on
+/// a pool of effectiveDiffJobs workers.
 DiffResult viewsDiff(const Trace &Left, const Trace &Right,
                      const ViewsDiffOptions &Options = ViewsDiffOptions());
 

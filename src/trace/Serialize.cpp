@@ -384,15 +384,13 @@ bool parseSegHeader(const FileBytes &File, uint64_t Off, SegExtent &Out) {
 /// The footer directory as the trailer locates it.
 struct FooterDir {
   const uint8_t *Data = nullptr; ///< Footer magic and count, then records.
-  uint64_t Checksum = 0;
   uint32_t NumSegments = 0;
 };
 
 /// Parses the trailer and verifies the footer it points at: bounds,
-/// checksum, magic, record count. Both the reader and traceFileDigest go
-/// through here. The trailer is untrusted, so every bound is checked in a
-/// form that cannot wrap around: a hostile offset plus footer length may
-/// overflow 64 bits.
+/// checksum, magic, record count. The trailer is untrusted, so every bound
+/// is checked in a form that cannot wrap around: a hostile offset plus
+/// footer length may overflow 64 bits.
 std::optional<FooterDir> parseFooter(const FileBytes &File) {
   if (File.Size < SegFileHeaderBytes + SegTrailerBytes)
     return std::nullopt;
@@ -416,7 +414,7 @@ std::optional<FooterDir> parseFooter(const FileBytes &File) {
   std::memcpy(&FCount, F + 4, 4);
   if (FMagic != FooterMagic || FCount != NumSegments)
     return std::nullopt;
-  return FooterDir{F, FooterChecksum, NumSegments};
+  return FooterDir{F, NumSegments};
 }
 
 /// The segment's parsed section table; record offsets are relative to the
@@ -1060,32 +1058,6 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
   if (Result)
     Telemetry::counterAdd("trace.entries_loaded", Result->size());
   return Result;
-}
-
-Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
-  FileBytes File;
-  IoStatus Status = loadFileBytes(Path, File);
-  if (Status == IoStatus::NotFound)
-    return TraceError::notFound(Path);
-  if (Status == IoStatus::Error)
-    return TraceError::cannotOpen(Path);
-  if (File.Size < 8)
-    return TraceError::truncated(Path);
-  uint32_t Head[2];
-  std::memcpy(Head, File.Data, sizeof(Head));
-  if (Head[0] != TraceMagic)
-    return TraceError::notATrace(Path);
-  // The footer directory carries the segment table's digest, and the
-  // table carries per-payload checksums, so header + footer cover the whole
-  // content without touching the (potentially large) payload bytes. Only
-  // usable when the trailer and footer verify.
-  if (Head[1] == TraceVersion)
-    if (std::optional<FooterDir> Dir = parseFooter(File))
-      return hashCombine(checksumBytes(File.Data, SegFileHeaderBytes),
-                         Dir->Checksum, File.Size);
-  // A damaged or foreign file (which a full read will reject anyway):
-  // hash the entire file.
-  return hashCombine(checksumBytes(File.Data, File.Size), File.Size);
 }
 
 std::string rprism::dumpTrace(const Trace &T) {

@@ -95,14 +95,6 @@ Expected<Trace> readTrace(const std::string &Path,
                           std::shared_ptr<StringInterner> Strings,
                           const ReadOptions &Options);
 
-/// Content digest of a trace file, for cache keying (DiffCache): two
-/// paths with equal digests hold the same trace bytes. Hashes only the
-/// file header and the footer directory (whose record embeds the segment
-/// table's digest, and the table each payload's checksum); a file without
-/// a verifiable footer hashes in full. Errors on unreadable or non-trace
-/// files.
-Expected<uint64_t> traceFileDigest(const std::string &Path);
-
 /// Renders the whole trace as text, one entry per line (debugging aid and
 /// the `trace_inspect` example's output format).
 std::string dumpTrace(const Trace &T);

@@ -3,8 +3,6 @@
 #include "views/Views.h"
 
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
-#include "support/TraceEventRecorder.h"
 
 #include <algorithm>
 #include <sstream>
@@ -30,16 +28,12 @@ static bool hasTargetObject(EventKind Kind, const ObjRepr &Target) {
 
 namespace {
 
-/// One view family built by an independent scan: views in first-appearance
-/// order with family-local ids. Keys (tids, interned symbol ids, store
-/// locations) are small dense integers, so the key -> local-id map is a
-/// direct-indexed vector — one bounds check + load per entry on the build
-/// hot path instead of a hash probe. The web's hash index is built once
-/// per family afterwards (O(views), not O(entries)).
-///
-/// Each builder scans only the column(s) its family keys on — the payoff
-/// of the columnar trace: the thread scan streams 4 bytes/entry, not a
-/// 144-byte struct.
+/// One view family: views in first-appearance order with family-local ids.
+/// Keys (tids, interned symbol ids, store locations) are small dense
+/// integers, so the key -> local-id map is a direct-indexed vector — one
+/// bounds check + load per entry on the build hot path instead of a hash
+/// probe. The web's hash index is built once per family afterwards
+/// (O(views), not O(entries)).
 struct FamilyBuild {
   std::vector<View> Views;
   std::vector<uint32_t> Dense; ///< key -> local id; ~0u = no view yet.
@@ -56,91 +50,11 @@ struct FamilyBuild {
   }
 };
 
-/// nu_TH: every entry belongs to its thread's view. Reads the tid column.
-FamilyBuild buildThreadFamily(const Trace &T) {
-  FamilyBuild F;
-  const uint32_t *Tids = T.Tids.data();
-  uint32_t N = static_cast<uint32_t>(T.size());
-  for (uint32_t Eid = 0; Eid != N; ++Eid) {
-    View &V = F.getOrCreate(Tids[Eid]);
-    if (V.Entries.empty()) {
-      V.Type = ViewType::Thread;
-      V.Tid = Tids[Eid];
-    }
-    V.Entries.push_back(Eid);
-  }
-  return F;
-}
-
-/// nu_CM: the (qualified) method on top of the call stack. Reads the
-/// method column.
-FamilyBuild buildMethodFamily(const Trace &T) {
-  FamilyBuild F;
-  const Symbol *Methods = T.Methods.data();
-  uint32_t N = static_cast<uint32_t>(T.size());
-  for (uint32_t Eid = 0; Eid != N; ++Eid) {
-    View &V = F.getOrCreate(Methods[Eid].Id);
-    if (V.Entries.empty()) {
-      V.Type = ViewType::Method;
-      V.MethodName = Methods[Eid];
-    }
-    V.Entries.push_back(Eid);
-  }
-  return F;
-}
-
-/// nu_TO: the event's target object, when it has one. Reads the kind and
-/// target columns. LastRepr is filled in one pass at the end (each view's
+/// All four families (nu_TH, nu_CM, nu_TO, nu_AO) in one pass over the
+/// keyed columns. TO/AO LastRepr is filled once at the end (each view's
 /// last entry) rather than overwritten per entry — the per-entry struct
 /// copy was measurable on long traces.
-FamilyBuild buildTargetObjectFamily(const Trace &T) {
-  FamilyBuild F;
-  const uint8_t *Kinds = T.Kinds.data();
-  const ObjRepr *Targets = T.Targets.data();
-  uint32_t N = static_cast<uint32_t>(T.size());
-  for (uint32_t Eid = 0; Eid != N; ++Eid) {
-    if (!hasTargetObject(static_cast<EventKind>(Kinds[Eid]), Targets[Eid]))
-      continue;
-    View &V = F.getOrCreate(Targets[Eid].Loc);
-    if (V.Entries.empty()) {
-      V.Type = ViewType::TargetObject;
-      V.Loc = Targets[Eid].Loc;
-      V.FirstRepr = Targets[Eid];
-    }
-    V.Entries.push_back(Eid);
-  }
-  for (View &V : F.Views)
-    V.LastRepr = Targets[V.Entries.back()];
-  return F;
-}
-
-/// nu_AO: the receiver of the executing method, when there is one. Reads
-/// the self column.
-FamilyBuild buildActiveObjectFamily(const Trace &T) {
-  FamilyBuild F;
-  const ObjRepr *Selfs = T.Selfs.data();
-  uint32_t N = static_cast<uint32_t>(T.size());
-  for (uint32_t Eid = 0; Eid != N; ++Eid) {
-    if (Selfs[Eid].isNone())
-      continue;
-    View &V = F.getOrCreate(Selfs[Eid].Loc);
-    if (V.Entries.empty()) {
-      V.Type = ViewType::ActiveObject;
-      V.Loc = Selfs[Eid].Loc;
-      V.FirstRepr = Selfs[Eid];
-    }
-    V.Entries.push_back(Eid);
-  }
-  for (View &V : F.Views)
-    V.LastRepr = Selfs[V.Entries.back()];
-  return F;
-}
-
-/// Sequential path: all four families in ONE pass over the trace (the
-/// keyed columns are the dominant memory traffic; four separate scans only
-/// pay off when they run on different cores). Produces exactly what the
-/// four independent builders produce.
-void buildAllFamiliesFused(const Trace &T, FamilyBuild Families[4]) {
+void buildAllFamilies(const Trace &T, FamilyBuild Families[4]) {
   const uint32_t *Tids = T.Tids.data();
   const Symbol *Methods = T.Methods.data();
   const uint8_t *Kinds = T.Kinds.data();
@@ -190,66 +104,21 @@ void buildAllFamiliesFused(const Trace &T, FamilyBuild Families[4]) {
 
 } // namespace
 
-ViewWeb::ViewWeb(const Trace &TIn, ThreadPool *Pool, bool UseIndex)
-    : T(&TIn) {
+ViewWeb::ViewWeb(const Trace &TIn, bool UseIndex) : T(&TIn) {
   // Warm path: a trace carrying its persisted partitioning skips the
-  // entry scans — and the "web-build" span — entirely. The reconstruction
+  // entry scan — and the "web-build" span — entirely. The reconstruction
   // is O(views), not O(entries), and produces the identical web (same
-  // dense ids, same entry lists; pinned by the CacheTest property test).
+  // dense ids, same entry lists; pinned by the ViewIndexProperty tests).
   if (UseIndex && TIn.ViewIdx.Present) {
     buildFromIndex(TIn.ViewIdx);
     return;
   }
 
-  // The four families are built by independent scans (each touches only
-  // its own map and view list), so they parallelize without shared state;
-  // the deterministic concatenation below assigns the same dense ids
-  // regardless of completion order. Without workers the four scans fuse
-  // into one pass.
+  // Dense ids are family-grouped: the concatenation below numbers all
+  // thread views first, then method, target-object, active-object.
   TelemetrySpan WebSpan("web-build");
   FamilyBuild Families[4];
-  if (Pool && Pool->numWorkers() > 1) {
-    Pool->submit([&] {
-      TelemetrySpan S("thread");
-      Families[0] = buildThreadFamily(*T);
-    });
-    Pool->submit([&] {
-      TelemetrySpan S("method");
-      Families[1] = buildMethodFamily(*T);
-    });
-    Pool->submit([&] {
-      TelemetrySpan S("target-object");
-      Families[2] = buildTargetObjectFamily(*T);
-    });
-    Pool->submit([&] {
-      TelemetrySpan S("active-object");
-      Families[3] = buildActiveObjectFamily(*T);
-    });
-    Pool->wait();
-  } else if (Telemetry::enabled() || TraceEventRecorder::armed()) {
-    // Instrumented runs (telemetry or timeline tracing) take the four
-    // separate scans sequentially so the per-family spans exist (with
-    // identical paths and names) at --jobs 1 too. The builders produce
-    // exactly what the fused pass produces.
-    {
-      TelemetrySpan S("thread");
-      Families[0] = buildThreadFamily(*T);
-    }
-    {
-      TelemetrySpan S("method");
-      Families[1] = buildMethodFamily(*T);
-    }
-    {
-      TelemetrySpan S("target-object");
-      Families[2] = buildTargetObjectFamily(*T);
-    }
-    {
-      TelemetrySpan S("active-object");
-      Families[3] = buildActiveObjectFamily(*T);
-    }
-  } else {
-    buildAllFamiliesFused(*T, Families);
-  }
+  buildAllFamilies(*T, Families);
 
   std::unordered_map<uint32_t, uint32_t> *Indices[4] = {
       &ThreadIndex, &MethodIndex, &TargetIndex, &ActiveIndex};

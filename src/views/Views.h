@@ -62,24 +62,19 @@ struct View {
   size_t size() const { return Entries.size(); }
 };
 
-class ThreadPool;
-
 /// The full web of views for one trace.
 class ViewWeb {
 public:
-  /// Builds every view of \p T. The trace must outlive the web. Each of
-  /// the four view families (thread, method, target-object, active-object)
-  /// is built by an independent scan over the trace; with \p Pool the four
-  /// scans run concurrently. View ids are dense and family-grouped (all
+  /// Builds every view of \p T in one pass over its columns. The trace
+  /// must outlive the web. View ids are dense and family-grouped (all
   /// thread views first, then method, target-object, active-object, each
-  /// in order of first appearance) — identical with and without a pool.
+  /// in order of first appearance).
   ///
   /// When \p UseIndex is set and the trace carries a current ViewIndex
-  /// (loaded from an indexed trace file or precomputed), the entry scans are
+  /// (loaded from an indexed trace file or precomputed), the entry scan is
   /// skipped entirely: views are reconstructed from the index in O(views)
   /// with entry lists borrowed zero-copy, producing the identical web.
-  explicit ViewWeb(const Trace &T, ThreadPool *Pool = nullptr,
-                   bool UseIndex = true);
+  explicit ViewWeb(const Trace &T, bool UseIndex = true);
 
   const Trace &trace() const { return *T; }
 

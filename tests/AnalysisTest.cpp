@@ -9,6 +9,7 @@
 #include "analysis/Regression.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
+#include "support/Telemetry.h"
 #include "workload/Corpus.h"
 
 #include <gtest/gtest.h>
@@ -187,6 +188,39 @@ TEST(Analysis, RegressionSequencesExactlyCoverD) {
       HasD = HasD || Report.DRight[Eid];
     EXPECT_EQ(HasD, InReported[I]) << "sequence " << I;
   }
+}
+
+TEST(Analysis, ThreeDiffsBuildFourWebsAndMatchStandaloneDiffs) {
+  FourRuns S = runSetup(OrigProgram, NewProgram, 50, 20);
+  Telemetry::get().reset();
+  Telemetry::get().setEnabled(true);
+  RegressionReport Report = analyzeRegression(S.inputs());
+  TelemetrySnapshot Snap = Telemetry::get().snapshot();
+  Telemetry::get().setEnabled(false);
+  Telemetry::get().reset();
+
+  // One web per trace: NewRegr's serves A and C, NewOk's B and C.
+  uint64_t WebBuilds = 0;
+  for (const SpanStat &Span : Snap.Spans)
+    if (Span.name() == "web-build")
+      WebBuilds += Span.Count;
+  EXPECT_EQ(WebBuilds, 4u);
+
+  // Sharing webs changes nothing: each diff is the standalone viewsDiff.
+  auto Standalone = [](const RunResult &L, const RunResult &R) {
+    return viewsDiff(L.ExecTrace, R.ExecTrace);
+  };
+  const DiffResult Expected[3] = {Standalone(S.OrigRegr, S.NewRegr),
+                                  Standalone(S.OrigOk, S.NewOk),
+                                  Standalone(S.NewOk, S.NewRegr)};
+  const DiffResult *Got[3] = {&Report.A, &Report.B, &Report.C};
+  uint64_t Ops = 0;
+  for (int I = 0; I != 3; ++I) {
+    EXPECT_EQ(Got[I]->render(50, 12), Expected[I].render(50, 12)) << I;
+    EXPECT_EQ(Got[I]->Stats.CompareOps, Expected[I].Stats.CompareOps) << I;
+    Ops += Expected[I].Stats.CompareOps;
+  }
+  EXPECT_EQ(Report.Stats.CompareOps, Ops);
 }
 
 TEST(Analysis, LcsEngineAgreesOnTheCause) {

@@ -1,4 +1,4 @@
-//===- tests/CacheTest.cpp - View-index persistence and DiffCache tests ---===//
+//===- tests/CacheTest.cpp - View-index persistence tests -----------------===//
 //
 // Part of the RPrism/C++ reproduction of "Semantics-Aware Trace Analysis"
 // (Hoffman, Eugster, Jagannathan; PLDI 2009).
@@ -6,27 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pins the two warm-path contracts of the repeat-diff machinery:
-///
-///   1. A view web reconstructed from a trace's ViewIndex — computed in
-///      memory or round-tripped through the trace-file sections — is
-///      *identical* to one built by scanning the entries (randomized over
-///      generated workloads), and damaged index sections are rejected,
-///      never half-used.
-///   2. DiffCache returns the exact objects it cached (hits observable via
-///      counters), evicts cold entries with their dependents, and
-///      cachedViewsDiff produces byte-identical reports and identical
-///      compare-op totals across {cold, warm, uncached} × jobs values.
+/// Pins the warm-path contract of the persisted view index: a view web
+/// reconstructed from a trace's ViewIndex — computed in memory or
+/// round-tripped through the trace-file sections — is *identical* to one
+/// built by scanning the entries (randomized over generated workloads),
+/// and damaged index sections are rejected, never half-used.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Regression.h"
-#include "cache/DiffCache.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
 #include "support/Telemetry.h"
 #include "trace/Serialize.h"
 #include "trace/ViewIndex.h"
+#include "views/Views.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -141,8 +134,8 @@ TEST(ViewIndexProperty, ReconstructedWebMatchesFreshBuild) {
     ASSERT_TRUE(T.ViewIdx.Present);
     EXPECT_TRUE(viewIndexIsValid(T.ViewIdx, T.size())) << "round " << Round;
 
-    ViewWeb Fresh(T, nullptr, /*UseIndex=*/false);
-    ViewWeb FromIndex(T, nullptr, /*UseIndex=*/true);
+    ViewWeb Fresh(T, /*UseIndex=*/false);
+    ViewWeb FromIndex(T, /*UseIndex=*/true);
     expectWebsEqual(Fresh, FromIndex);
   }
 }
@@ -159,8 +152,8 @@ TEST(ViewIndexProperty, RoundTripThroughTraceFileMatchesFreshBuild) {
     ASSERT_TRUE(Loaded->ViewIdx.Present);
     EXPECT_TRUE(viewIndexIsValid(Loaded->ViewIdx, Loaded->size()));
 
-    ViewWeb Fresh(*Loaded, nullptr, /*UseIndex=*/false);
-    ViewWeb FromIndex(*Loaded, nullptr, /*UseIndex=*/true);
+    ViewWeb Fresh(*Loaded, /*UseIndex=*/false);
+    ViewWeb FromIndex(*Loaded, /*UseIndex=*/true);
     expectWebsEqual(Fresh, FromIndex);
     std::remove(Path.c_str());
   }
@@ -181,8 +174,8 @@ TEST(ViewIndexProperty, IndexSurvivesSymbolRemapIntoBusyInterner) {
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   ASSERT_TRUE(Loaded->ViewIdx.Present);
 
-  ViewWeb Fresh(*Loaded, nullptr, /*UseIndex=*/false);
-  ViewWeb FromIndex(*Loaded, nullptr, /*UseIndex=*/true);
+  ViewWeb Fresh(*Loaded, /*UseIndex=*/false);
+  ViewWeb FromIndex(*Loaded, /*UseIndex=*/true);
   expectWebsEqual(Fresh, FromIndex);
   std::remove(Path.c_str());
 }
@@ -250,7 +243,7 @@ TEST(ViewIndexSerialize, FileWithoutIndexLoadsWithNoIndex) {
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   EXPECT_FALSE(Loaded->ViewIdx.Present);
   // The cold path still works and web-building is unaffected.
-  ViewWeb Fresh(T, nullptr, /*UseIndex=*/false);
+  ViewWeb Fresh(T, /*UseIndex=*/false);
   ViewWeb Web(*Loaded);
   expectWebsEqual(Fresh, Web);
   std::remove(Path.c_str());
@@ -312,7 +305,7 @@ TEST(ViewIndexSerialize, CorruptIndexPayloadDegradesToColumnRebuild) {
   EXPECT_FALSE(Report.Salvaged);
   EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
   // The web rebuilt from the columns matches a fresh build exactly.
-  ViewWeb Fresh(T, nullptr, /*UseIndex=*/false);
+  ViewWeb Fresh(T, /*UseIndex=*/false);
   ViewWeb Web(*Loaded);
   expectWebsEqual(Fresh, Web);
   std::remove(Path.c_str());
@@ -386,219 +379,6 @@ TEST(ViewIndexSerialize, TruncatedIndexedFiles) {
     EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt) << "cut at " << Cut;
   }
   std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// DiffCache
-//===----------------------------------------------------------------------===//
-
-TEST(DiffCache, WebHitsReturnTheSameObject) {
-  Trace T = traceOf(ObjectsProgram);
-  DiffCache Cache;
-  TelemetryWindow W;
-  std::shared_ptr<const ViewWeb> First = Cache.web(T);
-  std::shared_ptr<const ViewWeb> Second = Cache.web(T);
-  EXPECT_EQ(First.get(), Second.get());
-  EXPECT_EQ(W.counter("web.cache.miss"), 1u);
-  EXPECT_EQ(W.counter("web.cache.hit"), 1u);
-}
-
-TEST(DiffCache, CorrelationHitsReturnTheSameObject) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace Left = traceOf(ObjectsProgram, Strings);
-  Trace Right = traceOf(ObjectsProgram, Strings);
-  DiffCache Cache;
-  TelemetryWindow W;
-  auto LW = Cache.web(Left);
-  auto RW = Cache.web(Right);
-  auto First = Cache.correlation(*LW, *RW);
-  auto Second = Cache.correlation(*LW, *RW);
-  EXPECT_EQ(First.get(), Second.get());
-  EXPECT_EQ(W.counter("correlate.cache.miss"), 1u);
-  EXPECT_EQ(W.counter("correlate.cache.hit"), 1u);
-  // Orientation matters: the reversed pair is a different correlation.
-  auto Reversed = Cache.correlation(*RW, *LW);
-  EXPECT_NE(Reversed.get(), First.get());
-  EXPECT_EQ(W.counter("correlate.cache.miss"), 2u);
-}
-
-TEST(DiffCache, LoadDedupsByContentDigest) {
-  Trace T = traceOf(ObjectsProgram);
-  std::string PathA = tempPath("loadA");
-  std::string PathB = tempPath("loadB");
-  ASSERT_TRUE(writeTrace(T, PathA));
-  ASSERT_TRUE(writeTrace(T, PathB)); // Identical bytes, different path.
-
-  auto Strings = std::make_shared<StringInterner>();
-  DiffCache Cache;
-  TelemetryWindow W;
-  Err Error;
-  auto A = Cache.load(PathA, Strings, &Error);
-  ASSERT_TRUE(A != nullptr) << Error.render();
-  auto B = Cache.load(PathB, Strings, &Error);
-  ASSERT_TRUE(B != nullptr) << Error.render();
-  EXPECT_EQ(A.get(), B.get()) << "same bytes must dedup to one trace";
-  EXPECT_EQ(W.counter("load.cache.miss"), 1u);
-  EXPECT_EQ(W.counter("load.cache.hit"), 1u);
-
-  // A different interner is a different key: traces must not leak symbols
-  // across interners.
-  auto Other = std::make_shared<StringInterner>();
-  auto C = Cache.load(PathA, Other, &Error);
-  ASSERT_TRUE(C != nullptr) << Error.render();
-  EXPECT_NE(C.get(), A.get());
-  EXPECT_EQ(W.counter("load.cache.miss"), 2u);
-
-  EXPECT_GT(Cache.bytes(), 0u);
-  std::remove(PathA.c_str());
-  std::remove(PathB.c_str());
-}
-
-TEST(DiffCache, LoadReportsErrors) {
-  DiffCache Cache;
-  Err Error;
-  EXPECT_EQ(Cache.load("/tmp/definitely/not/here", nullptr, &Error), nullptr);
-  EXPECT_FALSE(Error.Message.empty());
-  EXPECT_EQ(Error.Class, ErrClass::Io);
-  EXPECT_EQ(Error.Code, "trace.not_found");
-}
-
-TEST(DiffCache, EvictsColdEntriesUnderByteBudget) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace A = traceOf(ObjectsProgram, Strings);
-  Trace B = traceOf(ObjectsProgram, Strings);
-  DiffCache Tiny(/*MaxBytes=*/1); // Any second entry exceeds the budget.
-  TelemetryWindow W;
-  auto WA = Tiny.web(A);
-  // A single oversized entry stays cached (evicting it would thrash).
-  EXPECT_EQ(Tiny.numEntries(), 1u);
-  auto WB = Tiny.web(B);
-  EXPECT_EQ(Tiny.numEntries(), 1u) << "cold entry not evicted";
-  // A's entry was evicted, so re-requesting it is a miss again — and the
-  // previously returned web stays valid through its own shared_ptr.
-  auto WA2 = Tiny.web(A);
-  EXPECT_EQ(W.counter("web.cache.miss"), 3u);
-  EXPECT_EQ(W.counter("web.cache.hit"), 0u);
-  EXPECT_NE(WA.get(), WA2.get());
-  EXPECT_EQ(WA->numViews(), WA2->numViews());
-}
-
-TEST(DiffCache, ZeroBudgetKeepsOneEntryWithoutLoopingOrUnderflow) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace A = traceOf(ObjectsProgram, Strings);
-  Trace B = traceOf(ObjectsProgram, Strings);
-  // Budget 0 makes every entry oversized: each insert must keep only the
-  // newest entry, evict the rest, and return — the test completing at all
-  // proves the eviction loop terminates when nothing can satisfy the
-  // budget.
-  DiffCache Zero(/*MaxBytes=*/0);
-  auto WA = Zero.web(A);
-  EXPECT_EQ(Zero.numEntries(), 1u);
-  uint64_t BytesA = Zero.bytes();
-  EXPECT_GT(BytesA, 0u);
-  auto WB = Zero.web(B);
-  EXPECT_EQ(Zero.numEntries(), 1u) << "oversized entry pinned forever";
-  // Accounting tracks exactly the retained entry; an eviction underflow
-  // would wrap TotalBytes to a huge value.
-  EXPECT_LT(Zero.bytes(), uint64_t{1} << 40);
-  EXPECT_GT(Zero.bytes(), 0u);
-  // Correlations behave the same way: the diff still computes correctly.
-  DiffResult Cached = cachedViewsDiff(A, B, ViewsDiffOptions(), Zero);
-  DiffResult Plain = viewsDiff(A, B, ViewsDiffOptions());
-  EXPECT_EQ(Plain.render(50, 12), Cached.render(50, 12));
-  EXPECT_EQ(Zero.numEntries(), 1u);
-  Zero.clear();
-  EXPECT_EQ(Zero.bytes(), 0u);
-  EXPECT_EQ(Zero.numEntries(), 0u);
-}
-
-TEST(DiffCache, AnalyzeWithoutCacheLeavesGlobalUntouched) {
-  // `--no-view-cache` must bypass the accountant entirely: an uncached
-  // analysis run may not charge bytes to (or create entries in) the
-  // process-wide cache.
-  DiffCache::global().clear();
-  auto Strings = std::make_shared<StringInterner>();
-  Trace OrigOk = traceOf(ObjectsProgram, Strings);
-  Trace OrigRegr = traceOf(ObjectsProgram, Strings);
-  Trace NewOk = traceOf(ObjectsProgram, Strings);
-  Trace NewRegr = traceOf(ObjectsProgram, Strings);
-  RegressionInputs Inputs{&OrigOk, &OrigRegr, &NewOk, &NewRegr};
-  RegressionOptions Options;
-  Options.UseDiffCache = false;
-  Options.Views.UseViewIndex = false;
-  (void)analyzeRegression(Inputs, Options);
-  EXPECT_EQ(DiffCache::global().numEntries(), 0u);
-  EXPECT_EQ(DiffCache::global().bytes(), 0u);
-}
-
-TEST(DiffCache, ClearDropsEverything) {
-  Trace T = traceOf(ObjectsProgram);
-  DiffCache Cache;
-  (void)Cache.web(T);
-  EXPECT_EQ(Cache.numEntries(), 1u);
-  Cache.clear();
-  EXPECT_EQ(Cache.numEntries(), 0u);
-  EXPECT_EQ(Cache.bytes(), 0u);
-  // A post-clear request rebuilds (miss), proving no stale mapping.
-  TelemetryWindow W;
-  (void)Cache.web(T);
-  EXPECT_EQ(W.counter("web.cache.miss"), 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// cachedViewsDiff determinism
-//===----------------------------------------------------------------------===//
-
-TEST(CachedViewsDiff, ColdWarmAndUncachedAgreeAcrossJobs) {
-  auto Strings = std::make_shared<StringInterner>();
-  std::mt19937_64 Rng(7);
-  Trace Left = generatedTrace(Rng, Strings);
-  GeneratorOptions G;
-  G.NumClasses = 3;
-  G.OuterIters = 16;
-  G.NumThreads = 2;
-  G.Perturb = 1;
-  Trace Right = traceOf(generateProgram(G), Strings);
-
-  for (unsigned Jobs : {1u, 4u}) {
-    ViewsDiffOptions Options;
-    Options.Jobs = Jobs;
-    Options.ParallelCutoffEntries = 0; // Exercise the parallel machinery.
-    DiffResult Reference = viewsDiff(Left, Right, Options);
-
-    DiffCache Cache;
-    DiffResult Cold = cachedViewsDiff(Left, Right, Options, Cache);
-    DiffResult Warm = cachedViewsDiff(Left, Right, Options, Cache);
-
-    EXPECT_EQ(Reference.render(50, 12), Cold.render(50, 12)) << Jobs;
-    EXPECT_EQ(Reference.render(50, 12), Warm.render(50, 12)) << Jobs;
-    EXPECT_EQ(Reference.Stats.CompareOps, Cold.Stats.CompareOps) << Jobs;
-    EXPECT_EQ(Reference.Stats.CompareOps, Warm.Stats.CompareOps) << Jobs;
-  }
-}
-
-TEST(CachedViewsDiff, WarmRepeatSkipsWebBuildAndCorrelation) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace Left = traceOf(ObjectsProgram, Strings);
-  Trace Right = traceOf(ObjectsProgram, Strings);
-  DiffCache Cache;
-  TelemetryWindow W;
-  (void)cachedViewsDiff(Left, Right, ViewsDiffOptions(), Cache);
-  EXPECT_EQ(W.counter("web.cache.miss"), 2u);
-  EXPECT_EQ(W.counter("correlate.cache.miss"), 1u);
-  (void)cachedViewsDiff(Left, Right, ViewsDiffOptions(), Cache);
-  EXPECT_EQ(W.counter("web.cache.miss"), 2u) << "warm repeat rebuilt a web";
-  EXPECT_EQ(W.counter("web.cache.hit"), 2u);
-  EXPECT_EQ(W.counter("correlate.cache.hit"), 1u);
-}
-
-TEST(CachedViewsDiff, SelfDiffBuildsOneWeb) {
-  Trace T = traceOf(ObjectsProgram);
-  DiffCache Cache;
-  TelemetryWindow W;
-  (void)cachedViewsDiff(T, T, ViewsDiffOptions(), Cache);
-  EXPECT_EQ(W.counter("web.cache.miss"), 1u);
-  EXPECT_EQ(W.counter("web.cache.hit"), 1u);
 }
 
 } // namespace

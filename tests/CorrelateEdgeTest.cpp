@@ -217,4 +217,60 @@ TEST(CorrelateEdge, CorrelationIsInjective) {
   }
 }
 
+TEST(CorrelateEdge, ValueKeyNeverLinksAcrossClasses) {
+  // The right side creates its B before its A, so B's object view is
+  // indexed first. Its final-state hash is patched so that, were the key
+  // (class << 32) ^ hash, B's key would equal A's: A's final-state lookup
+  // would then find B first and link objects of two different classes.
+  const char *Classes = R"(
+    class A { Int v; A(Int v) { this.v = v; } Int get() { return this.v; } }
+    class B { Int v; B(Int v) { this.v = v; } Int get() { return this.v; } }
+  )";
+  std::string Left = std::string(Classes) + R"(
+    main { var a = new A(1); var b = new B(2); print(a.get() + b.get()); }
+  )";
+  std::string Right = std::string(Classes) + R"(
+    main { var b = new B(2); var a = new A(1); print(a.get() + b.get()); }
+  )";
+  auto Strings = std::make_shared<StringInterner>();
+  Trace L = traceOf(Left, Strings);
+  Trace R = traceOf(Right, Strings);
+
+  const View *LeftA = nullptr;
+  ViewWeb Before(L);
+  for (const View &V : Before.views())
+    if (V.Type == ViewType::TargetObject &&
+        Strings->text(V.LastRepr.ClassName) == "A")
+      LeftA = &V;
+  ASSERT_NE(LeftA, nullptr);
+  ASSERT_TRUE(LeftA->LastRepr.HasRepr);
+  uint32_t AId = LeftA->LastRepr.ClassName.Id;
+  uint64_t AHash = LeftA->LastRepr.ValueHash;
+
+  // Patch the last entry of the right side's B target-object view.
+  ObjRepr *Targets = R.Targets.mutData();
+  int64_t LastB = -1;
+  for (uint32_t Eid = 0; Eid != R.size(); ++Eid)
+    if (eventHasTargetObject(R.kind(Eid), Targets[Eid]) &&
+        Strings->text(Targets[Eid].ClassName) == "B")
+      LastB = Eid;
+  ASSERT_GE(LastB, 0);
+  uint32_t BId = Targets[LastB].ClassName.Id;
+  ASSERT_NE(AId, BId);
+  Targets[LastB].ValueHash = AHash ^ (static_cast<uint64_t>(AId ^ BId) << 32);
+
+  ViewWeb LW(L);
+  ViewWeb RW(R);
+  ViewCorrelation X(LW, RW);
+  ASSERT_GE(X.rightOf(LeftA->Id), 0) << "A's object view found no partner";
+  for (const View &LV : LW.views()) {
+    if (LV.Type != ViewType::TargetObject || X.rightOf(LV.Id) < 0)
+      continue;
+    const View &RV = RW.view(static_cast<uint32_t>(X.rightOf(LV.Id)));
+    EXPECT_EQ(Strings->text(LV.FirstRepr.ClassName),
+              Strings->text(RV.FirstRepr.ClassName))
+        << "target-object view linked across classes";
+  }
+}
+
 } // namespace

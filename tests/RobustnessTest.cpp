@@ -15,15 +15,15 @@
 ///      oversized lengths — with a typed Corrupt error (core sections) or a
 ///      dropped view index (derived sections), never a crash.
 ///   3. The degradation ladder: transient I/O retries, view-index drop,
-///      cache-insert fallback, pool-dispatch stalls — each leaves results
-///      correct and increments its `robust.*` counter.
+///      pool-dispatch stalls — each leaves results correct and increments
+///      its `robust.*` counter.
 ///   4. Salvage mode recovers a byte-identical entry prefix from damaged
 ///      files, counts what it could not recover, and refuses when the side
 ///      tables are gone.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cache/DiffCache.h"
+#include "diff/ViewsDiff.h"
 #include "robustness/FaultInjector.h"
 #include "robustness/Retry.h"
 #include "runtime/Compiler.h"
@@ -295,14 +295,6 @@ TEST(CorruptionMatrix, WrappingFooterOffsetIsTypedNotACrash) {
   ASSERT_FALSE(bool(Strict));
   EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
   EXPECT_EQ(Strict.error().Code, "trace.section");
-  // The digest (the cache key `diff-traces` computes first) falls back to
-  // hashing the whole file, and the cached load reports the typed error.
-  EXPECT_TRUE(bool(traceFileDigest(Path)));
-  DiffCache Cache;
-  Err Error;
-  EXPECT_EQ(Cache.load(Path, Strings, &Error), nullptr);
-  EXPECT_EQ(Error.Class, ErrClass::Corrupt);
-  EXPECT_EQ(Error.Code, "trace.section");
   // The segment itself is intact, so salvage recovers every entry.
   ReadOptions Options;
   Options.Salvage = true;
@@ -347,7 +339,7 @@ TEST(CorruptionMatrix, SectionOffsetFarPastTheFileIsNeverDereferenced) {
 }
 
 //===----------------------------------------------------------------------===//
-// Degradation ladder: I/O retry, view-index drop, cache fallback, stalls
+// Degradation ladder: I/O retry, view-index drop, pool-dispatch stalls
 //===----------------------------------------------------------------------===//
 
 TEST(DegradationLadder, TransientOpenFailureIsRetried) {
@@ -455,34 +447,6 @@ TEST(DegradationLadder, ViewIndexBorrowFaultDropsIndexOnly) {
   }
   EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
   std::remove(Path.c_str());
-}
-
-TEST(DegradationLadder, CacheInsertFaultServesResultsUncached) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace Left = workloadTrace(Strings);
-  GeneratorOptions G;
-  G.NumClasses = 3;
-  G.OuterIters = 12;
-  G.NumThreads = 2;
-  G.Seed = 42;
-  G.Perturb = 1;
-  Trace Right = traceOf(generateProgram(G), Strings);
-  DiffResult Reference = viewsDiff(Left, Right, ViewsDiffOptions());
-
-  DiffCache Cache;
-  TelemetryWindow W;
-  {
-    ScopedFaultInjection Arm(13);
-    FaultInjector::get().configure(FaultSite::CacheInsert, 1.0);
-    DiffResult Result = cachedViewsDiff(Left, Right, ViewsDiffOptions(), Cache);
-    // Every insert was dropped: results identical, nothing retained.
-    EXPECT_EQ(Reference.render(50, 12), Result.render(50, 12));
-    EXPECT_EQ(Reference.Stats.CompareOps, Result.Stats.CompareOps);
-    EXPECT_EQ(Cache.numEntries(), 0u);
-    EXPECT_EQ(Cache.bytes(), 0u);
-  }
-  EXPECT_GE(W.counter("robust.cache_insert_dropped"), 3u)
-      << "two webs and one correlation should all have been dropped";
 }
 
 TEST(DegradationLadder, PoolDispatchStallsNeverChangeResults) {
@@ -808,19 +772,20 @@ TEST(FaultSpec, ValidSpecArmsExactlyLikeArmPlusConfigure) {
   EXPECT_TRUE(FaultInjector::enabled());
   EXPECT_TRUE(FaultInjector::fire(FaultSite::FileOpen));
   // Unconfigured sites stay quiet.
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::CacheInsert));
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
   FI.disarm();
 }
 
 TEST(FaultSpec, OneShotClauseFiresExactlyThatOccurrence) {
   FaultInjector &FI = FaultInjector::get();
   std::string Error;
-  ASSERT_TRUE(FI.armFromSpec("seed=1,cache-insert:0@2", &Error)) << Error;
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::CacheInsert));
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::CacheInsert));
-  EXPECT_TRUE(FaultInjector::fire(FaultSite::CacheInsert));
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::CacheInsert));
-  EXPECT_EQ(FI.injected(FaultSite::CacheInsert), 1u);
+  ASSERT_TRUE(FI.armFromSpec("seed=1,view-index-borrow:0@2", &Error))
+      << Error;
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
+  EXPECT_TRUE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
+  EXPECT_EQ(FI.injected(FaultSite::ViewIndexBorrow), 1u);
   FI.disarm();
 }
 
@@ -845,6 +810,7 @@ TEST(FaultSpec, MalformedSpecsNeverArm) {
   const char *Bad[] = {
       "bogus",                    // not a clause at all
       "nope:0.5",                 // unknown site
+      "cache-insert:0.5",         // unknown site
       "file-open:2.0",            // probability out of range
       "file-open:x",              // probability not a number
       "seed=z",                   // bad seed

@@ -5,7 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "cache/DiffCache.h"
 #include "diff/ViewsDiff.h"
 #include "runtime/Compiler.h"
 #include "runtime/TraceRecorder.h"
@@ -661,12 +660,11 @@ TEST(SerializeSegments, FileDigestStablePerWrite) {
   ASSERT_TRUE(writeTrace(T, First));
   ASSERT_TRUE(writeTrace(T, Again));
   ASSERT_TRUE(writeTrace(T, Plain, /*WithViewIndex=*/false));
-  Expected<uint64_t> DFirst = traceFileDigest(First);
-  Expected<uint64_t> DAgain = traceFileDigest(Again);
-  Expected<uint64_t> DPlain = traceFileDigest(Plain);
-  ASSERT_TRUE(bool(DFirst) && bool(DAgain) && bool(DPlain));
-  EXPECT_EQ(*DFirst, *DAgain) << "identical writes must digest identically";
-  EXPECT_NE(*DFirst, *DPlain) << "dropping the view index changes the bytes";
+  std::string BFirst = readFileBytes(First);
+  ASSERT_FALSE(BFirst.empty());
+  EXPECT_EQ(BFirst, readFileBytes(Again)) << "identical writes must match";
+  EXPECT_NE(BFirst, readFileBytes(Plain))
+      << "dropping the view index changes the bytes";
   for (const std::string &Path : {First, Again, Plain})
     std::remove(Path.c_str());
 }
@@ -1161,18 +1159,14 @@ TEST(ValueDiversePair, SecondLoadBorrowsAndFileDiffMatchesInMemory) {
   ASSERT_TRUE(writeTrace(
       traceOf(valueDiverseSource(11), nullptr, iterations(2000)), NewPath));
 
-  // The diff-traces path: one fresh interner for both files, loaded
-  // through the process-wide cache.
+  // The diff-traces path: one fresh interner for both files.
   Telemetry::get().reset();
   Telemetry::get().setEnabled(true);
   auto Session = std::make_shared<StringInterner>();
-  Err Error;
-  std::shared_ptr<const Trace> Left =
-      DiffCache::global().load(OldPath, Session, &Error);
-  ASSERT_TRUE(Left) << Error.render();
-  std::shared_ptr<const Trace> Right =
-      DiffCache::global().load(NewPath, Session, &Error);
-  ASSERT_TRUE(Right) << Error.render();
+  Expected<Trace> Left = readTrace(OldPath, Session);
+  ASSERT_TRUE(bool(Left)) << Left.error().render();
+  Expected<Trace> Right = readTrace(NewPath, Session);
+  ASSERT_TRUE(bool(Right)) << Right.error().render();
   TelemetrySnapshot Snap = Telemetry::get().snapshot();
   Telemetry::get().setEnabled(false);
   Telemetry::get().reset();
@@ -1183,13 +1177,8 @@ TEST(ValueDiversePair, SecondLoadBorrowsAndFileDiffMatchesInMemory) {
   EXPECT_TRUE(Right->Fps.borrowed());
   EXPECT_TRUE(Right->Values.borrowed());
 
-  std::string FromFiles =
-      cachedViewsDiff(*Left, *Right, Options, DiffCache::global())
-          .render(50, 12);
+  std::string FromFiles = viewsDiff(*Left, *Right, Options).render(50, 12);
   EXPECT_EQ(FromFiles, InMemory);
-  Left.reset();
-  Right.reset();
-  DiffCache::global().clear();
   std::remove(OldPath.c_str());
   std::remove(NewPath.c_str());
 }

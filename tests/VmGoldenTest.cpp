@@ -15,9 +15,9 @@
 /// even one byte of a produced trace (entry columns, argument pool, string
 /// table, fingerprints) fails here.
 ///
-/// The pinned digests also cover the fingerprint column recomputed under
-/// ThreadPool jobs 1 and 4 (chunking must not leak into the hashes) and
-/// the views-diff compare-op totals of each corpus version pair.
+/// The pinned digests also cover the fingerprint column (which a recompute
+/// from the columns must reproduce) and the views-diff compare-op totals
+/// of each corpus version pair.
 ///
 /// Regenerate after an *intentional* format/trace change with:
 ///   RPRISM_UPDATE_GOLDEN=1 ./rprism_vmgolden_test
@@ -28,7 +28,6 @@
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
 #include "support/Hashing.h"
-#include "support/ThreadPool.h"
 #include "trace/Serialize.h"
 #include "workload/Corpus.h"
 #include "workload/Generator.h"
@@ -102,8 +101,8 @@ std::string hex(uint64_t V) {
 }
 
 /// Runs one workload and digests its serialized trace. Also verifies,
-/// inline, that recomputing the fingerprint column under ThreadPool jobs
-/// 1 and 4 reproduces the recorder's own column bit for bit.
+/// inline, that recomputing the fingerprint column reproduces the
+/// recorder's own column bit for bit.
 Digest digestWorkload(const Workload &W) {
   auto Prog = compileSource(W.Source, nullptr);
   EXPECT_TRUE(static_cast<bool>(Prog)) << W.Name;
@@ -114,16 +113,13 @@ Digest digestWorkload(const Workload &W) {
   D.Entries = Result.ExecTrace.size();
   EXPECT_GT(D.Entries, 0u) << W.Name;
 
-  // Fingerprints must be invariant under recompute chunking (--jobs).
+  // A recompute from the columns reproduces the recorder's own column.
   std::vector<uint64_t> AsRecorded(Result.ExecTrace.Fps.begin(),
                                    Result.ExecTrace.Fps.end());
-  for (unsigned Jobs : {1u, 4u}) {
-    ThreadPool Pool(Jobs);
-    Result.ExecTrace.computeFingerprints(&Pool);
-    EXPECT_TRUE(std::equal(AsRecorded.begin(), AsRecorded.end(),
-                           Result.ExecTrace.Fps.begin()))
-        << W.Name << " fingerprints changed under jobs=" << Jobs;
-  }
+  Result.ExecTrace.computeFingerprints();
+  EXPECT_TRUE(std::equal(AsRecorded.begin(), AsRecorded.end(),
+                         Result.ExecTrace.Fps.begin()))
+      << W.Name << " fingerprints changed on recompute";
   D.FpColumn = hashBytes(Result.ExecTrace.Fps.data(),
                          Result.ExecTrace.Fps.size() * sizeof(uint64_t));
 

@@ -116,6 +116,32 @@ grep -q "divergence clusters" "$WORK/nway.html" || fail "html nway not written"
 grep -q '"nway.mutants": 2' "$WORK/nway_metrics.json" \
   || fail "nway metrics missing mutant count"
 
+# --- --no-view-cache: rebuild webs from the columns, same report ------------
+# The files carry a persisted view index; the flag only makes the diff
+# rebuild its webs from the entry columns (a web-build span) instead.
+"$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" \
+  --metrics-out "$WORK/dt_index.json" > "$WORK/dt_index.txt" 2>/dev/null \
+  || fail "diff-traces failed"
+if grep -q '"name": "web-build"' "$WORK/dt_index.json"; then
+  fail "diff-traces rebuilt webs although both files carry a view index"
+fi
+"$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" --no-view-cache \
+  --metrics-out "$WORK/dt_noidx.json" > "$WORK/dt_noidx.txt" 2>/dev/null \
+  || fail "diff-traces --no-view-cache failed"
+cmp -s "$WORK/dt_index.txt" "$WORK/dt_noidx.txt" \
+  || fail "diff-traces --no-view-cache changed the report"
+grep -q '"name": "web-build"' "$WORK/dt_noidx.json" \
+  || fail "diff-traces --no-view-cache did not build webs from the columns"
+"$RPRISM" diff-nway "$WORK/old.rpt" "$WORK/new.rpt" "$WORK/twin.rpt" \
+  > "$WORK/nw_index.txt" 2>/dev/null || fail "diff-nway failed"
+"$RPRISM" diff-nway "$WORK/old.rpt" "$WORK/new.rpt" "$WORK/twin.rpt" \
+  --no-view-cache --metrics-out "$WORK/nw_noidx.json" \
+  > "$WORK/nw_noidx.txt" 2>/dev/null || fail "diff-nway --no-view-cache failed"
+cmp -s "$WORK/nw_index.txt" "$WORK/nw_noidx.txt" \
+  || fail "diff-nway --no-view-cache changed the report"
+grep -q '"name": "web-build"' "$WORK/nw_noidx.json" \
+  || fail "diff-nway --no-view-cache did not build webs from the columns"
+
 # --- fault injection control (--fault-spec / RPRISM_FAULT_SPEC) --------------
 set +e
 "$RPRISM" trace-dump "$WORK/old.rpt" --fault-spec 'seed=7,file-open:1.0' \
@@ -130,6 +156,11 @@ set +e
 [ $? -eq 2 ] || fail "malformed --fault-spec was not usage exit 2"
 set -e
 grep -q "fault-spec" "$WORK/badspec.txt" || fail "bad spec diagnostic missing"
+set +e
+"$RPRISM" trace-dump "$WORK/old.rpt" --fault-spec 'seed=1,cache-insert:1.0' \
+  > /dev/null 2>&1
+[ $? -eq 2 ] || fail "unknown fault site cache-insert was not usage exit 2"
+set -e
 # Env form: same spec through RPRISM_FAULT_SPEC; a zero-probability spec
 # must be a no-op.
 RPRISM_FAULT_SPEC='seed=7,file-open:0.0' "$RPRISM" trace-dump "$WORK/old.rpt" \
@@ -224,8 +255,7 @@ grep -q "unsupported trace version (3)" "$WORK/oldver.err" \
   || fail "pre-change version word error was: $(cat "$WORK/oldver.err")"
 # A hostile trailer: the largest directory count and a footer offset whose
 # sum with the footer length wraps around 2^64 onto the trailer itself.
-# diff-traces digests each file for its cache key before reading it; both
-# steps must refuse it with exit 3, not crash.
+# diff-traces and trace-dump must both refuse it with exit 3, not crash.
 cp "$WORK/old.rpt" "$WORK/wrap.rpt"
 python3 - "$WORK/wrap.rpt" <<'EOF'
 import struct, sys

@@ -25,7 +25,6 @@
 #include "analysis/Impact.h"
 #include "analysis/Protocol.h"
 #include "analysis/Regression.h"
-#include "cache/DiffCache.h"
 #include "robustness/FaultInjector.h"
 #include "robustness/Retry.h"
 #include "runtime/Compiler.h"
@@ -86,6 +85,10 @@ int usage() {
       "  --retry-policy S  I/O retry policy for trace loads, e.g.\n"
       "                    'attempts=5,base_ms=2'\n"
       "\n"
+      "view webs (diff, diff-traces, diff-nway, analyze):\n"
+      "  --no-view-cache   rebuild view webs from the trace columns instead\n"
+      "                    of the trace file's view index (same report)\n"
+      "\n"
       "exit codes: 0 success, 1 failure, 2 usage error,\n"
       "            3 corrupt input, 4 I/O error, 5 perf regression\n",
       kMetricsSchema);
@@ -137,10 +140,10 @@ struct Args {
   /// sequential. Any value produces identical reports (see ViewsDiffOptions).
   unsigned Jobs = 0;
   bool Removal = false;
-  /// Escape hatch for the warm paths: skip persisted view indexes and the
-  /// in-process diff cache, rebuilding everything from the entries. The
-  /// report is identical either way; this exists for timing comparisons
-  /// and as a workaround should an index ever be suspect.
+  /// Rebuild view webs from the entry columns instead of borrowing them
+  /// from a trace file's persisted view index. The report is identical
+  /// either way; this exists for timing comparisons and as a workaround
+  /// should an index ever be suspect.
   bool NoViewCache = false;
   /// Recover the valid prefix of a damaged trace instead of failing
   /// (readTrace salvage mode); what was dropped is reported on stderr.
@@ -348,17 +351,26 @@ void reportDegradations(const std::string &Path,
     std::fprintf(stderr, "[%s: damaged view index dropped]\n", Path.c_str());
 }
 
+/// Reads \p Path into \p Strings (salvaging under --salvage) and reports
+/// any degradation on stderr.
+Expected<Trace> loadTrace(const std::string &Path, const Args &A,
+                          std::shared_ptr<StringInterner> Strings) {
+  ReadOptions Options;
+  Options.Salvage = A.Salvage;
+  TraceReadReport Report;
+  Options.Report = &Report;
+  Expected<Trace> T = readTrace(Path, std::move(Strings), Options);
+  if (T)
+    reportDegradations(Path, Report);
+  return T;
+}
+
 int cmdTraceDump(const Args &A) {
   if (A.Positional.size() != 1)
     return usage();
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = A.Salvage;
-  Options.Report = &Report;
-  Expected<Trace> T = readTrace(A.Positional[0], nullptr, Options);
+  Expected<Trace> T = loadTrace(A.Positional[0], A, nullptr);
   if (!T)
     return fail(T.error());
-  reportDegradations(A.Positional[0], Report);
   std::fputs(dumpTrace(*T).c_str(), stdout);
   return 0;
 }
@@ -367,14 +379,9 @@ int printDiff(const Trace &Left, const Trace &Right, const Args &A) {
   ViewsDiffOptions Options;
   Options.Jobs = A.Jobs;
   Options.UseViewIndex = !A.NoViewCache;
-  // Salvaged traces stay out of the process-wide cache: its entries are
-  // keyed by content digest and trace address, and a salvaged prefix must
-  // never be served where the intact bytes are expected.
-  DiffResult Result =
-      A.Engine == DiffEngineKind::Lcs ? lcsDiff(Left, Right)
-      : A.NoViewCache || A.Salvage
-          ? viewsDiff(Left, Right, Options)
-          : cachedViewsDiff(Left, Right, Options, DiffCache::global());
+  DiffResult Result = A.Engine == DiffEngineKind::Lcs
+                          ? lcsDiff(Left, Right)
+                          : viewsDiff(Left, Right, Options);
   if (Result.Stats.OutOfMemory) {
     std::fprintf(stderr, "error: LCS differencing ran out of memory; "
                          "retry with --engine views\n");
@@ -418,80 +425,36 @@ int cmdDiffTraces(const Args &A) {
   if (A.Positional.size() != 2)
     return usage();
   auto Strings = std::make_shared<StringInterner>();
-  if (A.NoViewCache || A.Salvage) {
-    ReadOptions Options;
-    Options.Salvage = A.Salvage;
-    TraceReadReport LeftReport;
-    Options.Report = &LeftReport;
-    Expected<Trace> Left = readTrace(A.Positional[0], Strings, Options);
-    if (!Left)
-      return fail(Left.error());
-    TraceReadReport RightReport;
-    Options.Report = &RightReport;
-    Expected<Trace> Right = readTrace(A.Positional[1], Strings, Options);
-    if (!Right)
-      return fail(Right.error());
-    reportDegradations(A.Positional[0], LeftReport);
-    reportDegradations(A.Positional[1], RightReport);
-    return printDiff(*Left, *Right, A);
-  }
-  // Content-digest-keyed loads: the two sides dedup when they are the same
-  // bytes, and repeat diffs in one process (library callers, future REPL)
-  // reuse loaded traces and their webs.
-  Err Error;
-  std::shared_ptr<const Trace> Left =
-      DiffCache::global().load(A.Positional[0], Strings, &Error);
+  Expected<Trace> Left = loadTrace(A.Positional[0], A, Strings);
   if (!Left)
-    return fail(Error);
-  std::shared_ptr<const Trace> Right =
-      DiffCache::global().load(A.Positional[1], Strings, &Error);
+    return fail(Left.error());
+  Expected<Trace> Right = loadTrace(A.Positional[1], A, Strings);
   if (!Right)
-    return fail(Error);
+    return fail(Right.error());
   return printDiff(*Left, *Right, A);
 }
 
 int cmdDiffNWay(const Args &A) {
   if (A.Positional.size() < 2)
     return usage();
+  // The baseline plus every mutant, all sharing one interner.
   auto Strings = std::make_shared<StringInterner>();
-
-  // Load the baseline plus every mutant, all sharing one interner. The
-  // cached path dedups identical bytes and keeps the loaded traces (and
-  // the baseline's web) for repeat studies in one process; salvage and
-  // --no-view-cache read directly, as in diff-traces.
-  std::vector<std::shared_ptr<const Trace>> Owned;
-  std::vector<const Trace *> Traces;
+  std::vector<Trace> Loaded;
+  Loaded.reserve(A.Positional.size());
   for (const std::string &Path : A.Positional) {
-    if (A.NoViewCache || A.Salvage) {
-      ReadOptions Options;
-      Options.Salvage = A.Salvage;
-      TraceReadReport Report;
-      Options.Report = &Report;
-      Expected<Trace> T = readTrace(Path, Strings, Options);
-      if (!T)
-        return fail(T.error());
-      reportDegradations(Path, Report);
-      Owned.push_back(std::make_shared<const Trace>(T.take()));
-    } else {
-      Err Error;
-      std::shared_ptr<const Trace> T =
-          DiffCache::global().load(Path, Strings, &Error);
-      if (!T)
-        return fail(Error);
-      Owned.push_back(std::move(T));
-    }
-    Traces.push_back(Owned.back().get());
+    Expected<Trace> T = loadTrace(Path, A, Strings);
+    if (!T)
+      return fail(T.error());
+    Loaded.push_back(T.take());
   }
 
   ViewsDiffOptions Options;
   Options.Jobs = A.Jobs;
   Options.UseViewIndex = !A.NoViewCache;
-  std::vector<const Trace *> Mutants(Traces.begin() + 1, Traces.end());
-  NWayResult Result =
-      A.NoViewCache || A.Salvage
-          ? nwayDiff(*Traces[0], Mutants, Options)
-          : cachedNWayDiff(*Traces[0], Mutants, Options,
-                           DiffCache::global());
+  std::vector<const Trace *> Mutants;
+  for (size_t I = 1; I != Loaded.size(); ++I)
+    Mutants.push_back(&Loaded[I]);
+  NWayResult Result = nwayDiff(Loaded[0], Mutants, Options);
 
   TelemetrySpan ReportSpan("report");
   if (!A.HtmlPath.empty()) {
@@ -542,7 +505,6 @@ int cmdAnalyze(const Args &A) {
   Options.Engine = A.Engine;
   Options.Views.Jobs = A.Jobs;
   Options.Views.UseViewIndex = !A.NoViewCache;
-  Options.UseDiffCache = !A.NoViewCache;
   Options.CodeRemoval = A.Removal;
   RegressionReport Report = analyzeRegression(Inputs, Options);
   TelemetrySpan ReportSpan("report");
@@ -693,15 +655,10 @@ int main(int Argc, char **Argv) {
     Telemetry::get().setEnabled(true);
   }
   // The timeline recorder is independent of aggregate telemetry:
-  // --trace-out works without --metrics-out. The DiffCache source gives
-  // the sampler a cache-footprint counter track.
+  // --trace-out works without --metrics-out.
   bool WantTrace = !A.TraceOut.empty();
-  if (WantTrace) {
-    TraceEventRecorder::get().registerCounterSource(
-        "diffcache.bytes",
-        [] { return static_cast<double>(DiffCache::global().bytes()); });
+  if (WantTrace)
     TraceEventRecorder::get().arm();
-  }
   uint64_t StartNanos = Telemetry::nowNanos();
 
   int Exit;
@@ -714,7 +671,6 @@ int main(int Argc, char **Argv) {
 
   if (WantTrace) {
     TraceEventRecorder::get().disarm();
-    TraceEventRecorder::get().clearCounterSources();
     if (!TraceEventRecorder::get().writeChromeTrace(A.TraceOut)) {
       std::fprintf(stderr, "error: cannot write '%s'\n", A.TraceOut.c_str());
       return Exit ? Exit : 4;

@@ -13,8 +13,8 @@
 /// tampering, zeroed ranges, appended garbage, plus the segment framing:
 /// trailer fields, footer-directory records, the segment header, and a
 /// footer offset whose sum with the footer length wraps around 2^64 — and
-/// requires every strict read, salvage read, and digest of the mutant to
-/// return cleanly.
+/// requires every strict read and salvage read of the mutant to return
+/// cleanly.
 /// A crash, hang, or sanitizer report is the failure mode; any error
 /// return is a pass.
 ///
@@ -265,7 +265,6 @@ void exercise(const std::string &Path, FuzzStats &Stats) {
     for (const ThreadInfo &Thread : T.Threads)
       (void)Strings->text(Thread.EntryMethod);
   }
-  (void)traceFileDigest(Path);
 }
 
 } // namespace
