@@ -18,9 +18,8 @@
 ///   fp-jobsN  — fingerprints on, jobs=N: adds per-pair evaluation on the
 ///               thread pool.
 ///
-/// A second, on-disk phase measures diffs from trace files (load + web
-/// build + correlate + diff) written with and without the persisted
-/// view-index sections.
+/// A second phase writes the traces to trace files, reloads them, and
+/// diffs the loaded pair.
 ///
 /// Every configuration must produce an identical rendered report and
 /// compare-op count (checked here; the determinism contract of
@@ -209,18 +208,14 @@ void appendJson(std::string &Json, unsigned OuterIters,
 
 /// Writes both traces to trace files, reloads them into one fresh
 /// interner, and re-diffs: the report and compare-op totals must be
-/// identical to the in-memory reference. \p Label is "one-segment" (what
-/// writeTrace produces) or "one-segment-noindex" (the same without the
-/// optional view-index sections). Returns the JSON fragment.
+/// identical to the in-memory reference. Returns the JSON fragment (the
+/// row's format is "one-segment", the layout writeTrace produces).
 std::string checkFormatDeterminism(const TracePair &Pair,
                                    const std::string &RefRender,
-                                   uint64_t RefOps, const char *Label,
-                                   bool First, int &Exit) {
-  std::string Name = Label;
-  std::string LPath = "/tmp/bench_pipeline_L_" + Name + ".trace";
-  std::string RPath = "/tmp/bench_pipeline_R_" + Name + ".trace";
-  bool Wrote = writeTrace(Pair.Left, LPath, Name == "one-segment") &&
-               writeTrace(Pair.Right, RPath, Name == "one-segment");
+                                   uint64_t RefOps, int &Exit) {
+  std::string LPath = "/tmp/bench_pipeline_L_one-segment.trace";
+  std::string RPath = "/tmp/bench_pipeline_R_one-segment.trace";
+  bool Wrote = writeTrace(Pair.Left, LPath) && writeTrace(Pair.Right, RPath);
   bool ReportIdentical = false, OpsIdentical = false;
   if (Wrote) {
     auto Shared = std::make_shared<StringInterner>();
@@ -235,17 +230,16 @@ std::string checkFormatDeterminism(const TracePair &Pair,
     }
   }
   if (!ReportIdentical || !OpsIdentical) {
-    std::printf("  ERROR: %s reload diverged from the in-memory report\n",
-                Label);
+    std::printf("  ERROR: one-segment reload diverged from the in-memory "
+                "report\n");
     Exit = 1;
   }
   std::remove(LPath.c_str());
   std::remove(RPath.c_str());
   char Buf[256];
   std::snprintf(Buf, sizeof(Buf),
-                "%s    {\"format\": \"%s\", \"report_identical\": %s, "
-                "\"compare_ops_identical\": %s}",
-                First ? "" : ",\n", Label,
+                "    {\"format\": \"one-segment\", "
+                "\"report_identical\": %s, \"compare_ops_identical\": %s}",
                 ReportIdentical ? "true" : "false",
                 OpsIdentical ? "true" : "false");
   return Buf;
@@ -295,7 +289,6 @@ int main(int Argc, char **Argv) {
   double LargestSeedSeconds = 0;
   double LargestBestSeconds = 0;
   uint64_t LargestEntries = 0;
-  double IndexedColdSpeedup = 0;
 
   for (unsigned Threads : WorkloadThreads) {
     for (unsigned Size : Sizes) {
@@ -354,140 +347,19 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Format determinism: trace files with and without the view index must
-  // reload into a report byte-identical to the in-memory diff, with
-  // identical compare-op totals.
+  // Format determinism: trace files must reload into a report
+  // byte-identical to the in-memory diff, with identical compare-op totals.
   std::string FormatJson = ",\n  \"format_determinism\": [\n";
   {
     TracePair Pair = makePair(Quick ? 100 : 400, 2);
     ViewsDiffOptions RefOptions;
     RefOptions.Jobs = 1;
     DiffResult Ref = viewsDiff(Pair.Left, Pair.Right, RefOptions);
-    std::string RefRender = Ref.render(50, 12);
-    bool FormatFirst = true;
-    for (const char *Label : {"one-segment", "one-segment-noindex"}) {
-      FormatJson += checkFormatDeterminism(Pair, RefRender,
-                                           Ref.Stats.CompareOps, Label,
-                                           FormatFirst, Exit);
-      FormatFirst = false;
-    }
+    FormatJson += checkFormatDeterminism(Pair, Ref.render(50, 12),
+                                         Ref.Stats.CompareOps, Exit);
   }
   FormatJson += "\n  ],\n  \"determinism_ok\": ";
   FormatJson += Exit == 0 ? "true" : "false";
-
-  // Diffs from trace files, written with and without the persisted
-  // view-index sections: load + web build (or index reconstruction) +
-  // correlate + diff, from a fresh interner each rep. Every run's report
-  // and compare-op total must match the in-memory reference (the rows
-  // carry the identity flags CI asserts), and an instrumented pass pins
-  // the span contract: on indexed files, web-build never appears — webs
-  // come from the view-index sections.
-  std::string RepeatJson = ",\n  \"repeat_diff\": [\n";
-  {
-    TracePair Pair = makePair(Quick ? 100 : 1600, Quick ? 2 : 8);
-    uint64_t Entries = Pair.Left.size() + Pair.Right.size();
-    ViewsDiffOptions Options;
-    Options.Jobs = 1;
-    DiffResult Ref = viewsDiff(Pair.Left, Pair.Right, Options);
-    std::string RefRender = Ref.render(50, 12);
-    std::printf("== diff from trace files, %llu entries ==\n",
-                static_cast<unsigned long long>(Entries));
-
-    bool RowFirst = true;
-    double IndexedCold = 0, PlainCold = 0;
-    for (bool Indexed : {true, false}) {
-      const char *FileKind = Indexed ? "indexed" : "plain";
-      std::string LPath =
-          std::string("/tmp/bench_repeat_L_") + FileKind + ".trace";
-      std::string RPath =
-          std::string("/tmp/bench_repeat_R_") + FileKind + ".trace";
-      if (!writeTrace(Pair.Left, LPath, Indexed) ||
-          !writeTrace(Pair.Right, RPath, Indexed)) {
-        std::printf("error: cannot write repeat-diff trace files\n");
-        Exit = 1;
-        break;
-      }
-
-      bool ReportIdentical = true, OpsIdentical = true;
-      auto RunOnce = [&](bool Check) {
-        auto Strings = std::make_shared<StringInterner>();
-        Expected<Trace> L = readTrace(LPath, Strings);
-        Expected<Trace> R = readTrace(RPath, Strings);
-        if (!L || !R) {
-          std::printf("error: %s\n",
-                      (!L ? L.error() : R.error()).render().c_str());
-          Exit = 1;
-          return;
-        }
-        DiffResult Result = viewsDiff(*L, *R, Options);
-        if (Check) {
-          ReportIdentical &= Result.render(50, 12) == RefRender;
-          OpsIdentical &= Result.Stats.CompareOps == Ref.Stats.CompareOps;
-        }
-      };
-
-      unsigned Reps = 0;
-      double Cold =
-          bestOf([&](unsigned Rep) { RunOnce(Rep == 0); }, &Reps);
-      (Indexed ? IndexedCold : PlainCold) = Cold;
-      if (!ReportIdentical || !OpsIdentical) {
-        std::printf("  ERROR: %s repeat diff diverged from the in-memory "
-                    "report\n",
-                    FileKind);
-        Exit = 1;
-      }
-      char Buf[512];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "%s    {\"file\": \"%s\", \"phase\": \"cold\", \"entries\": %llu, "
-          "\"seconds\": %.6f, \"reps\": %u, \"report_identical\": %s, "
-          "\"compare_ops_identical\": %s}",
-          RowFirst ? "" : ",\n", FileKind,
-          static_cast<unsigned long long>(Entries), Cold, Reps,
-          ReportIdentical ? "true" : "false",
-          OpsIdentical ? "true" : "false");
-      RepeatJson += Buf;
-      RowFirst = false;
-      std::printf("  %-10s %8.2f ms\n", FileKind, Cold * 1e3);
-
-      // Span contract on indexed files: web-build must never fire — both
-      // webs are reconstructed from the index ("view-index" span).
-      if (Indexed) {
-        Telemetry::get().reset();
-        Telemetry::get().setEnabled(true);
-        RunOnce(/*Check=*/false);
-        Telemetry::get().setEnabled(false);
-        TelemetrySnapshot Snap = Telemetry::get().snapshot();
-        bool SawWebBuild = false, SawViewIndex = false;
-        for (const SpanStat &Span : Snap.Spans) {
-          SawWebBuild |= Span.name() == "web-build";
-          SawViewIndex |= Span.name() == "view-index";
-        }
-        if (SawWebBuild || !SawViewIndex ||
-            Snap.counter("web.from_index") != 2) {
-          std::printf("  ERROR: indexed diff violated the span/counter "
-                      "contract (web-build=%d view-index=%d "
-                      "from_index=%llu)\n",
-                      SawWebBuild, SawViewIndex,
-                      static_cast<unsigned long long>(
-                          Snap.counter("web.from_index")));
-          Exit = 1;
-        }
-        Telemetry::get().reset();
-      }
-      std::remove(LPath.c_str());
-      std::remove(RPath.c_str());
-    }
-    IndexedColdSpeedup = IndexedCold > 0 ? PlainCold / IndexedCold : 0;
-    char Buf[256];
-    std::snprintf(Buf, sizeof(Buf),
-                  "\n  ],\n  \"repeat_diff_summary\": "
-                  "{\"indexed_cold_speedup\": %.2f}",
-                  IndexedColdSpeedup);
-    RepeatJson += Buf;
-    std::printf("  indexed speedup vs unindexed: %.2fx\n",
-                IndexedColdSpeedup);
-  }
 
   // Trace production: how fast the VM turns a program into a finished
   // trace (the recorder's columnar-emission path). The compiled program is
@@ -584,7 +456,6 @@ int main(int Argc, char **Argv) {
 
   Json += "\n  ]";
   Json += FormatJson;
-  Json += RepeatJson;
   Json += TraceGenJson;
 
   // Headline numbers the regression trajectory tracks, pulled up front so
@@ -596,10 +467,9 @@ int main(int Argc, char **Argv) {
     char Buf[256];
     std::snprintf(Buf, sizeof(Buf),
                   ",\n  \"key_metrics\": {\"largest_speedup\": %.2f, "
-                  "\"indexed_cold_speedup\": %.2f, "
                   "\"trace_gen_entries_per_sec\": %.1f, "
                   "\"determinism_ok\": %s}",
-                  LargestSpeedup, IndexedColdSpeedup,
+                  LargestSpeedup,
                   TraceGenEntriesPerSec, Exit == 0 ? "true" : "false");
     Json += Buf;
   }

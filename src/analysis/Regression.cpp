@@ -67,7 +67,7 @@ RegressionReport rprism::analyzeRegression(const RegressionInputs &Inputs,
     TelemetrySpan V("views-diff");
     for (int I : {L, R})
       if (!Webs[I])
-        Webs[I].emplace(*Traces[I], Options.Views.UseViewIndex);
+        Webs[I].emplace(*Traces[I]);
     ViewCorrelation X(*Webs[L], *Webs[R]);
     return viewsDiff(*Webs[L], *Webs[R], X, Options.Views);
   };

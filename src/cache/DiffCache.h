@@ -28,9 +28,10 @@ struct DiffCache {
       *Error = T.error();
     return T ? std::make_shared<const Trace>(T.take()) : nullptr;
   }
+  /// The bool is ignored (webs are always built from the columns).
   std::shared_ptr<const ViewWeb> web(const Trace &T, ThreadPool * = nullptr,
-                                     bool UseIndex = true) {
-    return std::make_shared<const ViewWeb>(T, UseIndex);
+                                     bool = true) {
+    return std::make_shared<const ViewWeb>(T);
   }
   auto correlation(const ViewWeb &L, const ViewWeb &R) {
     return std::make_shared<const ViewCorrelation>(L, R);

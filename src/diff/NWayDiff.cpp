@@ -191,13 +191,13 @@ NWayResult rprism::nwayDiff(const Trace &Base,
 
   // The hoisted baseline work: web built once, lanes gathered once. Every
   // per-mutant evaluation reuses both (counted as lane.shared_hit).
-  ViewWeb BaseWeb(Base, Options.UseViewIndex);
+  ViewWeb BaseWeb(Base);
   BaselineLanes Lanes(BaseWeb);
   Result.SharedLaneBytes = Lanes.bytes();
 
   for (size_t M = 0; M != Mutants.size(); ++M) {
     const Trace &MT = *Mutants[M];
-    ViewWeb MutWeb(MT, Options.UseViewIndex);
+    ViewWeb MutWeb(MT);
     ViewCorrelation X(BaseWeb, MutWeb);
 
     NWayMutantReport Report;

@@ -717,8 +717,8 @@ unsigned rprism::effectiveDiffJobs(const ViewsDiffOptions &Options,
 DiffResult rprism::viewsDiff(const Trace &Left, const Trace &Right,
                              const ViewsDiffOptions &Options) {
   TelemetrySpan Span("views-diff");
-  ViewWeb LeftWeb(Left, Options.UseViewIndex);
-  ViewWeb RightWeb(Right, Options.UseViewIndex);
+  ViewWeb LeftWeb(Left);
+  ViewWeb RightWeb(Right);
   ViewCorrelation X(LeftWeb, RightWeb);
   return viewsDiff(LeftWeb, RightWeb, X, Options);
 }

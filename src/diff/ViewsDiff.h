@@ -61,10 +61,8 @@ struct ViewsDiffOptions {
   /// disables the adaptation (tests that exercise the parallel machinery
   /// on tiny traces set 0).
   size_t ParallelCutoffEntries = 32768;
-  /// Reconstruct view webs from a trace's persisted ViewIndex when one is
-  /// present (the warm path for indexed trace files). Off = always build by
-  /// scanning the entries; the result is identical either way (`rprism
-  /// --no-view-cache` sets this off).
+  /// Ignored: webs are always built from the trace columns. Kept only so
+  /// the frozen perfbench harness, which reads it, keeps compiling.
   bool UseViewIndex = true;
 };
 

@@ -25,8 +25,6 @@ const char *rprism::faultSiteName(FaultSite Site) {
     return "file-mmap";
   case FaultSite::SectionChecksum:
     return "section-checksum";
-  case FaultSite::ViewIndexBorrow:
-    return "view-index-borrow";
   case FaultSite::PoolDispatch:
     return "pool-dispatch";
   }

@@ -10,7 +10,7 @@
 /// pipeline's degradation ladder (see docs/ROBUSTNESS.md). Production code
 /// calls the static hooks at the points where the real world can fail —
 /// opening, reading, or mapping a trace file, verifying a section
-/// checksum, borrowing a persisted view index, dispatching a pool task —
+/// checksum, dispatching a pool task —
 /// and tests arm the injector to force those failures deterministically.
 ///
 /// The design mirrors Telemetry: one registry singleton, a relaxed-atomic
@@ -44,11 +44,10 @@ enum class FaultSite : unsigned {
   FileRead,        ///< A buffered read returns short / flips bits.
   FileMmap,        ///< mmap() fails; loader must fall back to the arena.
   SectionChecksum, ///< A section checksum verify reports a mismatch.
-  ViewIndexBorrow, ///< Borrowing the persisted view index fails.
   PoolDispatch,    ///< ThreadPool task dispatch stalls (scheduling jitter).
 };
 
-inline constexpr unsigned NumFaultSites = 6;
+inline constexpr unsigned NumFaultSites = 5;
 
 /// Printable site name ("file-open", "pool-dispatch", ...).
 const char *faultSiteName(FaultSite Site);
@@ -89,8 +88,7 @@ public:
   ///   <site>:<prob>@<N>   additionally fire exactly occurrence N
   ///
   /// Site names are faultSiteName()'s ("file-open", "file-read",
-  /// "file-mmap", "section-checksum", "view-index-borrow",
-  /// "pool-dispatch"). Example:
+  /// "file-mmap", "section-checksum", "pool-dispatch"). Example:
   ///   seed=7,file-read:0.01,section-checksum:0@2,stall=100
   /// On success the injector is armed exactly as arm()+configure() calls
   /// would leave it. On a malformed spec nothing is armed, false is

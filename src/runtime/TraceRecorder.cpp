@@ -217,10 +217,6 @@ void TraceRecorder::emit(const RecordContext &Ctx, EventKind Kind,
                          const ObjRepr &Target, const ValueRepr &Value,
                          uint32_t ArgsBegin, uint32_t ArgsEnd,
                          uint32_t ChildTid, uint32_t Prov) {
-  // Any entry mutation makes a previously loaded/computed view index
-  // stale; drop it rather than serve a wrong partitioning.
-  if (Out.ViewIdx.Present)
-    Out.ViewIdx.clear();
   size_t I = StageLen;
   StTids[I] = Ctx.Tid;
   StMethods[I] = Ctx.Method;

@@ -55,9 +55,6 @@ public:
   /// Number of worker threads (0 in inline mode).
   unsigned numWorkers() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// Effective parallelism: max(1, numWorkers()).
-  unsigned concurrency() const { return numWorkers() == 0 ? 1 : numWorkers(); }
-
   /// Enqueues \p Task. In inline mode the task runs immediately on the
   /// calling thread (its exception, if any, is captured like a queued
   /// task's and rethrown from the next wait()).

@@ -7,7 +7,6 @@
 #include "support/Hashing.h"
 #include "support/Telemetry.h"
 #include "trace/TraceError.h"
-#include "trace/ViewIndex.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -15,7 +14,6 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
-#include <unordered_set>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -62,10 +60,9 @@ enum SectionId : uint32_t {
   SecChildTid = 19,  ///< uint32_t[]
   SecProv = 20,      ///< uint32_t[]
   SecFp = 21,        ///< uint64_t[] (optional fingerprint lane)
-  // Optional persisted view partitioning (see trace/ViewIndex.h). Both
-  // sections appear together or not at all.
-  SecViewMeta = 22,    ///< Per family: u32 count, keys[], counts[].
-  SecViewEntries = 23, ///< uint32_t[]: flat per-view entry-id lists.
+  // 22 and 23 are reserved: they held a persisted view index, which view
+  // webs no longer read. Files that carry them load; the sections are
+  // verified like any other and go unused.
   // Side tables: the string table, the thread table, and the argument
   // pool. Each leads with a base field that is always 0 (a remnant of the
   // retired multi-segment layout, kept so the bytes stay version 6).
@@ -325,12 +322,6 @@ struct SectionIn {
   bool Intact = false; ///< Fully present and checksum-verified.
 };
 
-/// The two view-index sections are derived data (rebuildable from the
-/// columns), so damage to them degrades instead of failing the load.
-bool isViewSection(uint32_t Id) {
-  return Id == SecViewMeta || Id == SecViewEntries;
-}
-
 /// The required entry-column sections and their element sizes
 /// (ChildTid's consumers bounds-check themselves).
 struct ColumnSize {
@@ -418,13 +409,12 @@ std::optional<FooterDir> parseFooter(const FileBytes &File) {
 }
 
 /// The segment's parsed section table; record offsets are relative to the
-/// segment header. View-index damage is always degradable. Core damage is
-/// fatal in strict mode (StrictErr holds the first, typed) and
-/// per-section in salvage mode: the section reads as absent, as not
-/// intact, or — where the file ends inside it — as an unverified prefix.
+/// segment header. Damage is fatal in strict mode (StrictErr holds the
+/// first, typed) and per-section in salvage mode: the section reads as
+/// absent, as not intact, or — where the file ends inside it — as an
+/// unverified prefix.
 struct SegSections {
   SectionIn S[MaxSectionId + 1] = {};
-  bool ViewDamaged = false;
   std::optional<Err> StrictErr;
 };
 
@@ -455,23 +445,16 @@ SegSections parseSegSections(const std::string &Path, const FileBytes &File,
     std::memcpy(&Offset, Record + 8, 8);
     std::memcpy(&Length, Record + 16, 8);
     std::memcpy(&Checksum, Record + 24, 8);
-    bool View = isViewSection(Id);
     if (Offset % 8 != 0 || Offset < TableEnd || Offset > DeclEnd ||
         Length > DeclEnd - Offset) {
       // The record itself is unusable: salvage treats the section as absent.
-      if (View)
-        Out.ViewDamaged = true;
-      else
-        StrictBad(TraceError::sectionBounds(Path, Id, Seg.Offset + Offset));
+      StrictBad(TraceError::sectionBounds(Path, Id, Seg.Offset + Offset));
       continue;
     }
     if (Id > MaxSectionId)
       continue; // Unknown section: forward compatibility.
     if (Out.S[Id].Present) {
-      if (View)
-        Out.ViewDamaged = true;
-      else
-        StrictBad(TraceError::duplicateSection(Path, Id));
+      StrictBad(TraceError::duplicateSection(Path, Id));
       continue; // Salvage keeps the first record seen.
     }
     // A truncated segment's header declares payload past the end of the
@@ -488,67 +471,17 @@ SegSections parseSegSections(const std::string &Path, const FileBytes &File,
           FaultInjector::fire(FaultSite::SectionChecksum)) {
         // Checksum mismatch (real or injected): the damage can be anywhere
         // in the payload, so unlike truncation no prefix is trustworthy.
-        if (View) {
-          Out.ViewDamaged = true;
-          continue;
-        }
         StrictBad(TraceError::sectionChecksum(Path, Id, Seg.Offset + Offset));
         Intact = false;
         Avail = 0;
       }
     } else {
-      if (View) {
-        Out.ViewDamaged = true;
-        continue;
-      }
       StrictBad(TraceError::truncated(Path));
     }
     Out.S[Id] = SectionIn{Data, Length, Avail, true, Intact};
   }
   Telemetry::counterAdd("load.bytes_verified", BytesVerified);
   return Out;
-}
-
-/// Loads the persisted view index of a trace with \p NumEntries entries
-/// from the segment's two view sections; with \p Borrow its flat entry
-/// lists stay in the file bytes. False when a section is missing or
-/// malformed.
-bool loadViewIndex(const SegSections &Secs, uint64_t NumEntries,
-                   size_t NumStrings, bool Borrow, ViewIndex &Out) {
-  const SectionIn &Meta = Secs.S[SecViewMeta];
-  const SectionIn &Flat = Secs.S[SecViewEntries];
-  if (!Meta.Intact || !Flat.Intact || Flat.Length % 4 != 0)
-    return false;
-  const auto *Ids = reinterpret_cast<const uint32_t *>(Flat.Data);
-  uint64_t FlatCount = Flat.Length / 4, FlatOff = 0;
-  ByteCursor VC(Meta.Data, Meta.Length);
-  for (size_t F = 0; F != NumViewFamilies; ++F) {
-    uint32_t NumViews = VC.u32();
-    if (!VC.ok() || NumViews > NumEntries)
-      return false;
-    for (uint32_t V = 0; V != NumViews; ++V) {
-      uint32_t Key = VC.u32();
-      // Method-view keys are symbol ids; validate them like any symbol.
-      if (F == 1 && Key >= NumStrings)
-        return false;
-      Out.Keys[F].push_back(Key);
-    }
-    for (uint32_t V = 0; V != NumViews; ++V) {
-      uint32_t Count = VC.u32();
-      if (!VC.ok() || Count == 0 || Count > FlatCount - FlatOff)
-        return false;
-      Out.Counts[F].push_back(Count);
-      FlatOff += Count;
-    }
-  }
-  if (!VC.ok() || !VC.atEnd() || FlatOff != FlatCount)
-    return false;
-  if (Borrow)
-    Out.Entries.borrow(Ids, FlatCount);
-  else
-    Out.Entries.append(Ids, FlatCount);
-  Out.Present = true;
-  return true;
 }
 
 Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
@@ -611,8 +544,6 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
     Damaged = true;
   }
   const SectionIn *S = Parsed.S;
-  bool FileHasViewIndex = Parsed.ViewDamaged || S[SecViewMeta].Present ||
-                          S[SecViewEntries].Present;
 
   // Every entry's symbol ids and argument slices resolve through the side
   // tables, so damage to any of them leaves nothing to recover.
@@ -652,7 +583,8 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
       return Lost("string");
   }
 
-  // Thread table: base 0, then the records.
+  // Thread table: base 0, then the records. Record K describes thread K:
+  // everything downstream indexes Threads by tid.
   {
     ByteCursor TC(S[SecThreadDelta].Data, S[SecThreadDelta].Length);
     uint32_t Base = TC.u32();
@@ -665,7 +597,7 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
       uint32_t Method = TC.u32();
       Thread.AncestryHash = TC.u64();
       uint32_t StackSize = TC.u32();
-      Ok = TC.ok() && Method < Map.size();
+      Ok = TC.ok() && Thread.Tid == K && Method < Map.size();
       if (Ok)
         Thread.EntryMethod = Map[Method];
       for (uint32_t J = 0; Ok && J != StackSize; ++J) {
@@ -698,9 +630,9 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
     return Lost("argument-pool");
 
   // Entry columns, then a validation scan over the untrusted values so
-  // nothing downstream needs to distrust them (enum ranges, symbol ids,
-  // argument slices). Strict mode demands every column carry exactly the
-  // declared entry count. Salvage keeps the longest prefix every column
+  // nothing downstream needs to distrust them (enum ranges, thread ids,
+  // symbol ids, argument slices). Strict mode demands every column carry
+  // exactly the declared entry count. Salvage keeps the longest prefix every column
   // covers and validates: a checksum-failed column covers none, a column
   // the file ends inside covers its surviving bytes.
   uint64_t Declared = Seg.NumEntries;
@@ -711,6 +643,7 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
       return Corrupt("column");
     N = std::min(N, C.Avail / Col.ElemSize);
   }
+  const auto *Tids = reinterpret_cast<const uint32_t *>(S[SecTid].Data);
   const uint8_t *Kinds = S[SecKind].Data;
   const auto *Methods = reinterpret_cast<const Symbol *>(S[SecMethod].Data);
   const auto *Names = reinterpret_cast<const Symbol *>(S[SecEvName].Data);
@@ -725,6 +658,8 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
     const char *Bad = nullptr;
     if (Kinds[K] > MaxEventKind)
       Bad = "kind";
+    else if (Tids[K] >= T.Threads.size())
+      Bad = "thread";
     else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
       Bad = "symbol";
     else if (Selfs[K].ClassName.Id >= Map.size() ||
@@ -783,42 +718,15 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
   if (UseStoredFps)
     Fill(T.Fps, S[SecFp].Data, Count);
 
-  // The persisted view index is derived data, so any damage to it — a bad
-  // section, dropped entries (which the index still lists), an injected
-  // borrow failure — degrades to an index-less load: the view web is
-  // rebuilt from the entries, observable via `robust.view_index_dropped`.
-  if (FileHasViewIndex && !Parsed.ViewDamaged && EntriesDropped == 0 &&
-      !FaultInjector::fire(FaultSite::ViewIndexBorrow) &&
-      (!loadViewIndex(Parsed, N, Map.size(), Identity, T.ViewIdx) ||
-       !viewIndexIsValid(T.ViewIdx, Count)))
-    T.ViewIdx.clear();
   if (Identity)
     T.Backing = File.Holder;
 
   if (!Identity) {
     // The interner assigned different ids: remap every symbol-bearing
-    // column and the index's method keys, then recompute fingerprints
-    // (they hash symbol ids). Counted so repeat-load pipelines can spot
-    // that sharing one interner across loads would make this free.
+    // column, then recompute fingerprints (they hash symbol ids). Counted
+    // so repeat-load pipelines can spot that sharing one interner across
+    // loads would make this free.
     std::optional<TelemetrySpan> RemapSpan(std::in_place, "remap");
-    if (T.ViewIdx.Present) {
-      // The partition structure and first-appearance order are invariant
-      // under re-interning; only the method family's keys are symbol ids.
-      // Two file-table strings interning to one symbol (possible only in a
-      // hand-crafted table) would collapse two method views into one
-      // identity, so the index is dropped rather than diverging from a
-      // fresh build.
-      uint32_t *MethodKeys = T.ViewIdx.Keys[1].mutData();
-      bool Collapsed = false;
-      std::unordered_set<uint32_t> SeenKeys;
-      SeenKeys.reserve(T.ViewIdx.Keys[1].size());
-      for (size_t K = 0; K != T.ViewIdx.Keys[1].size(); ++K) {
-        MethodKeys[K] = Map[MethodKeys[K]].Id;
-        Collapsed |= !SeenKeys.insert(MethodKeys[K]).second;
-      }
-      if (Collapsed)
-        T.ViewIdx.clear();
-    }
     Symbol *M = T.Methods.mutData();
     Symbol *Nm = T.Names.mutData();
     ObjRepr *Sf = T.Selfs.mutData();
@@ -843,13 +751,6 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
     T.computeFingerprints();
   }
 
-  if (FileHasViewIndex && !T.ViewIdx.Present) {
-    T.ViewIdx.clear();
-    Telemetry::counterAdd("robust.view_index_dropped");
-    if (Options.Report)
-      Options.Report->ViewIndexDropped = true;
-  }
-
   if (Damaged) {
     Telemetry::counterAdd("robust.salvage.used");
     Telemetry::counterAdd("robust.salvage.recovered_entries", Count);
@@ -867,8 +768,7 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
 
 // --- Writer ----------------------------------------------------------------
 
-bool rprism::writeTrace(const Trace &T, const std::string &Path,
-                        bool WithViewIndex) {
+bool rprism::writeTrace(const Trace &T, const std::string &Path) {
   TelemetrySpan Span("write");
   Writer W(Path);
   if (!W.ok())
@@ -909,25 +809,6 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path,
   ArgPoolBuf.Out.append(reinterpret_cast<const char *>(T.ArgPool.data()),
                         T.ArgPool.size() * sizeof(ValueRepr));
 
-  // View index: a trace that already holds a current one (loaded from an
-  // indexed file) writes it back verbatim instead of recomputing it.
-  ViewIndex Computed;
-  const ViewIndex *Idx = &T.ViewIdx;
-  ByteBuffer ViewMetaBuf;
-  if (WithViewIndex) {
-    if (!T.ViewIdx.Present) {
-      Computed = computeViewIndex(T);
-      Idx = &Computed;
-    }
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      ViewMetaBuf.u32(static_cast<uint32_t>(Idx->Keys[F].size()));
-      for (uint32_t Key : Idx->Keys[F])
-        ViewMetaBuf.u32(Key);
-      for (uint32_t ListCount : Idx->Counts[F])
-        ViewMetaBuf.u32(ListCount);
-    }
-  }
-
   std::vector<SectionOut> Sections = {
       {SecName, T.Name.data(), T.Name.size()},
       {SecStrDelta, StringsBuf.Out.data(), StringsBuf.Out.size()},
@@ -947,12 +828,6 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path,
   };
   if (T.HasFingerprints && T.Fps.size() >= N)
     Sections.push_back({SecFp, T.Fps.data(), N * sizeof(uint64_t)});
-  if (WithViewIndex) {
-    Sections.push_back(
-        {SecViewMeta, ViewMetaBuf.Out.data(), ViewMetaBuf.Out.size()});
-    Sections.push_back(
-        {SecViewEntries, Idx->Entries.data(), Idx->Entries.byteSize()});
-  }
 
   // Lay the payloads out 8-aligned after the section table, offsets
   // relative to the segment header (which is itself 8-aligned), so mmap'd

@@ -16,16 +16,17 @@
 /// segment, a footer directory listing that segment, and a fixed trailer.
 /// The segment is a header, a table of (id, offset, length, checksum)
 /// section records, and 8-byte-aligned payloads: the entry columns written
-/// verbatim, an optional fingerprint lane, an optional view index, and the
-/// side tables (strings, threads, argument pool). A directory listing any
-/// other number of segments is corrupt.
+/// verbatim, an optional fingerprint lane, and the side tables (strings,
+/// threads, argument pool). A directory listing any other number of
+/// segments is corrupt. View webs are not persisted: they are rebuilt
+/// from the columns on every load.
 ///
 /// Readers mmap the file (falling back to an aligned arena read), verify
-/// every section checksum, and validate the untrusted bytes (kinds, symbol
-/// ids, argument slices). A file whose string table interns to identical
-/// symbol ids — a fresh interner, or one already holding this exact table
-/// — is then *borrowed* zero-copy: the columns, argument pool, fingerprint
-/// lane, and view-index entry lists stay in the mapping, so loading skips
+/// every section checksum, and validate the untrusted bytes (kinds, thread
+/// ids, symbol ids, argument slices). A file whose string table interns to
+/// identical symbol ids — a fresh interner, or one already holding this
+/// exact table — is then *borrowed* zero-copy: the columns, argument pool,
+/// and fingerprint lane stay in the mapping, so loading skips
 /// re-fingerprinting entirely. A file whose symbols re-intern to different
 /// ids is materialized and remapped.
 ///
@@ -48,16 +49,12 @@
 namespace rprism {
 
 /// Writes \p T to \p Path as a one-segment file. Returns false on I/O
-/// failure. By default the file carries the optional view-index sections
-/// (the trace's ViewIdx when current, else computed here), so a later
-/// `rprism diff` reconstructs the view web without scanning the entries;
-/// \p WithViewIndex = false omits them (files load either way).
-bool writeTrace(const Trace &T, const std::string &Path,
-                bool WithViewIndex = true);
+/// failure.
+bool writeTrace(const Trace &T, const std::string &Path);
 
 /// What actually happened during a read — filled in when ReadOptions
 /// carries a Report pointer. Degradations are also counted process-wide
-/// (`robust.view_index_dropped`, `robust.salvage.*`, `robust.io_retry`).
+/// (`robust.salvage.*`, `robust.io_retry`).
 struct TraceReadReport {
   /// Salvage mode dropped damaged trailing data and returned a prefix.
   bool Salvaged = false;
@@ -65,9 +62,6 @@ struct TraceReadReport {
   uint64_t EntriesRecovered = 0;
   /// Entries the file declared but salvage could not recover.
   uint64_t EntriesDropped = 0;
-  /// The persisted view index was damaged and dropped; the trace loads
-  /// without it and view webs rebuild from the columns.
-  bool ViewIndexDropped = false;
 };
 
 /// Options for readTrace.
@@ -84,9 +78,7 @@ struct ReadOptions {
 
 /// Reads a trace from \p Path, interning all
 /// strings into \p Strings. Errors carry an ErrClass and a stable
-/// `trace.*` code (see trace/TraceError.h); a damaged persisted view
-/// index alone is not an error — the index is dropped and the trace
-/// loads without it.
+/// `trace.*` code (see trace/TraceError.h).
 Expected<Trace> readTrace(const std::string &Path,
                           std::shared_ptr<StringInterner> Strings);
 

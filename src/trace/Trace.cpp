@@ -43,10 +43,6 @@ TraceEntry Trace::entry(uint32_t Eid) const {
 }
 
 void Trace::append(const TraceEntry &Entry) {
-  // Any entry mutation makes a previously loaded/computed view index
-  // stale; drop it rather than serve a wrong partitioning.
-  if (ViewIdx.Present)
-    ViewIdx.clear();
   Tids.push_back(Entry.Tid);
   Methods.push_back(Entry.Method);
   Selfs.push_back(Entry.Self);

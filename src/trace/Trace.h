@@ -182,57 +182,6 @@ struct ThreadInfo {
   uint64_t AncestryHash = 0;
 };
 
-/// The number of view families the web partitions a trace into (thread,
-/// method, target-object, active-object — the order is part of the
-/// persisted format and of dense view-id assignment).
-inline constexpr size_t NumViewFamilies = 4;
-
-/// A precomputed partitioning of a trace's entries into the four view
-/// families — the data the view-web build derives by scanning the entry
-/// columns, lifted out so it can be persisted (trace file sections)
-/// and the scan skipped on repeat loads.
-///
-/// Per family F (0 = thread, 1 = method, 2 = target-object, 3 =
-/// active-object), Keys[F][i] is the identity of the family's i-th view in
-/// first-appearance order (a tid, an interned method-symbol id, or a store
-/// location) and Counts[F][i] its entry count. Entries is the flat
-/// concatenation of every view's ascending entry-id list, family by
-/// family, view by view — one contiguous column so a one-segment load
-/// borrows it zero-copy from the mapped file.
-struct ViewIndex {
-  Column<uint32_t> Keys[NumViewFamilies];
-  Column<uint32_t> Counts[NumViewFamilies];
-  Column<uint32_t> Entries;
-
-  /// True when the index describes the owning trace's current entries.
-  /// Any entry mutation (append) resets it; readers
-  /// must treat a non-Present index as absent.
-  bool Present = false;
-
-  void clear() {
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      Keys[F].clear();
-      Counts[F].clear();
-    }
-    Entries.clear();
-    Present = false;
-  }
-
-  size_t numViews() const {
-    size_t Total = 0;
-    for (size_t F = 0; F != NumViewFamilies; ++F)
-      Total += Keys[F].size();
-    return Total;
-  }
-
-  uint64_t byteSize() const {
-    uint64_t Bytes = Entries.byteSize();
-    for (size_t F = 0; F != NumViewFamilies; ++F)
-      Bytes += Keys[F].byteSize() + Counts[F].byteSize();
-    return Bytes;
-  }
-};
-
 /// A full execution trace, stored as columns indexed by eid (see the file
 /// comment). Hot paths read single columns through the accessors;
 /// entry(eid) materializes a full TraceEntry for rendering, tests, and
@@ -262,11 +211,6 @@ struct Trace {
   /// Keep-alive for borrowed columns: the mmap'd (or arena-read) bytes of
   /// a one-segment trace file. Null for fully owned traces.
   std::shared_ptr<void> Backing;
-
-  /// Persisted view partitioning, when loaded from a file carrying
-  /// index sections (or computed by computeViewIndex). Present only while
-  /// it matches the entry columns — appends invalidate it.
-  ViewIndex ViewIdx;
 
   /// True when every entry's fingerprint is current. Set by
   /// computeFingerprints (called at trace-finalize and deserialize time) or

@@ -2,6 +2,7 @@
 
 #include "views/Views.h"
 
+#include "support/Hashing.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -19,213 +20,150 @@ const char *rprism::viewTypeName(ViewType Type) {
   return "?";
 }
 
-/// True if the event kind carries a target object (FE/ME/KE events do;
-/// fork/end do not). Shared with the view-index writer, which must
-/// partition entries identically (trace/Event.h).
-static bool hasTargetObject(EventKind Kind, const ObjRepr &Target) {
-  return eventHasTargetObject(Kind, Target);
+uint32_t ViewKeyMap::findSparse(uint32_t Key) const {
+  if (Sparse.empty())
+    return NoView;
+  size_t Mask = Sparse.size() - 1;
+  for (size_t I = hashMix(0, Key) & Mask;; I = (I + 1) & Mask)
+    if (Sparse[I].second == NoView || Sparse[I].first == Key)
+      return Sparse[I].second;
 }
 
-namespace {
-
-/// One view family: views in first-appearance order with family-local ids.
-/// Keys (tids, interned symbol ids, store locations) are small dense
-/// integers, so the key -> local-id map is a direct-indexed vector — one
-/// bounds check + load per entry on the build hot path instead of a hash
-/// probe. The web's hash index is built once per family afterwards
-/// (O(views), not O(entries)).
-struct FamilyBuild {
-  std::vector<View> Views;
-  std::vector<uint32_t> Dense; ///< key -> local id; ~0u = no view yet.
-
-  View &getOrCreate(uint32_t Key) {
-    if (Key >= Dense.size())
-      Dense.resize(Key + 1, ~0u);
-    uint32_t &Slot = Dense[Key];
-    if (Slot == ~0u) {
-      Slot = static_cast<uint32_t>(Views.size());
-      Views.emplace_back();
-    }
-    return Views[Slot];
+uint32_t &ViewKeyMap::slotSlow(uint32_t Key) {
+  if (Key < Bound) {
+    // Grow geometrically, never past the bound (Key + 1 <= Bound).
+    size_t Size = std::min<size_t>(std::max<size_t>(Key + 1, Dense.size() * 2),
+                                   Bound);
+    Dense.resize(Size, NoView);
+    return Dense[Key];
   }
-};
-
-/// All four families (nu_TH, nu_CM, nu_TO, nu_AO) in one pass over the
-/// keyed columns. TO/AO LastRepr is filled once at the end (each view's
-/// last entry) rather than overwritten per entry — the per-entry struct
-/// copy was measurable on long traces.
-void buildAllFamilies(const Trace &T, FamilyBuild Families[4]) {
-  const uint32_t *Tids = T.Tids.data();
-  const Symbol *Methods = T.Methods.data();
-  const uint8_t *Kinds = T.Kinds.data();
-  const ObjRepr *Targets = T.Targets.data();
-  const ObjRepr *Selfs = T.Selfs.data();
-  uint32_t N = static_cast<uint32_t>(T.size());
-  for (uint32_t Eid = 0; Eid != N; ++Eid) {
-    View &TV = Families[0].getOrCreate(Tids[Eid]);
-    if (TV.Entries.empty()) {
-      TV.Type = ViewType::Thread;
-      TV.Tid = Tids[Eid];
-    }
-    TV.Entries.push_back(Eid);
-
-    View &MV = Families[1].getOrCreate(Methods[Eid].Id);
-    if (MV.Entries.empty()) {
-      MV.Type = ViewType::Method;
-      MV.MethodName = Methods[Eid];
-    }
-    MV.Entries.push_back(Eid);
-
-    if (hasTargetObject(static_cast<EventKind>(Kinds[Eid]), Targets[Eid])) {
-      View &OV = Families[2].getOrCreate(Targets[Eid].Loc);
-      if (OV.Entries.empty()) {
-        OV.Type = ViewType::TargetObject;
-        OV.Loc = Targets[Eid].Loc;
-        OV.FirstRepr = Targets[Eid];
-      }
-      OV.Entries.push_back(Eid);
-    }
-
-    if (!Selfs[Eid].isNone()) {
-      View &AV = Families[3].getOrCreate(Selfs[Eid].Loc);
-      if (AV.Entries.empty()) {
-        AV.Type = ViewType::ActiveObject;
-        AV.Loc = Selfs[Eid].Loc;
-        AV.FirstRepr = Selfs[Eid];
-      }
-      AV.Entries.push_back(Eid);
-    }
+  if ((SparseUsed + 1) * 2 > Sparse.size()) {
+    std::vector<std::pair<uint32_t, uint32_t>> Old(
+        std::max<size_t>(16, Sparse.size() * 2), {0, NoView});
+    Old.swap(Sparse);
+    SparseUsed = 0;
+    for (const auto &[OldKey, Id] : Old)
+      if (Id != NoView)
+        slotSlow(OldKey) = Id;
   }
-  for (View &V : Families[2].Views)
-    V.LastRepr = Targets[V.Entries.back()];
-  for (View &V : Families[3].Views)
-    V.LastRepr = Selfs[V.Entries.back()];
+  size_t Mask = Sparse.size() - 1;
+  size_t I = hashMix(0, Key) & Mask;
+  while (Sparse[I].second != NoView && Sparse[I].first != Key)
+    I = (I + 1) & Mask;
+  if (Sparse[I].second == NoView) {
+    Sparse[I].first = Key;
+    ++SparseUsed;
+  }
+  return Sparse[I].second;
 }
 
-} // namespace
-
-ViewWeb::ViewWeb(const Trace &TIn, bool UseIndex) : T(&TIn) {
-  // Warm path: a trace carrying its persisted partitioning skips the
-  // entry scan — and the "web-build" span — entirely. The reconstruction
-  // is O(views), not O(entries), and produces the identical web (same
-  // dense ids, same entry lists; pinned by the ViewIndexProperty tests).
-  if (UseIndex && TIn.ViewIdx.Present) {
-    buildFromIndex(TIn.ViewIdx);
-    return;
-  }
-
-  // Dense ids are family-grouped: the concatenation below numbers all
-  // thread views first, then method, target-object, active-object.
+ViewWeb::ViewWeb(const Trace &TIn) : T(&TIn) {
   TelemetrySpan WebSpan("web-build");
-  FamilyBuild Families[4];
-  buildAllFamilies(*T, Families);
-
-  std::unordered_map<uint32_t, uint32_t> *Indices[4] = {
-      &ThreadIndex, &MethodIndex, &TargetIndex, &ActiveIndex};
-  size_t Total = 0;
-  for (const FamilyBuild &F : Families)
-    Total += F.Views.size();
-  Views.reserve(Total);
-  for (size_t FI = 0; FI != 4; ++FI) {
-    FamilyBuild &F = Families[FI];
-    uint32_t Offset = static_cast<uint32_t>(Views.size());
-    for (View &V : F.Views) {
-      V.Id = Offset + static_cast<uint32_t>(&V - F.Views.data());
-      Views.push_back(std::move(V));
-    }
-    Indices[FI]->reserve(F.Views.size());
-    for (uint32_t Key = 0; Key != F.Dense.size(); ++Key)
-      if (F.Dense[Key] != ~0u)
-        Indices[FI]->emplace(Key, Offset + F.Dense[Key]);
-  }
-  Telemetry::counterAdd("web.views", Views.size());
-}
-
-void ViewWeb::buildFromIndex(const ViewIndex &Idx) {
-  TelemetrySpan Span("view-index");
+  const uint32_t *Tids = T->Tids.data();
+  const Symbol *Methods = T->Methods.data();
+  const uint8_t *Kinds = T->Kinds.data();
   const ObjRepr *Targets = T->Targets.data();
   const ObjRepr *Selfs = T->Selfs.data();
-  std::unordered_map<uint32_t, uint32_t> *Indices[NumViewFamilies] = {
-      &ThreadIndex, &MethodIndex, &TargetIndex, &ActiveIndex};
-  constexpr ViewType FamilyType[NumViewFamilies] = {
-      ViewType::Thread, ViewType::Method, ViewType::TargetObject,
-      ViewType::ActiveObject};
+  const uint32_t N = static_cast<uint32_t>(T->size());
 
-  Views.reserve(Idx.numViews());
-  const uint32_t *Flat = Idx.Entries.data();
-  size_t Offset = 0;
+  // Keys below twice the entry count index dense tables; larger ones (a
+  // symbol id of a big shared interner, a hostile location) are rare.
+  uint32_t Bound = static_cast<uint32_t>(
+      std::min<uint64_t>(uint64_t{N} * 2 + 1024, ViewKeyMap::NoView));
+  for (ViewKeyMap &Map : Keys)
+    Map = ViewKeyMap(Bound);
+
+  // Pass 1: family-local ids in first-appearance order, entry counts.
+  std::vector<uint32_t> FamilyKeys[NumViewFamilies];
+  std::vector<uint32_t> Counts[NumViewFamilies];
+  auto Count = [&](size_t F, uint32_t Key) {
+    uint32_t &Local = Keys[F].slot(Key);
+    if (Local == ViewKeyMap::NoView) {
+      Local = static_cast<uint32_t>(FamilyKeys[F].size());
+      FamilyKeys[F].push_back(Key);
+      Counts[F].push_back(0);
+    }
+    ++Counts[F][Local];
+  };
+  for (uint32_t Eid = 0; Eid != N; ++Eid) {
+    Count(0, Tids[Eid]);
+    Count(1, Methods[Eid].Id);
+    if (eventHasTargetObject(static_cast<EventKind>(Kinds[Eid]),
+                             Targets[Eid]))
+      Count(2, Targets[Eid].Loc);
+    if (!Selfs[Eid].isNone())
+      Count(3, Selfs[Eid].Loc);
+  }
+
+  // Prefix sum: each view's slice of the flat array, family by family.
+  // Cursor[F][Local] is where the view's next entry id goes.
+  std::vector<size_t> Cursor[NumViewFamilies];
+  size_t FlatSize = 0;
   for (size_t F = 0; F != NumViewFamilies; ++F) {
-    size_t NumViews = Idx.Keys[F].size();
-    Indices[F]->reserve(NumViews);
-    for (size_t VI = 0; VI != NumViews; ++VI) {
-      uint32_t Key = Idx.Keys[F][VI];
-      uint32_t Count = Idx.Counts[F][VI];
-      View V;
-      V.Type = FamilyType[F];
-      V.Id = static_cast<uint32_t>(Views.size());
-      V.Entries.borrow(Flat + Offset, Count);
-      switch (FamilyType[F]) {
-      case ViewType::Thread:
-        V.Tid = Key;
-        break;
-      case ViewType::Method:
-        V.MethodName = Symbol{Key};
-        break;
-      case ViewType::TargetObject:
-      case ViewType::ActiveObject: {
-        // The representation endpoints are not persisted — they are two
-        // column loads per view (first and last member entry), the same
-        // values the scan builders record.
-        const ObjRepr *Col =
-            FamilyType[F] == ViewType::TargetObject ? Targets : Selfs;
-        V.Loc = Key;
-        V.FirstRepr = Col[Flat[Offset]];
-        V.LastRepr = Col[Flat[Offset + Count - 1]];
-        break;
-      }
-      }
-      Indices[F]->emplace(Key, V.Id);
-      Views.push_back(std::move(V));
-      Offset += Count;
+    Cursor[F].resize(Counts[F].size());
+    for (size_t Local = 0; Local != Counts[F].size(); ++Local) {
+      Cursor[F][Local] = FlatSize;
+      FlatSize += Counts[F][Local];
     }
   }
+
+  // Pass 2: scatter every entry id into its views' slices. Ascending eids
+  // make each slice ascending.
+  Flat = std::make_unique_for_overwrite<uint32_t[]>(FlatSize);
+  uint32_t *Out = Flat.get();
+  for (uint32_t Eid = 0; Eid != N; ++Eid) {
+    Out[Cursor[0][Keys[0].find(Tids[Eid])]++] = Eid;
+    Out[Cursor[1][Keys[1].find(Methods[Eid].Id)]++] = Eid;
+    if (eventHasTargetObject(static_cast<EventKind>(Kinds[Eid]),
+                             Targets[Eid]))
+      Out[Cursor[2][Keys[2].find(Targets[Eid].Loc)]++] = Eid;
+    if (!Selfs[Eid].isNone())
+      Out[Cursor[3][Keys[3].find(Selfs[Eid].Loc)]++] = Eid;
+  }
+
+  // The views, each written once: a cursor now marks its slice's end.
+  // Object views keep the representations at their first and last events.
+  size_t NumViews = 0;
+  for (size_t F = 0; F != NumViewFamilies; ++F)
+    NumViews += Counts[F].size();
+  Views.reserve(NumViews);
+  for (size_t F = 0; F != NumViewFamilies; ++F) {
+    FamilyBase[F] = static_cast<uint32_t>(Views.size());
+    const ObjRepr *Col = F == 2 ? Targets : F == 3 ? Selfs : nullptr;
+    for (size_t Local = 0; Local != Counts[F].size(); ++Local) {
+      View &V = Views.emplace_back();
+      V.Type = static_cast<ViewType>(F);
+      V.Id = static_cast<uint32_t>(Views.size() - 1);
+      V.Entries = {Out + Cursor[F][Local] - Counts[F][Local],
+                   Counts[F][Local]};
+      uint32_t Key = FamilyKeys[F][Local];
+      if (F == 0) {
+        V.Tid = Key;
+      } else if (F == 1) {
+        V.MethodName = Symbol{Key};
+      } else {
+        V.Loc = Key;
+        V.FirstRepr = Col[V.Entries.front()];
+        V.LastRepr = Col[V.Entries.back()];
+      }
+    }
+  }
+  FamilyBase[NumViewFamilies] = static_cast<uint32_t>(Views.size());
   Telemetry::counterAdd("web.views", Views.size());
-  Telemetry::counterAdd("web.from_index", 1);
-}
-
-const View *ViewWeb::threadView(uint32_t Tid) const {
-  auto It = ThreadIndex.find(Tid);
-  return It == ThreadIndex.end() ? nullptr : &Views[It->second];
-}
-
-const View *ViewWeb::methodView(Symbol QualName) const {
-  auto It = MethodIndex.find(QualName.Id);
-  return It == MethodIndex.end() ? nullptr : &Views[It->second];
-}
-
-const View *ViewWeb::targetObjectView(uint32_t Loc) const {
-  auto It = TargetIndex.find(Loc);
-  return It == TargetIndex.end() ? nullptr : &Views[It->second];
-}
-
-const View *ViewWeb::activeObjectView(uint32_t Loc) const {
-  auto It = ActiveIndex.find(Loc);
-  return It == ActiveIndex.end() ? nullptr : &Views[It->second];
 }
 
 std::vector<uint32_t> ViewWeb::viewsOf(uint32_t Eid) const {
   std::vector<uint32_t> Result;
-  if (auto It = ThreadIndex.find(T->tid(Eid)); It != ThreadIndex.end())
-    Result.push_back(It->second);
-  if (auto It = MethodIndex.find(T->method(Eid).Id); It != MethodIndex.end())
-    Result.push_back(It->second);
-  if (hasTargetObject(T->kind(Eid), T->target(Eid)))
-    if (auto It = TargetIndex.find(T->target(Eid).Loc);
-        It != TargetIndex.end())
-      Result.push_back(It->second);
+  auto Add = [&](const View *V) {
+    if (V)
+      Result.push_back(V->Id);
+  };
+  Add(threadView(T->tid(Eid)));
+  Add(methodView(T->method(Eid)));
+  if (eventHasTargetObject(T->kind(Eid), T->target(Eid)))
+    Add(targetObjectView(T->target(Eid).Loc));
   if (!T->self(Eid).isNone())
-    if (auto It = ActiveIndex.find(T->self(Eid).Loc); It != ActiveIndex.end())
-      Result.push_back(It->second);
+    Add(activeObjectView(T->self(Eid).Loc));
   return Result;
 }
 

@@ -27,26 +27,30 @@
 
 #include "trace/Trace.h"
 
+#include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace rprism {
 
-/// The four view types of §2.4.
+/// The four view types of §2.4. The order is the family order of dense
+/// view ids (all thread views first, then method, target-object,
+/// active-object).
 enum class ViewType : uint8_t { Thread, Method, TargetObject, ActiveObject };
+
+/// The number of view families a web partitions a trace into.
+inline constexpr size_t NumViewFamilies = 4;
 
 const char *viewTypeName(ViewType Type);
 
 /// One view: its identity plus the (ascending) entry ids it contains.
-/// Entries is a Column so a web reconstructed from a trace's persisted
-/// ViewIndex borrows each view's list zero-copy out of the index's flat
-/// entry column (which itself may borrow the mapped trace file); webs
-/// built by scanning own their lists as before.
+/// Entries is a slice of the owning ViewWeb's flat, family-ordered entry
+/// array, valid as long as the web is.
 struct View {
   ViewType Type = ViewType::Thread;
   uint32_t Id = 0; ///< Dense id within the owning ViewWeb.
-  Column<uint32_t> Entries; ///< Entry ids, ascending.
+  std::span<const uint32_t> Entries; ///< Entry ids, ascending.
 
   // Identity, depending on Type:
   uint32_t Tid = 0;       ///< Thread views.
@@ -62,35 +66,85 @@ struct View {
   size_t size() const { return Entries.size(); }
 };
 
+/// Key -> family-local view id for one view family. Keys (tids, symbol
+/// ids, store locations) below a bound proportional to the trace length
+/// index a dense vector; the rare larger key goes to a small
+/// open-addressing table. Nothing in a trace file bounds a store location,
+/// so a hostile key costs one table slot, never an allocation sized by its
+/// value.
+class ViewKeyMap {
+public:
+  static constexpr uint32_t NoView = ~0u;
+
+  explicit ViewKeyMap(uint32_t DenseBound = 0) : Bound(DenseBound) {}
+
+  /// The id stored for \p Key, or NoView.
+  uint32_t find(uint32_t Key) const {
+    return Key < Dense.size() ? Dense[Key] : findSparse(Key);
+  }
+
+  /// The id slot of \p Key, created holding NoView when absent; the caller
+  /// stores an id there before the next call, which may move the slot.
+  uint32_t &slot(uint32_t Key) {
+    return Key < Dense.size() ? Dense[Key] : slotSlow(Key);
+  }
+
+private:
+  uint32_t findSparse(uint32_t Key) const;
+  uint32_t &slotSlow(uint32_t Key);
+
+  uint32_t Bound;
+  std::vector<uint32_t> Dense;
+  /// Open addressing, power-of-two capacity; a NoView id marks a free slot.
+  std::vector<std::pair<uint32_t, uint32_t>> Sparse;
+  size_t SparseUsed = 0;
+};
+
 /// The full web of views for one trace.
 class ViewWeb {
 public:
-  /// Builds every view of \p T in one pass over its columns. The trace
+  /// Builds every view of \p T in two passes over its tid, method, kind,
+  /// target, and self columns: the first assigns family-local ids in
+  /// first-appearance order and counts each view's entries, the second
+  /// scatters each entry id into one flat family-ordered array. The trace
   /// must outlive the web. View ids are dense and family-grouped (all
   /// thread views first, then method, target-object, active-object, each
   /// in order of first appearance).
-  ///
-  /// When \p UseIndex is set and the trace carries a current ViewIndex
-  /// (loaded from an indexed trace file or precomputed), the entry scan is
-  /// skipped entirely: views are reconstructed from the index in O(views)
-  /// with entry lists borrowed zero-copy, producing the identical web.
-  explicit ViewWeb(const Trace &T, bool UseIndex = true);
+  explicit ViewWeb(const Trace &T);
+
+  // Views point into Flat: moving keeps the array, copying would not.
+  ViewWeb(ViewWeb &&) = default;
+  ViewWeb &operator=(ViewWeb &&) = default;
+  ViewWeb(const ViewWeb &) = delete;
+  ViewWeb &operator=(const ViewWeb &) = delete;
 
   const Trace &trace() const { return *T; }
 
   const View &view(uint32_t ViewId) const { return Views[ViewId]; }
   size_t numViews() const { return Views.size(); }
 
-  size_t numThreadViews() const { return ThreadIndex.size(); }
-  size_t numMethodViews() const { return MethodIndex.size(); }
-  size_t numTargetObjectViews() const { return TargetIndex.size(); }
-  size_t numActiveObjectViews() const { return ActiveIndex.size(); }
+  size_t numThreadViews() const { return familySize(ViewType::Thread); }
+  size_t numMethodViews() const { return familySize(ViewType::Method); }
+  size_t numTargetObjectViews() const {
+    return familySize(ViewType::TargetObject);
+  }
+  size_t numActiveObjectViews() const {
+    return familySize(ViewType::ActiveObject);
+  }
 
   /// Lookups; null when no such view exists.
-  const View *threadView(uint32_t Tid) const;
-  const View *methodView(Symbol QualName) const;
-  const View *targetObjectView(uint32_t Loc) const;
-  const View *activeObjectView(uint32_t Loc) const;
+  const View *threadView(uint32_t Tid) const {
+    return lookup(ViewType::Thread, Tid);
+  }
+  const View *methodView(Symbol QualName) const {
+    return lookup(ViewType::Method, QualName.Id);
+  }
+  const View *targetObjectView(uint32_t Loc) const {
+    return lookup(ViewType::TargetObject, Loc);
+  }
+  const View *activeObjectView(uint32_t Loc) const {
+    return lookup(ViewType::ActiveObject, Loc);
+  }
 
   /// All views containing entry \p Eid (the nu mappings of Fig. 7): its
   /// thread view, method view, target object view (if the event has a
@@ -108,16 +162,25 @@ public:
   const std::vector<View> &views() const { return Views; }
 
 private:
-  /// Reconstructs every view from the trace's persisted ViewIndex:
-  /// O(views) work, entry lists borrowed from the index's flat column.
-  void buildFromIndex(const ViewIndex &Idx);
+  size_t familySize(ViewType Type) const {
+    size_t F = static_cast<size_t>(Type);
+    return FamilyBase[F + 1] - FamilyBase[F];
+  }
+  const View *lookup(ViewType Type, uint32_t Key) const {
+    size_t F = static_cast<size_t>(Type);
+    uint32_t Local = Keys[F].find(Key);
+    return Local == ViewKeyMap::NoView ? nullptr
+                                       : &Views[FamilyBase[F] + Local];
+  }
 
   const Trace *T;
   std::vector<View> Views;
-  std::unordered_map<uint32_t, uint32_t> ThreadIndex; ///< tid -> view id.
-  std::unordered_map<uint32_t, uint32_t> MethodIndex; ///< symbol -> view id.
-  std::unordered_map<uint32_t, uint32_t> TargetIndex; ///< loc -> view id.
-  std::unordered_map<uint32_t, uint32_t> ActiveIndex; ///< loc -> view id.
+  /// Every view's entry list, family by family, view by view.
+  std::unique_ptr<uint32_t[]> Flat;
+  /// Family F's views are ids [FamilyBase[F], FamilyBase[F + 1]).
+  uint32_t FamilyBase[NumViewFamilies + 1] = {};
+  /// Per family: key (tid, method symbol id, location) -> local id.
+  ViewKeyMap Keys[NumViewFamilies];
 };
 
 } // namespace rprism

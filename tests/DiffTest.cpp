@@ -555,9 +555,9 @@ TEST(ViewsDiff, RunSkipMatchesEventEqualsOnGeneratedTraces) {
   }
 }
 
-TEST(ViewsDiff, DeterministicAcrossViewIndexAndJobs) {
+TEST(ViewsDiff, LoadedTracesDeterministicAcrossJobs) {
   // Byte-identical reports and identical compare-op totals for every
-  // --jobs value, whether the trace files carry the view index or not.
+  // --jobs value, from trace files as from memory.
   GeneratorOptions Base;
   Base.OuterIters = 60;
   Base.NumThreads = 3;
@@ -573,34 +573,29 @@ TEST(ViewsDiff, DeterministicAcrossViewIndexAndJobs) {
   ASSERT_GT(Ref.numDiffs(), 0u);
   const std::string RefRender = Ref.render(50, 12);
 
-  for (bool WithIndex : {true, false}) {
-    std::string Tag = WithIndex ? "idx" : "plain";
-    std::string LPath = diffTempPath("L_" + Tag);
-    std::string RPath = diffTempPath("R_" + Tag);
-    for (auto [T, Path] : {std::pair{&L, LPath}, std::pair{&R, RPath}})
-      ASSERT_TRUE(writeTrace(*T, Path, WithIndex));
-    // Loading both sides into one fresh interner, as diff-traces does:
-    // both must still diff identically to the in-memory pair.
-    auto Shared = std::make_shared<StringInterner>();
-    Expected<Trace> LLoaded = readTrace(LPath, Shared);
-    Expected<Trace> RLoaded = readTrace(RPath, Shared);
-    ASSERT_TRUE(bool(LLoaded)) << LLoaded.error().render();
-    ASSERT_TRUE(bool(RLoaded)) << RLoaded.error().render();
-    EXPECT_TRUE(LLoaded->HasFingerprints);
-    EXPECT_TRUE(RLoaded->HasFingerprints);
-    for (unsigned Jobs : {1u, 4u, 0u}) {
-      ViewsDiffOptions Options;
-      Options.Jobs = Jobs;
-      Options.ParallelCutoffEntries = 0;
-      DiffResult Out = viewsDiff(*LLoaded, *RLoaded, Options);
-      EXPECT_EQ(Out.render(50, 12), RefRender)
-          << Tag << " jobs " << Jobs;
-      EXPECT_EQ(Out.Stats.CompareOps, Ref.Stats.CompareOps)
-          << Tag << " jobs " << Jobs;
-    }
-    std::remove(LPath.c_str());
-    std::remove(RPath.c_str());
+  std::string LPath = diffTempPath("L");
+  std::string RPath = diffTempPath("R");
+  for (auto [T, Path] : {std::pair{&L, LPath}, std::pair{&R, RPath}})
+    ASSERT_TRUE(writeTrace(*T, Path));
+  // Loading both sides into one fresh interner, as diff-traces does: both
+  // must still diff identically to the in-memory pair.
+  auto Shared = std::make_shared<StringInterner>();
+  Expected<Trace> LLoaded = readTrace(LPath, Shared);
+  Expected<Trace> RLoaded = readTrace(RPath, Shared);
+  ASSERT_TRUE(bool(LLoaded)) << LLoaded.error().render();
+  ASSERT_TRUE(bool(RLoaded)) << RLoaded.error().render();
+  EXPECT_TRUE(LLoaded->HasFingerprints);
+  EXPECT_TRUE(RLoaded->HasFingerprints);
+  for (unsigned Jobs : {1u, 4u, 0u}) {
+    ViewsDiffOptions Options;
+    Options.Jobs = Jobs;
+    Options.ParallelCutoffEntries = 0;
+    DiffResult Out = viewsDiff(*LLoaded, *RLoaded, Options);
+    EXPECT_EQ(Out.render(50, 12), RefRender) << "jobs " << Jobs;
+    EXPECT_EQ(Out.Stats.CompareOps, Ref.Stats.CompareOps) << "jobs " << Jobs;
   }
+  std::remove(LPath.c_str());
+  std::remove(RPath.c_str());
 }
 
 } // namespace

@@ -12,11 +12,13 @@
 ///      disarmed.
 ///   2. Every section of a one-segment file survives the corruption
 ///      matrix — truncation, payload bit flips, checksum-record tampering,
-///      oversized lengths — with a typed Corrupt error (core sections) or a
-///      dropped view index (derived sections), never a crash.
-///   3. The degradation ladder: transient I/O retries, view-index drop,
-///      pool-dispatch stalls — each leaves results correct and increments
-///      its `robust.*` counter.
+///      oversized lengths — with a typed Corrupt error, never a crash.
+///      Hostile values that checksums cannot catch (out-of-range thread
+///      ids, huge object locations) are refused or handled in bounded
+///      memory.
+///   3. The degradation ladder: transient I/O retries and pool-dispatch
+///      stalls — each leaves results correct and increments its
+///      `robust.*` counter.
 ///   4. Salvage mode recovers a byte-identical entry prefix from damaged
 ///      files, counts what it could not recover, and refuses when the side
 ///      tables are gone.
@@ -40,6 +42,8 @@
 #include <cstring>
 #include <fstream>
 #include <vector>
+
+#include <sys/resource.h>
 
 using namespace rprism;
 
@@ -206,7 +210,7 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
   Trace T = workloadTrace(Strings);
   ASSERT_GT(T.size(), 0u);
   std::string Base = tempPath("matrix_base");
-  ASSERT_TRUE(writeTrace(T, Base, /*WithViewIndex=*/true));
+  ASSERT_TRUE(writeTrace(T, Base));
   std::vector<uint8_t> Good = readAll(Base);
   std::vector<SectionRec> Table = sectionTable(Good);
   ASSERT_GE(Table.size(), 16u) << "expected all sections present";
@@ -214,7 +218,6 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
   std::string Mutant = tempPath("matrix_mut");
   enum Mutation { Truncate, FlipPayload, FlipChecksum, OversizeLength };
   for (const SectionRec &Sec : Table) {
-    bool IsView = Sec.Id == 22 || Sec.Id == 23; // view-meta / view-entries
     for (Mutation M : {Truncate, FlipPayload, FlipChecksum, OversizeLength}) {
       if ((M == Truncate || M == FlipPayload) && Sec.Length == 0)
         continue; // Nothing to cut or flip.
@@ -239,31 +242,12 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
       SCOPED_TRACE("section " + std::to_string(Sec.Id) + " mutation " +
                    std::to_string(M));
       Expected<Trace> Loaded = readTrace(Mutant, nullptr);
-      if (IsView && M != Truncate) {
-        // Damage confined to the derived index: the load degrades.
-        ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-        EXPECT_FALSE(Loaded->ViewIdx.Present);
-        EXPECT_EQ(Loaded->size(), T.size());
-      } else if (IsView) {
-        // Any cut loses the trailing directory, so a strict read refuses;
-        // the cut sits past every entry column, so salvage recovers every
-        // entry and loses only derived data.
-        ASSERT_FALSE(bool(Loaded));
-        EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt);
-        ReadOptions Options;
-        Options.Salvage = true;
-        Expected<Trace> Salvaged = readTrace(Mutant, nullptr, Options);
-        ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-        EXPECT_FALSE(Salvaged->ViewIdx.Present);
-        EXPECT_EQ(Salvaged->size(), T.size());
-      } else {
-        // Core and side sections: a typed Corrupt error, never a crash
-        // and never a partially-valid trace.
-        ASSERT_FALSE(bool(Loaded));
-        EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt)
-            << Loaded.error().render();
-        EXPECT_FALSE(Loaded.error().Code.empty());
-      }
+      // A typed Corrupt error, never a crash and never a partially-valid
+      // trace.
+      ASSERT_FALSE(bool(Loaded));
+      EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt)
+          << Loaded.error().render();
+      EXPECT_FALSE(Loaded.error().Code.empty());
     }
   }
   std::remove(Base.c_str());
@@ -304,6 +288,92 @@ TEST(CorruptionMatrix, WrappingFooterOffsetIsTypedNotACrash) {
   std::remove(Path.c_str());
 }
 
+//===----------------------------------------------------------------------===//
+// Hostile values the checksums cannot catch
+//===----------------------------------------------------------------------===//
+
+/// The trace of a small program with every object location rewritten to
+/// \p Loc minus the original one. The VM never hands out such locations,
+/// but nothing in a file rules them out: a location is not bounded by the
+/// entry count, and 0xffffffff is NoLoc yet still a real object (it has a
+/// class).
+Trace relocatedTrace(uint32_t Loc) {
+  Trace T = traceOf(R"(
+    class A { Int x; A(Int x) { this.x = x; } Int get() { return this.x; } }
+    main { var a = new A(5); var b = new A(6); print(a.get() + b.get()); }
+  )");
+  ObjRepr *Targets = T.Targets.mutData();
+  ObjRepr *Selfs = T.Selfs.mutData();
+  for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
+    if (!Targets[Eid].isNone())
+      Targets[Eid].Loc = Loc - Targets[Eid].Loc;
+    if (!Selfs[Eid].isNone())
+      Selfs[Eid].Loc = Loc - Selfs[Eid].Loc;
+  }
+  return T;
+}
+
+/// Peak resident set of this process so far, in KiB.
+long peakRssKb() {
+  struct rusage Usage;
+  ::getrusage(RUSAGE_SELF, &Usage);
+  return Usage.ru_maxrss;
+}
+
+void expectHugeLocationDiffsCleanly(uint32_t Loc) {
+  std::string Path = tempPath("hugeloc");
+  ASSERT_TRUE(writeTrace(relocatedTrace(Loc), Path));
+  long PeakBefore = peakRssKb();
+  auto Shared = std::make_shared<StringInterner>();
+  Expected<Trace> L = readTrace(Path, Shared);
+  Expected<Trace> R = readTrace(Path, Shared);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(bool(L)) << L.error().render();
+  ASSERT_TRUE(bool(R)) << R.error().render();
+  ViewWeb Web(*L);
+  ASSERT_NE(Web.targetObjectView(Loc), nullptr);
+  EXPECT_EQ(Web.numTargetObjectViews(), 2u);
+  DiffResult Result = viewsDiff(*L, *R, ViewsDiffOptions());
+  EXPECT_EQ(Result.numDiffs(), 0u);
+  // A key table sized by the location would take 8 GiB here.
+  EXPECT_LT(peakRssKb() - PeakBefore, 256 * 1024);
+}
+
+TEST(HostileValues, LargestLocationDiffsCleanly) {
+  expectHugeLocationDiffsCleanly(0xffffffffu);
+}
+
+TEST(HostileValues, HugeLocationDiffsInBoundedMemory) {
+  expectHugeLocationDiffsCleanly(0x7fffffffu);
+}
+
+TEST(HostileValues, ThreadIdsOutsideTheThreadTableAreCorrupt) {
+  Trace T = traceOf("class A { } main { var a = new A(); var b = new A(); }");
+  ASSERT_EQ(T.Threads.size(), 1u);
+  ASSERT_GT(T.size(), 1u);
+  std::string Path = tempPath("badtid");
+  auto ExpectCorrupt = [&](const Trace &Bad, const char *What) {
+    SCOPED_TRACE(What);
+    ASSERT_TRUE(writeTrace(Bad, Path));
+    Expected<Trace> Loaded = readTrace(Path, nullptr);
+    ASSERT_FALSE(bool(Loaded));
+    EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt);
+    EXPECT_EQ(Loaded.error().Code, "trace.section");
+  };
+
+  // An entry on a thread the table does not list.
+  Trace Entry = T;
+  Entry.Tids.mutData()[1] = 1;
+  ExpectCorrupt(Entry, "entry tid");
+
+  // A thread record that is not the record of its own index.
+  Trace Record = T;
+  Record.Threads[0].Tid = 3;
+  ExpectCorrupt(Record, "thread record");
+  std::remove(Path.c_str());
+}
+
+
 TEST(CorruptionMatrix, SectionOffsetFarPastTheFileIsNeverDereferenced) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = traceOf("class A { } main { var a = new A(); }", Strings);
@@ -339,7 +409,7 @@ TEST(CorruptionMatrix, SectionOffsetFarPastTheFileIsNeverDereferenced) {
 }
 
 //===----------------------------------------------------------------------===//
-// Degradation ladder: I/O retry, view-index drop, pool-dispatch stalls
+// Degradation ladder: I/O retry, pool-dispatch stalls
 //===----------------------------------------------------------------------===//
 
 TEST(DegradationLadder, TransientOpenFailureIsRetried) {
@@ -427,28 +497,6 @@ TEST(DegradationLadder, InFlightBitFlipIsCaughtByChecksums) {
   std::remove(Path.c_str());
 }
 
-TEST(DegradationLadder, ViewIndexBorrowFaultDropsIndexOnly) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("borrowfault");
-  ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/true));
-  TelemetryWindow W;
-  {
-    ScopedFaultInjection Arm(5);
-    FaultInjector::get().configure(FaultSite::ViewIndexBorrow, 1.0);
-    TraceReadReport Report;
-    ReadOptions Options;
-    Options.Report = &Report;
-    Expected<Trace> Loaded = readTrace(Path, Strings, Options);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    EXPECT_FALSE(Loaded->ViewIdx.Present);
-    EXPECT_TRUE(Report.ViewIndexDropped);
-    EXPECT_EQ(Loaded->size(), T.size());
-  }
-  EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
-  std::remove(Path.c_str());
-}
-
 TEST(DegradationLadder, PoolDispatchStallsNeverChangeResults) {
   auto Strings = std::make_shared<StringInterner>();
   Trace Left = workloadTrace(Strings);
@@ -501,7 +549,7 @@ TEST(Salvage, TruncatedOneSegmentRecoversByteIdenticalPrefix) {
   Trace T = workloadTrace(Strings);
   ASSERT_GT(T.size(), 50u);
   std::string Base = tempPath("salvage_base");
-  ASSERT_TRUE(writeTrace(T, Base, /*WithViewIndex=*/true));
+  ASSERT_TRUE(writeTrace(T, Base));
   std::vector<uint8_t> Good = readAll(Base);
 
   // Cut points derived from the section table, not guessed fractions. In
@@ -605,9 +653,7 @@ TEST(Salvage, IntactFilesReadIdenticallyWithSalvageOn) {
   Expected<Trace> Loaded = readTrace(Path, Strings, Options);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   EXPECT_FALSE(Report.Salvaged) << "salvage must be a no-op on clean files";
-  EXPECT_FALSE(Report.ViewIndexDropped);
   EXPECT_EQ(Loaded->size(), T.size());
-  EXPECT_TRUE(Loaded->ViewIdx.Present);
   std::remove(Path.c_str());
 }
 
@@ -772,20 +818,20 @@ TEST(FaultSpec, ValidSpecArmsExactlyLikeArmPlusConfigure) {
   EXPECT_TRUE(FaultInjector::enabled());
   EXPECT_TRUE(FaultInjector::fire(FaultSite::FileOpen));
   // Unconfigured sites stay quiet.
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::SectionChecksum));
   FI.disarm();
 }
 
 TEST(FaultSpec, OneShotClauseFiresExactlyThatOccurrence) {
   FaultInjector &FI = FaultInjector::get();
   std::string Error;
-  ASSERT_TRUE(FI.armFromSpec("seed=1,view-index-borrow:0@2", &Error))
+  ASSERT_TRUE(FI.armFromSpec("seed=1,section-checksum:0@2", &Error))
       << Error;
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
-  EXPECT_TRUE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
-  EXPECT_EQ(FI.injected(FaultSite::ViewIndexBorrow), 1u);
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::SectionChecksum));
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::SectionChecksum));
+  EXPECT_TRUE(FaultInjector::fire(FaultSite::SectionChecksum));
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::SectionChecksum));
+  EXPECT_EQ(FI.injected(FaultSite::SectionChecksum), 1u);
   FI.disarm();
 }
 

@@ -12,7 +12,6 @@
 #include "runtime/Vm.h"
 #include "support/Hashing.h"
 #include "trace/Serialize.h"
-#include "trace/ViewIndex.h"
 #include "workload/Corpus.h"
 #include "workload/Generator.h"
 
@@ -263,7 +262,7 @@ TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
   // symbol ids are preserved and the loader takes the zero-copy borrow
   // path: Backing holds the file bytes, every column — including the
   // fingerprints, which are not recomputed — is borrowed from them and
-  // byte-identical, and so are the argument pool and view-index entries.
+  // byte-identical, and so is the argument pool.
   Expected<Trace> Loaded = readTrace(Path, nullptr);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   EXPECT_TRUE(Loaded->Backing != nullptr);
@@ -275,7 +274,7 @@ TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
         Loaded->Values.borrowed(), Loaded->ArgsBegins.borrowed(),
         Loaded->ArgsEnds.borrowed(), Loaded->ChildTids.borrowed(),
         Loaded->Provs.borrowed(), Loaded->Fps.borrowed(),
-        Loaded->ArgPool.borrowed(), Loaded->ViewIdx.Entries.borrowed()})
+        Loaded->ArgPool.borrowed()})
     EXPECT_TRUE(Borrowed);
 
   ASSERT_EQ(Loaded->size(), T.size());
@@ -388,10 +387,9 @@ TEST(Serialize, RejectsCorruptSectionBytes) {
     main { var a = new A(5); print(a.x); }
   )");
   std::string Path = tempPath("badsec");
-  // Without the optional view-index sections the last payload belongs to
-  // a core section (the fingerprint lane), so the flip must be a hard
+  // The last payload is the fingerprint lane, so the flip must be a hard
   // error: the section checksum catches it.
-  ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/false));
+  ASSERT_TRUE(writeTrace(T, Path));
   flipLastPayloadByte(Path);
 
   Expected<Trace> Loaded = readTrace(Path, nullptr);
@@ -447,52 +445,26 @@ TEST(Serialize, RejectsMultiSegmentDirectory) {
   std::remove(Path.c_str());
 }
 
-TEST(Serialize, CorruptViewIndexByteDegradesNotFails) {
-  Trace T = traceOf(R"(
-    class A { Int x; A(Int x) { this.x = x; } }
-    main { var a = new A(5); print(a.x); }
-  )");
-  std::string Path = tempPath("badidx");
-  // With the view index on, the last payload is the index's entry lists —
-  // derived data, so damage there must degrade (index dropped, web
-  // rebuilt from the columns), never fail the load.
-  ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/true));
-  flipLastPayloadByte(Path);
-
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Report = &Report;
-  Expected<Trace> Loaded = readTrace(Path, nullptr, Options);
-  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  EXPECT_FALSE(Loaded->ViewIdx.Present);
-  EXPECT_TRUE(Report.ViewIndexDropped);
-  EXPECT_EQ(Loaded->size(), T.size());
-  std::remove(Path.c_str());
-}
-
 TEST(Serialize, EmptyTraceRoundTrips) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T;
   T.Strings = Strings;
   T.Name = "empty";
   T.computeFingerprints();
-  // Zero entries is a legal trace; both with and without the optional
-  // index sections it must round-trip and diff cleanly.
-  for (bool WithIndex : {false, true}) {
-    std::string Path = tempPath(WithIndex ? "empty_idx" : "empty_plain");
-    ASSERT_TRUE(writeTrace(T, Path, WithIndex)) << WithIndex;
-    Expected<Trace> Loaded = readTrace(Path, Strings);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    EXPECT_EQ(Loaded->size(), 0u);
-    EXPECT_EQ(Loaded->Name, "empty");
-    DiffResult SelfDiff = viewsDiff(*Loaded, *Loaded);
-    EXPECT_EQ(SelfDiff.numLeftDiffs() + SelfDiff.numRightDiffs(), 0u);
-    // Empty against a real trace must not crash either direction.
-    Trace Real = traceOf("class A { } main { var a = new A(); }", Strings);
-    (void)viewsDiff(*Loaded, Real);
-    (void)viewsDiff(Real, *Loaded);
-    std::remove(Path.c_str());
-  }
+  // Zero entries is a legal trace: it must round-trip and diff cleanly.
+  std::string Path = tempPath("empty");
+  ASSERT_TRUE(writeTrace(T, Path));
+  Expected<Trace> Loaded = readTrace(Path, Strings);
+  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+  EXPECT_EQ(Loaded->size(), 0u);
+  EXPECT_EQ(Loaded->Name, "empty");
+  DiffResult SelfDiff = viewsDiff(*Loaded, *Loaded);
+  EXPECT_EQ(SelfDiff.numLeftDiffs() + SelfDiff.numRightDiffs(), 0u);
+  // Empty against a real trace must not crash either direction.
+  Trace Real = traceOf("class A { } main { var a = new A(); }", Strings);
+  (void)viewsDiff(*Loaded, Real);
+  (void)viewsDiff(Real, *Loaded);
+  std::remove(Path.c_str());
 }
 
 /// A hand-built one-entry trace (the smallest trace with any payload).
@@ -522,22 +494,20 @@ Trace singleEntryTrace(std::shared_ptr<StringInterner> Strings) {
 TEST(Serialize, SingleEntryTraceRoundTrips) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = singleEntryTrace(Strings);
-  for (bool WithIndex : {false, true}) {
-    std::string Path = tempPath(WithIndex ? "one_idx" : "one_plain");
-    ASSERT_TRUE(writeTrace(T, Path, WithIndex)) << WithIndex;
-    // Same interner: symbol ids are preserved, so the columns borrow
-    // zero-copy from the file bytes.
-    Expected<Trace> Loaded = readTrace(Path, Strings);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    ASSERT_EQ(Loaded->size(), 1u);
-    EXPECT_TRUE(Loaded->Kinds.borrowed());
-    EXPECT_TRUE(Loaded->Backing != nullptr);
-    EXPECT_EQ(Loaded->renderEntry(0u), T.renderEntry(0u));
-    EXPECT_EQ(Loaded->fp(0), T.fp(0));
-    DiffResult SelfDiff = viewsDiff(T, *Loaded);
-    EXPECT_EQ(SelfDiff.numLeftDiffs() + SelfDiff.numRightDiffs(), 0u);
-    std::remove(Path.c_str());
-  }
+  std::string Path = tempPath("one");
+  ASSERT_TRUE(writeTrace(T, Path));
+  // Same interner: symbol ids are preserved, so the columns borrow
+  // zero-copy from the file bytes.
+  Expected<Trace> Loaded = readTrace(Path, Strings);
+  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+  ASSERT_EQ(Loaded->size(), 1u);
+  EXPECT_TRUE(Loaded->Kinds.borrowed());
+  EXPECT_TRUE(Loaded->Backing != nullptr);
+  EXPECT_EQ(Loaded->renderEntry(0u), T.renderEntry(0u));
+  EXPECT_EQ(Loaded->fp(0), T.fp(0));
+  DiffResult SelfDiff = viewsDiff(T, *Loaded);
+  EXPECT_EQ(SelfDiff.numLeftDiffs() + SelfDiff.numRightDiffs(), 0u);
+  std::remove(Path.c_str());
 }
 
 TEST(Serialize, SharedInternerMergesSymbolSpaces) {
@@ -562,12 +532,11 @@ TEST(Serialize, SharedInternerMergesSymbolSpaces) {
 
 //===----------------------------------------------------------------------===//
 // One segment per file: its layout, remapped loads, digests, and diffs of
-// loaded traces with and without the view index
+// loaded traces
 //===----------------------------------------------------------------------===//
 
 /// A small multi-thread trace with arguments and field traffic: every
-/// section (side tables, columns, fingerprints, view index) comes out
-/// nonempty.
+/// section (side tables, columns, fingerprints) comes out nonempty.
 Trace bumpTrace() {
   return traceOf(R"(
     class A { Int x; A(Int x) { this.x = x; }
@@ -656,20 +625,16 @@ TEST(SerializeSegments, FileDigestStablePerWrite) {
   Trace T = bumpTrace();
   std::string First = tempPath("digest_a");
   std::string Again = tempPath("digest_b");
-  std::string Plain = tempPath("digest_plain");
   ASSERT_TRUE(writeTrace(T, First));
   ASSERT_TRUE(writeTrace(T, Again));
-  ASSERT_TRUE(writeTrace(T, Plain, /*WithViewIndex=*/false));
   std::string BFirst = readFileBytes(First);
   ASSERT_FALSE(BFirst.empty());
   EXPECT_EQ(BFirst, readFileBytes(Again)) << "identical writes must match";
-  EXPECT_NE(BFirst, readFileBytes(Plain))
-      << "dropping the view index changes the bytes";
-  for (const std::string &Path : {First, Again, Plain})
+  for (const std::string &Path : {First, Again})
     std::remove(Path.c_str());
 }
 
-TEST(SerializeSegments, LoadedDiffDeterministicAcrossIndexAndJobs) {
+TEST(SerializeSegments, LoadedDiffDeterministicAcrossJobs) {
   GeneratorOptions Base;
   Base.OuterIters = 10;
   Base.NumThreads = 2;
@@ -680,18 +645,13 @@ TEST(SerializeSegments, LoadedDiffDeterministicAcrossIndexAndJobs) {
   Trace L = traceOf(generateProgram(Base), Gen);
   Trace R = traceOf(generateProgram(Perturbed), Gen);
   std::string L1 = tempPath("xseg_l1"), R1 = tempPath("xseg_r1");
-  std::string LP = tempPath("xseg_lp"), RP = tempPath("xseg_rp");
   ASSERT_TRUE(writeTrace(L, L1));
   ASSERT_TRUE(writeTrace(R, R1));
-  ASSERT_TRUE(writeTrace(L, LP, /*WithViewIndex=*/false));
-  ASSERT_TRUE(writeTrace(R, RP, /*WithViewIndex=*/false));
 
-  // One shared interner across all four loads, as a diff session would.
+  // One shared interner across both loads, as a diff session would.
   auto Shared = std::make_shared<StringInterner>();
   Expected<Trace> LOne = readTrace(L1, Shared), ROne = readTrace(R1, Shared);
-  Expected<Trace> LPlain = readTrace(LP, Shared),
-                  RPlain = readTrace(RP, Shared);
-  ASSERT_TRUE(bool(LOne) && bool(ROne) && bool(LPlain) && bool(RPlain));
+  ASSERT_TRUE(bool(LOne) && bool(ROne));
 
   ViewsDiffOptions Opt;
   Opt.Jobs = 1;
@@ -699,27 +659,18 @@ TEST(SerializeSegments, LoadedDiffDeterministicAcrossIndexAndJobs) {
   DiffResult Ref = viewsDiff(L, R, Opt);
   std::string RefRender = Ref.render();
 
-  struct Pair {
-    const char *What;
-    const Trace *Lhs;
-    const Trace *Rhs;
-  } Pairs[] = {{"index-index", &*LOne, &*ROne},
-               {"noindex-noindex", &*LPlain, &*RPlain},
-               {"index-noindex", &*LOne, &*RPlain}};
-  for (const Pair &P : Pairs)
-    for (unsigned Jobs : {1u, 4u, 0u}) {
-      SCOPED_TRACE(std::string(P.What) + " jobs=" + std::to_string(Jobs));
-      Opt.Jobs = Jobs;
-      DiffResult D = viewsDiff(*P.Lhs, *P.Rhs, Opt);
-      // The report and the work accounting must match the in-memory diff
-      // whether or not the view web came from the persisted index, at
-      // every worker count.
-      EXPECT_EQ(D.render(), RefRender);
-      EXPECT_EQ(D.Stats.CompareOps, Ref.Stats.CompareOps);
-      EXPECT_EQ(D.numLeftDiffs(), Ref.numLeftDiffs());
-      EXPECT_EQ(D.numRightDiffs(), Ref.numRightDiffs());
-    }
-  for (const std::string &Path : {L1, R1, LP, RP})
+  for (unsigned Jobs : {1u, 4u, 0u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    Opt.Jobs = Jobs;
+    DiffResult D = viewsDiff(*LOne, *ROne, Opt);
+    // The report and the work accounting must match the in-memory diff at
+    // every worker count.
+    EXPECT_EQ(D.render(), RefRender);
+    EXPECT_EQ(D.Stats.CompareOps, Ref.Stats.CompareOps);
+    EXPECT_EQ(D.numLeftDiffs(), Ref.numLeftDiffs());
+    EXPECT_EQ(D.numRightDiffs(), Ref.numRightDiffs());
+  }
+  for (const std::string &Path : {L1, R1})
     std::remove(Path.c_str());
 }
 
@@ -1021,6 +972,10 @@ TEST(ScalarPayload, RecordedScalarsRoundTripWithEagerTextAndHash) {
   TraceRecorder Recorder(*Prog, Store, RtStrings, Options, "scalars");
   RecordContext Ctx;
   Ctx.Method = Prog->Strings->intern("main");
+  // Every entry's thread needs its record, or the file is corrupt.
+  ThreadInfo Main;
+  Main.EntryMethod = Ctx.Method;
+  Recorder.addThread(Main);
   Symbol Callee = Prog->Strings->intern("f");
   size_t StringsBefore = Prog->Strings->size();
 

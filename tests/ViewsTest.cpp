@@ -8,9 +8,15 @@
 #include "correlate/Correlate.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
+#include "trace/Serialize.h"
 #include "views/Views.h"
+#include "workload/Generator.h"
+#include "workload/Mutator.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <map>
 
 using namespace rprism;
 
@@ -204,6 +210,224 @@ TEST(ViewWeb, MultiThreadedTracesHaveOneViewPerThread) {
     if (V.Type == ViewType::Thread)
       Total += V.Entries.size();
   EXPECT_EQ(Total, T.size());
+}
+
+//===----------------------------------------------------------------------===//
+// Property: the web equals a naive reference partition
+//===----------------------------------------------------------------------===//
+
+/// A plain reading of §2.4: per family, a map from key to the ascending
+/// entry ids that carry it, with views numbered by first appearance.
+struct ReferenceWeb {
+  struct Family {
+    std::vector<uint32_t> Order; ///< Keys in first-appearance order.
+    std::map<uint32_t, std::vector<uint32_t>> Lists;
+
+    void add(uint32_t Key, uint32_t Eid) {
+      auto [It, New] = Lists.try_emplace(Key);
+      if (New)
+        Order.push_back(Key);
+      It->second.push_back(Eid);
+    }
+    /// Dense id of \p Key's view given the family's first id, or -1.
+    int64_t idOf(uint32_t Key, size_t Base) const {
+      for (size_t I = 0; I != Order.size(); ++I)
+        if (Order[I] == Key)
+          return static_cast<int64_t>(Base + I);
+      return -1;
+    }
+  };
+  Family Families[NumViewFamilies];
+
+  /// A target-object member is an event other than fork/end whose target
+  /// is a real object; an active-object member runs with a receiver.
+  static bool hasTarget(const Trace &T, uint32_t Eid) {
+    EventKind K = T.kind(Eid);
+    return K != EventKind::Fork && K != EventKind::End &&
+           !T.target(Eid).isNone();
+  }
+
+  explicit ReferenceWeb(const Trace &T) {
+    for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
+      Families[0].add(T.tid(Eid), Eid);
+      Families[1].add(T.method(Eid).Id, Eid);
+      if (hasTarget(T, Eid))
+        Families[2].add(T.target(Eid).Loc, Eid);
+      if (!T.self(Eid).isNone())
+        Families[3].add(T.self(Eid).Loc, Eid);
+    }
+  }
+};
+
+/// Checks \p Web against the reference partition of its trace: view ids,
+/// identities, entry lists, representation endpoints, the four lookups,
+/// and viewsOf.
+void expectMatchesReference(const ViewWeb &Web) {
+  const Trace &T = Web.trace();
+  ReferenceWeb Ref(T);
+  size_t Base[NumViewFamilies + 1] = {};
+  for (size_t F = 0; F != NumViewFamilies; ++F)
+    Base[F + 1] = Base[F] + Ref.Families[F].Order.size();
+  ASSERT_EQ(Web.numViews(), Base[NumViewFamilies]);
+  EXPECT_EQ(Web.numThreadViews(), Ref.Families[0].Order.size());
+  EXPECT_EQ(Web.numMethodViews(), Ref.Families[1].Order.size());
+  EXPECT_EQ(Web.numTargetObjectViews(), Ref.Families[2].Order.size());
+  EXPECT_EQ(Web.numActiveObjectViews(), Ref.Families[3].Order.size());
+
+  const ObjRepr *Cols[NumViewFamilies] = {nullptr, nullptr, T.Targets.data(),
+                                          T.Selfs.data()};
+  uint32_t AbsentKey = 0;
+  for (size_t F = 0; F != NumViewFamilies; ++F) {
+    const ReferenceWeb::Family &Fam = Ref.Families[F];
+    for (size_t I = 0; I != Fam.Order.size(); ++I) {
+      uint32_t Id = static_cast<uint32_t>(Base[F] + I);
+      uint32_t Key = Fam.Order[I];
+      AbsentKey = std::max(AbsentKey, Key);
+      const std::vector<uint32_t> &List = Fam.Lists.at(Key);
+      const View &V = Web.view(Id);
+      SCOPED_TRACE("view " + std::to_string(Id));
+      EXPECT_EQ(V.Id, Id);
+      ASSERT_EQ(static_cast<size_t>(V.Type), F);
+      ASSERT_EQ(V.Entries.size(), List.size());
+      EXPECT_TRUE(std::equal(List.begin(), List.end(), V.Entries.begin()));
+      ObjRepr None;
+      const ObjRepr &First = Cols[F] ? Cols[F][List.front()] : None;
+      const ObjRepr &Last = Cols[F] ? Cols[F][List.back()] : None;
+      EXPECT_EQ(0, std::memcmp(&V.FirstRepr, &First, sizeof(ObjRepr)));
+      EXPECT_EQ(0, std::memcmp(&V.LastRepr, &Last, sizeof(ObjRepr)));
+      switch (V.Type) {
+      case ViewType::Thread:
+        EXPECT_EQ(V.Tid, Key);
+        EXPECT_EQ(Web.threadView(Key), &V);
+        break;
+      case ViewType::Method:
+        EXPECT_EQ(V.MethodName.Id, Key);
+        EXPECT_EQ(Web.methodView(Symbol{Key}), &V);
+        break;
+      case ViewType::TargetObject:
+        EXPECT_EQ(V.Loc, Key);
+        EXPECT_EQ(Web.targetObjectView(Key), &V);
+        break;
+      case ViewType::ActiveObject:
+        EXPECT_EQ(V.Loc, Key);
+        EXPECT_EQ(Web.activeObjectView(Key), &V);
+        break;
+      }
+    }
+  }
+  // Keys no entry carries have no view, inside the dense range or not.
+  for (uint32_t Key : {AbsentKey + 1, 0x7fffffffu, 0xfffffffeu}) {
+    if (!Ref.Families[0].Lists.count(Key)) {
+      EXPECT_EQ(Web.threadView(Key), nullptr);
+    }
+    if (!Ref.Families[1].Lists.count(Key)) {
+      EXPECT_EQ(Web.methodView(Symbol{Key}), nullptr);
+    }
+    if (!Ref.Families[2].Lists.count(Key)) {
+      EXPECT_EQ(Web.targetObjectView(Key), nullptr);
+    }
+    if (!Ref.Families[3].Lists.count(Key)) {
+      EXPECT_EQ(Web.activeObjectView(Key), nullptr);
+    }
+  }
+
+  for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
+    std::vector<uint32_t> Want;
+    Want.push_back(
+        static_cast<uint32_t>(Ref.Families[0].idOf(T.tid(Eid), Base[0])));
+    Want.push_back(static_cast<uint32_t>(
+        Ref.Families[1].idOf(T.method(Eid).Id, Base[1])));
+    if (ReferenceWeb::hasTarget(T, Eid))
+      Want.push_back(static_cast<uint32_t>(
+          Ref.Families[2].idOf(T.target(Eid).Loc, Base[2])));
+    if (!T.self(Eid).isNone())
+      Want.push_back(static_cast<uint32_t>(
+          Ref.Families[3].idOf(T.self(Eid).Loc, Base[3])));
+    ASSERT_EQ(Web.viewsOf(Eid), Want) << "entry " << Eid;
+  }
+}
+
+TEST(ViewWebProperty, MatchesReferenceOnGeneratedAndMutatedTraces) {
+  // Reproducible draws over generator shapes; each base program also
+  // yields seeded mutants, whose traces take other paths through it.
+  Rng Draw(20261019);
+  unsigned Checked = 0;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    GeneratorOptions G;
+    G.NumClasses = 2 + static_cast<unsigned>(Draw.next() % 4);
+    G.OuterIters = 3 + static_cast<unsigned>(Draw.next() % 12);
+    G.NumThreads = 1 + static_cast<unsigned>(Draw.next() % 3);
+    G.Seed = Seed;
+    G.Perturb = static_cast<unsigned>(Draw.next() % 3);
+    G.ReorderBlock = Draw.next() % 2 != 0;
+    Expected<MutantSet> Set =
+        generateMutantSet(generateProgram(G), RunOptions(), 2, Seed);
+    ASSERT_TRUE(bool(Set)) << Set.error().render();
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    expectMatchesReference(ViewWeb(Set->Base));
+    ++Checked;
+    for (const MutantTrace &M : Set->Mutants) {
+      expectMatchesReference(ViewWeb(M.ExecTrace));
+      ++Checked;
+    }
+  }
+  EXPECT_EQ(Checked, 120u);
+}
+
+TEST(ViewWebProperty, MatchesReferenceAfterRemappingLoad) {
+  // A busy interner shifts every symbol id on load, so the method keys of
+  // the loaded trace differ from the written ones.
+  GeneratorOptions G;
+  G.NumThreads = 2;
+  G.OuterIters = 6;
+  Trace T = traceOf(generateProgram(G));
+  std::string Path = "/tmp/rprism_viewstest_" + std::to_string(::getpid());
+  ASSERT_TRUE(writeTrace(T, Path));
+  auto Busy = std::make_shared<StringInterner>();
+  Busy->intern("occupying-symbol-id-zero");
+  Expected<Trace> Loaded = readTrace(Path, Busy);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+  expectMatchesReference(ViewWeb(*Loaded));
+}
+
+TEST(ViewWebProperty, EmptyAndSingleEntryTraces) {
+  Trace Empty;
+  Empty.Strings = std::make_shared<StringInterner>();
+  ViewWeb EmptyWeb(Empty);
+  EXPECT_EQ(EmptyWeb.numViews(), 0u);
+  EXPECT_EQ(EmptyWeb.threadView(0), nullptr);
+  expectMatchesReference(EmptyWeb);
+
+  Trace Full = traceOf("class A { } main { var a = new A(); }");
+  ASSERT_GT(Full.size(), 0u);
+  Trace One;
+  One.Strings = Full.Strings;
+  One.Threads = Full.Threads;
+  One.append(Full.entry(0));
+  ViewWeb OneWeb(One);
+  EXPECT_GE(OneWeb.numViews(), 2u);
+  expectMatchesReference(OneWeb);
+}
+
+TEST(ViewWebProperty, HugeKeysTakeNoTableSizedByValue) {
+  // Every object location of a small trace rewritten past the dense range,
+  // including NoLoc itself (still a real object: it has a class).
+  for (uint32_t Loc : {0x7fffffffu, 0xffffffffu}) {
+    Trace T = traceOf(CounterProgram);
+    ObjRepr *Targets = T.Targets.mutData();
+    ObjRepr *Selfs = T.Selfs.mutData();
+    for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
+      if (!Targets[Eid].isNone())
+        Targets[Eid].Loc = Loc - Targets[Eid].Loc;
+      if (!Selfs[Eid].isNone())
+        Selfs[Eid].Loc = Loc - Selfs[Eid].Loc;
+    }
+    ViewWeb Web(T);
+    SCOPED_TRACE("loc " + std::to_string(Loc));
+    expectMatchesReference(Web);
+    EXPECT_EQ(Web.numTargetObjectViews(), 2u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

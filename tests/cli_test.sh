@@ -116,31 +116,86 @@ grep -q "divergence clusters" "$WORK/nway.html" || fail "html nway not written"
 grep -q '"nway.mutants": 2' "$WORK/nway_metrics.json" \
   || fail "nway metrics missing mutant count"
 
-# --- --no-view-cache: rebuild webs from the columns, same report ------------
-# The files carry a persisted view index; the flag only makes the diff
-# rebuild its webs from the entry columns (a web-build span) instead.
-"$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" \
-  --metrics-out "$WORK/dt_index.json" > "$WORK/dt_index.txt" 2>/dev/null \
-  || fail "diff-traces failed"
-if grep -q '"name": "web-build"' "$WORK/dt_index.json"; then
-  fail "diff-traces rebuilt webs although both files carry a view index"
-fi
-"$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" --no-view-cache \
-  --metrics-out "$WORK/dt_noidx.json" > "$WORK/dt_noidx.txt" 2>/dev/null \
-  || fail "diff-traces --no-view-cache failed"
-cmp -s "$WORK/dt_index.txt" "$WORK/dt_noidx.txt" \
-  || fail "diff-traces --no-view-cache changed the report"
-grep -q '"name": "web-build"' "$WORK/dt_noidx.json" \
-  || fail "diff-traces --no-view-cache did not build webs from the columns"
-"$RPRISM" diff-nway "$WORK/old.rpt" "$WORK/new.rpt" "$WORK/twin.rpt" \
-  > "$WORK/nw_index.txt" 2>/dev/null || fail "diff-nway failed"
-"$RPRISM" diff-nway "$WORK/old.rpt" "$WORK/new.rpt" "$WORK/twin.rpt" \
-  --no-view-cache --metrics-out "$WORK/nw_noidx.json" \
-  > "$WORK/nw_noidx.txt" 2>/dev/null || fail "diff-nway --no-view-cache failed"
-cmp -s "$WORK/nw_index.txt" "$WORK/nw_noidx.txt" \
-  || fail "diff-nway --no-view-cache changed the report"
-grep -q '"name": "web-build"' "$WORK/nw_noidx.json" \
-  || fail "diff-nway --no-view-cache did not build webs from the columns"
+# --- hostile keys: values the section checksums cannot catch ---------------
+# Rewrite columns of a written trace, fixing each patched section's
+# checksum: every object location L becomes 0xffffffff - L (the largest
+# 32-bit location, which a key table sized by value would wrap on), and,
+# in a second copy, one entry moves to a thread the table does not list.
+# Sections 22/23 (a view index that older writers persisted) are renumbered
+# to an id readers skip, so webs always come from the patched columns.
+cp "$WORK/old.rpt" "$WORK/hugeloc.rpt"
+cp "$WORK/old.rpt" "$WORK/badtid.rpt"
+python3 - "$WORK/hugeloc.rpt" "$WORK/badtid.rpt" <<'EOF'
+import struct, sys
+M = (1 << 64) - 1
+INIT = 0xcbf29ce484222325
+
+def mix(seed, value):
+    x = seed ^ ((value + 0x9e3779b97f4a7c15 + (seed << 6) + (seed >> 2)) & M)
+    x = ((x ^ (x >> 30)) * 0xbf58476d1ce4e5b9) & M
+    x = ((x ^ (x >> 27)) * 0x94d049bb133111eb) & M
+    return x ^ (x >> 31)
+
+def checksum(b):  # support/Hashing.cpp checksumBytes
+    lanes = [INIT ^ (0x1111111111111111 * k) for k in range(4)]
+    def step(lane, i):
+        lane = ((lane ^ int.from_bytes(b[i:i + 8], "little")) *
+                0x9fb21c651e98df25) & M
+        return lane ^ (lane >> 29)
+    i = 0
+    while i + 32 <= len(b):
+        lanes = [step(lanes[k], i + 8 * k) for k in range(4)]
+        i += 32
+    k = 0
+    while i + 8 <= len(b):
+        lanes[k] = step(lanes[k], i)
+        i, k = i + 8, k + 1
+    h = mix(INIT, len(b))
+    for lane in lanes:
+        h = mix(h, lane)
+    return mix(h, int.from_bytes(b[i:], "little"))
+
+def patch(path, fn):
+    data = bytearray(open(path, "rb").read())
+    seg = 32
+    entries, sections = struct.unpack_from("<II", data, seg + 16)
+    for i in range(sections):
+        rec = seg + 32 + 32 * i
+        sid, _, off, length = struct.unpack_from("<IIQQ", data, rec)
+        if sid in (22, 23):
+            struct.pack_into("<I", data, rec, 99)
+        payload = bytearray(data[seg + off:seg + off + length])
+        if fn(sid, payload, entries):
+            data[seg + off:seg + off + length] = payload
+            struct.pack_into("<Q", data, rec + 24, checksum(payload))
+    open(path, "wb").write(data)
+
+def huge_locations(sid, payload, entries):
+    if sid not in (12, 15):  # self and target columns, 24-byte ObjRepr
+        return False
+    for k in range(entries):
+        loc, = struct.unpack_from("<I", payload, 24 * k + 8)
+        if loc != 0xFFFFFFFF:
+            struct.pack_into("<I", payload, 24 * k + 8, 0xFFFFFFFF - loc)
+    return True
+
+def bad_tid(sid, payload, entries):
+    if sid != 10:  # tid column
+        return False
+    struct.pack_into("<I", payload, 4, 7)
+    return True
+
+patch(sys.argv[1], huge_locations)
+patch(sys.argv[2], bad_tid)
+EOF
+"$RPRISM" diff-traces "$WORK/hugeloc.rpt" "$WORK/hugeloc.rpt" 2>/dev/null \
+  | grep -q "0 differences" || fail "a trace at location 0xffffffff did not diff cleanly"
+"$RPRISM" trace-dump "$WORK/hugeloc.rpt" 2>/dev/null | grep -q "Tax" \
+  || fail "trace-dump of the relocated trace failed"
+set +e
+"$RPRISM" diff-traces "$WORK/badtid.rpt" "$WORK/old.rpt" > /dev/null 2>&1
+[ $? -eq 3 ] || fail "an entry on an unlisted thread was not exit 3"
+set -e
 
 # --- fault injection control (--fault-spec / RPRISM_FAULT_SPEC) --------------
 set +e
@@ -279,7 +334,7 @@ set -e
 # recovers the prefix, reports the degradation, and counts it.
 SIZE="$(wc -c < "$WORK/old.rpt")"
 SALVAGED=""
-for PCT in 90 80 70 60 50; do
+for PCT in 95 90 80 70 60 50; do
   CUT=$((SIZE * PCT / 100))
   dd if="$WORK/old.rpt" of="$WORK/cut.rpt" bs=1 count="$CUT" 2>/dev/null
   if "$RPRISM" trace-dump "$WORK/cut.rpt" > /dev/null 2>&1; then

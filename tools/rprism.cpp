@@ -58,14 +58,13 @@ int usage() {
       "  rprism run <prog> [--input S]... [--int-input N]... [--trace F]\n"
       "  rprism trace-dump <trace-file> [--salvage]\n"
       "  rprism diff <old-prog> <new-prog> [--engine views|lcs]\n"
-      "              [--input S]... [--html F] [--jobs N] [--no-view-cache]\n"
+      "              [--input S]... [--html F] [--jobs N]\n"
       "  rprism diff-traces <left.rpt> <right.rpt> [--engine views|lcs]\n"
-      "              [--html F] [--jobs N] [--no-view-cache] [--salvage]\n"
+      "              [--html F] [--jobs N] [--salvage]\n"
       "  rprism diff-nway <base.rpt> <mutant.rpt>... [--html F] [--jobs N]\n"
-      "              [--no-view-cache] [--salvage]\n"
+      "              [--salvage]\n"
       "  rprism analyze <old-prog> <new-prog> --regr-input S...\n"
       "              --ok-input S... [--removal] [--html F] [--jobs N]\n"
-      "              [--no-view-cache]\n"
       "  rprism views <prog> [--input S]...\n"
       "  rprism protocols <good-prog> <subject-prog> [--input S]...\n"
       "  rprism metrics-diff <baseline.json> <current.json> [--tolerance\n"
@@ -84,10 +83,6 @@ int usage() {
       "                    'seed=7,file-read:0.01,section-checksum:0@2'\n"
       "  --retry-policy S  I/O retry policy for trace loads, e.g.\n"
       "                    'attempts=5,base_ms=2'\n"
-      "\n"
-      "view webs (diff, diff-traces, diff-nway, analyze):\n"
-      "  --no-view-cache   rebuild view webs from the trace columns instead\n"
-      "                    of the trace file's view index (same report)\n"
       "\n"
       "exit codes: 0 success, 1 failure, 2 usage error,\n"
       "            3 corrupt input, 4 I/O error, 5 perf regression\n",
@@ -140,11 +135,6 @@ struct Args {
   /// sequential. Any value produces identical reports (see ViewsDiffOptions).
   unsigned Jobs = 0;
   bool Removal = false;
-  /// Rebuild view webs from the entry columns instead of borrowing them
-  /// from a trace file's persisted view index. The report is identical
-  /// either way; this exists for timing comparisons and as a workaround
-  /// should an index ever be suspect.
-  bool NoViewCache = false;
   /// Recover the valid prefix of a damaged trace instead of failing
   /// (readTrace salvage mode); what was dropped is reported on stderr.
   bool Salvage = false;
@@ -184,8 +174,6 @@ Args parseArgs(int Argc, char **Argv, int Start) {
       A.OkInputs.push_back(Next());
     else if (Arg == "--removal")
       A.Removal = true;
-    else if (Arg == "--no-view-cache")
-      A.NoViewCache = true;
     else if (Arg == "--salvage")
       A.Salvage = true;
     else if (Arg == "--html")
@@ -241,15 +229,14 @@ const std::vector<const char *> *allowedFlags(const std::string &Command) {
                                                 "--trace"};
   static const std::vector<const char *> TraceDump = {"--salvage"};
   static const std::vector<const char *> Diff = {
-      "--engine", "--input", "--int-input", "--html", "--jobs",
-      "--no-view-cache"};
+      "--engine", "--input", "--int-input", "--html", "--jobs"};
   static const std::vector<const char *> DiffTraces = {
-      "--engine", "--html", "--jobs", "--no-view-cache", "--salvage"};
-  static const std::vector<const char *> DiffNWay = {
-      "--html", "--jobs", "--no-view-cache", "--salvage"};
+      "--engine", "--html", "--jobs", "--salvage"};
+  static const std::vector<const char *> DiffNWay = {"--html", "--jobs",
+                                                     "--salvage"};
   static const std::vector<const char *> Analyze = {
-      "--engine",  "--regr-input", "--ok-input", "--int-input",
-      "--removal", "--html",       "--jobs",     "--no-view-cache"};
+      "--engine", "--regr-input", "--ok-input", "--int-input",
+      "--removal", "--html",      "--jobs"};
   static const std::vector<const char *> Views = {"--input", "--int-input"};
   static const std::vector<const char *> Protocols = {"--input",
                                                       "--int-input"};
@@ -347,8 +334,6 @@ void reportDegradations(const std::string &Path,
                  Path.c_str(),
                  static_cast<unsigned long long>(Report.EntriesRecovered),
                  static_cast<unsigned long long>(Report.EntriesDropped));
-  if (Report.ViewIndexDropped)
-    std::fprintf(stderr, "[%s: damaged view index dropped]\n", Path.c_str());
 }
 
 /// Reads \p Path into \p Strings (salvaging under --salvage) and reports
@@ -378,7 +363,6 @@ int cmdTraceDump(const Args &A) {
 int printDiff(const Trace &Left, const Trace &Right, const Args &A) {
   ViewsDiffOptions Options;
   Options.Jobs = A.Jobs;
-  Options.UseViewIndex = !A.NoViewCache;
   DiffResult Result = A.Engine == DiffEngineKind::Lcs
                           ? lcsDiff(Left, Right)
                           : viewsDiff(Left, Right, Options);
@@ -450,7 +434,6 @@ int cmdDiffNWay(const Args &A) {
 
   ViewsDiffOptions Options;
   Options.Jobs = A.Jobs;
-  Options.UseViewIndex = !A.NoViewCache;
   std::vector<const Trace *> Mutants;
   for (size_t I = 1; I != Loaded.size(); ++I)
     Mutants.push_back(&Loaded[I]);
@@ -504,7 +487,6 @@ int cmdAnalyze(const Args &A) {
   RegressionOptions Options;
   Options.Engine = A.Engine;
   Options.Views.Jobs = A.Jobs;
-  Options.Views.UseViewIndex = !A.NoViewCache;
   Options.CodeRemoval = A.Removal;
   RegressionReport Report = analyzeRegression(Inputs, Options);
   TelemetrySpan ReportSpan("report");

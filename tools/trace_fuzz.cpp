@@ -7,14 +7,15 @@
 ///
 /// \file
 /// Deterministic corruption fuzzer for the trace reader. Writes a small
-/// corpus of base traces (empty, single-entry, generated workloads), each
-/// with and without the view index, then applies seeded mutations —
+/// corpus of base traces (empty, single-entry, generated workloads), then
+/// applies seeded mutations —
 /// truncation, bit flips, byte overwrites, section-table and header
 /// tampering, zeroed ranges, appended garbage, plus the segment framing:
 /// trailer fields, footer-directory records, the segment header, and a
 /// footer offset whose sum with the footer length wraps around 2^64 — and
 /// requires every strict read and salvage read of the mutant to return
-/// cleanly.
+/// cleanly. Every read that succeeds also builds the trace's view web, the
+/// first consumer of the untrusted keys (tids, symbols, locations).
 /// A crash, hang, or sanitizer report is the failure mode; any error
 /// return is a pass.
 ///
@@ -25,6 +26,7 @@
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
 #include "trace/Serialize.h"
+#include "views/Views.h"
 #include "workload/Generator.h"
 
 #include <cstdint>
@@ -258,12 +260,16 @@ void exercise(const std::string &Path, FuzzStats &Stats) {
       continue;
     }
     (Salvage ? Stats.SalvageOk : Stats.StrictOk)++;
-    // Touch everything a reader would: render each entry, walk threads.
+    // Touch everything a reader would: render each entry, walk threads,
+    // build the view web.
     const Trace &T = *Loaded;
     for (uint32_t I = 0; I != T.size(); ++I)
       (void)T.renderEntry(I);
     for (const ThreadInfo &Thread : T.Threads)
       (void)Strings->text(Thread.EntryMethod);
+    ViewWeb Web(T);
+    for (uint32_t I = 0; I != T.size(); ++I)
+      (void)Web.viewsOf(I);
   }
 }
 
@@ -285,7 +291,7 @@ int main(int Argc, char **Argv) {
   }
 
   // Base corpus: a spread of trace shapes, including the degenerate ones
-  // (empty, single entry), each with and without the view index.
+  // (empty, single entry).
   GeneratorOptions Small;
   Small.NumClasses = 2;
   Small.OuterIters = 3;
@@ -310,13 +316,11 @@ int main(int Argc, char **Argv) {
   for (size_t I = 0; I != Corpus.size(); ++I) {
     Corpus[I].computeFingerprints();
     std::string Path = Dir + "_base" + std::to_string(I);
-    for (bool WithViewIndex : {true, false}) {
-      if (!writeTrace(Corpus[I], Path, WithViewIndex)) {
-        std::fprintf(stderr, "fatal: cannot write base trace %zu\n", I);
-        return 1;
-      }
-      Bases.push_back(readAll(Path));
+    if (!writeTrace(Corpus[I], Path)) {
+      std::fprintf(stderr, "fatal: cannot write base trace %zu\n", I);
+      return 1;
     }
+    Bases.push_back(readAll(Path));
     std::remove(Path.c_str());
   }
 
