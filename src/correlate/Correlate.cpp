@@ -2,6 +2,7 @@
 
 #include "correlate/Correlate.h"
 
+#include "support/FlatIdTable.h"
 #include "support/Hashing.h"
 #include "support/Telemetry.h"
 
@@ -110,84 +111,103 @@ void ViewCorrelation::correlateMethods(const ViewWeb &Left,
                                        const ViewWeb &Right) {
   // X_CM: equality of fully qualified names (shared interner: symbol ids
   // compare directly).
-  for (const View &LV : Left.views()) {
-    if (LV.Type != ViewType::Method)
-      continue;
+  for (const View &LV : Left.family(ViewType::Method))
     if (const View *RV = Right.methodView(LV.MethodName))
       link(LV.Id, RV->Id);
-  }
 }
 
-void ViewCorrelation::correlateObjects(const ViewWeb &Left,
-                                       const ViewWeb &Right, ViewType Type) {
-  // Index right object views by (class, value-hash) — both first and last
-  // observed representations — and by (class, creation seq). The value
-  // key is a real pair: folding the class into the 64-bit hash would let
-  // two classes alias (CorrelateEdge.ValueKeyNeverLinksAcrossClasses).
-  using HashKey = std::pair<uint32_t, uint64_t>;
-  struct HashKeyHash {
-    size_t operator()(const HashKey &K) const {
-      return hashCombine(K.first, K.second);
-    }
-  };
-  auto ReprKey = [](const ObjRepr &R) {
-    return HashKey(R.ClassName.Id, R.ValueHash);
-  };
-  auto SeqKey = [](Symbol Class, uint32_t Seq) {
-    return (static_cast<uint64_t>(Class.Id) << 32) | Seq;
-  };
+namespace {
 
-  std::unordered_map<HashKey, uint32_t, HashKeyHash> ByValueHash;
-  std::unordered_map<uint64_t, uint32_t> BySeq;
-  for (const View &RV : Right.views()) {
-    if (RV.Type != Type)
-      continue;
-    // Final-state keys enter first: on hash collisions (e.g. several
-    // instances sharing the pre-constructor default state), the more
-    // informative representation owns the slot.
-    if (RV.LastRepr.HasRepr)
-      ByValueHash.try_emplace(ReprKey(RV.LastRepr), RV.Id);
-    if (RV.FirstRepr.HasRepr)
-      ByValueHash.try_emplace(ReprKey(RV.FirstRepr), RV.Id);
-    BySeq.try_emplace(SeqKey(RV.FirstRepr.ClassName, RV.FirstRepr.CreationSeq),
-                      RV.Id);
+/// A correlation key: a class id and a 64-bit value (hash or creation
+/// seq) as 32-bit words, so that a table slot takes 16 bytes.
+struct ObjKey {
+  uint32_t Class;
+  uint32_t Lo;
+  uint32_t Hi;
+  bool operator==(const ObjKey &) const = default;
+};
+
+ObjKey objKey(Symbol Class, uint64_t Value) {
+  return {Class.Id, static_cast<uint32_t>(Value),
+          static_cast<uint32_t>(Value >> 32)};
+}
+
+struct ObjKeyHash {
+  uint64_t operator()(const ObjKey &K) const {
+    return hashMix(K.Class, K.Lo | uint64_t{K.Hi} << 32);
   }
+};
 
+} // namespace
+
+void ViewCorrelation::correlateObjects(const ViewWeb &Left,
+                                       const ViewWeb &Right) {
+  // X_TO / X_AO is a join per family: right views keyed by (class,
+  // value-hash) of their final, then first, observed representation, and
+  // by (class, creation seq); a key belongs to its first holder in right
+  // id order. The value key is a real pair: folding the class into the
+  // 64-bit hash would let two classes alias
+  // (CorrelateEdge.ValueKeyNeverLinksAcrossClasses).
+  using Table = FlatIdTable<ObjKey, ObjKeyHash>;
+  constexpr uint32_t Pending = Table::None - 1; // Key with no holder yet.
+  Table Keys; // One allocation for both families and passes.
   auto TryLink = [this](uint32_t LeftId, uint32_t RightId) {
     // First match wins; a right view correlates with at most one left view.
-    if (LeftToRight[LeftId] >= 0 || RightToLeft[RightId] >= 0)
+    // None and Pending lie past the right web: no match.
+    if (RightId >= RightToLeft.size() || LeftToRight[LeftId] >= 0 ||
+        RightToLeft[RightId] >= 0)
       return false;
     link(LeftId, RightId);
     return true;
   };
+  auto ByValue = [&Keys](const ObjRepr &R) {
+    return R.HasRepr ? Keys.find(objKey(R.ClassName, R.ValueHash))
+                     : Table::None;
+  };
+  auto BySeq = [](const View &V) {
+    return objKey(V.FirstRepr.ClassName, V.FirstRepr.CreationSeq);
+  };
 
-  // Pass 1: value-representation matches (the stronger signal). The
-  // *final* state leads: the first observed representation is usually the
-  // pre-constructor default, which collides across all instances of a
-  // class and would pair swapped-creation-order objects wrongly
-  // (CorrelateEdge.SwappedCreationOrderResolvedByValueReprs).
-  for (const View &LV : Left.views()) {
-    if (LV.Type != Type)
+  for (ViewType Type : {ViewType::TargetObject, ViewType::ActiveObject}) {
+    std::span<const View> Lefts = Left.family(Type);
+    std::span<const View> Rights = Right.family(Type);
+
+    // Final-state keys enter first: on hash collisions (e.g. several
+    // instances sharing the pre-constructor default state), the more
+    // informative representation owns the slot.
+    Keys.reset(Rights.size());
+    for (const View &RV : Rights)
+      for (const ObjRepr *R : {&RV.LastRepr, &RV.FirstRepr})
+        if (R->HasRepr) {
+          uint32_t &Id = Keys.slot(objKey(R->ClassName, R->ValueHash));
+          if (Id == Table::None)
+            Id = RV.Id;
+        }
+
+    // Pass 1: value-representation matches (the stronger signal). The
+    // *final* state leads: the first observed representation is usually
+    // the pre-constructor default, which collides across all instances of
+    // a class and would pair swapped-creation-order objects wrongly
+    // (CorrelateEdge.SwappedCreationOrderResolvedByValueReprs).
+    std::vector<const View *> Unlinked;
+    for (const View &LV : Lefts)
+      if (!TryLink(LV.Id, ByValue(LV.LastRepr)) &&
+          !TryLink(LV.Id, ByValue(LV.FirstRepr)))
+        Unlinked.push_back(&LV);
+    if (Unlinked.empty())
       continue;
-    if (LV.LastRepr.HasRepr) {
-      auto It = ByValueHash.find(ReprKey(LV.LastRepr));
-      if (It != ByValueHash.end() && TryLink(LV.Id, It->second))
-        continue;
-    }
-    if (LV.FirstRepr.HasRepr) {
-      auto It = ByValueHash.find(ReprKey(LV.FirstRepr));
-      if (It != ByValueHash.end())
-        TryLink(LV.Id, It->second);
-    }
-  }
-  // Pass 2: creation-sequence-number matches for the rest.
-  for (const View &LV : Left.views()) {
-    if (LV.Type != Type || LeftToRight[LV.Id] >= 0)
-      continue;
-    auto It = BySeq.find(
-        SeqKey(LV.FirstRepr.ClassName, LV.FirstRepr.CreationSeq));
-    if (It != BySeq.end())
-      TryLink(LV.Id, It->second);
+
+    // Pass 2: creation-sequence-number matches for the rest. Their keys
+    // form the table and the right views stream past it in id order, so
+    // each key still goes to its first right holder.
+    Keys.reset(Unlinked.size());
+    for (const View *LV : Unlinked)
+      Keys.slot(BySeq(*LV)) = Pending;
+    for (const View &RV : Rights)
+      if (Keys.find(BySeq(RV)) == Pending)
+        Keys.slot(BySeq(RV)) = RV.Id;
+    for (const View *LV : Unlinked)
+      TryLink(LV->Id, Keys.find(BySeq(*LV)));
   }
 }
 
@@ -197,7 +217,6 @@ ViewCorrelation::ViewCorrelation(const ViewWeb &Left, const ViewWeb &Right) {
   RightToLeft.assign(Right.numViews(), -1);
   correlateThreads(Left, Right);
   correlateMethods(Left, Right);
-  correlateObjects(Left, Right, ViewType::TargetObject);
-  correlateObjects(Left, Right, ViewType::ActiveObject);
+  correlateObjects(Left, Right);
   Telemetry::counterAdd("correlate.thread_pairs", ThreadPairs.size());
 }

@@ -56,8 +56,7 @@ public:
 private:
   void correlateThreads(const ViewWeb &Left, const ViewWeb &Right);
   void correlateMethods(const ViewWeb &Left, const ViewWeb &Right);
-  void correlateObjects(const ViewWeb &Left, const ViewWeb &Right,
-                        ViewType Type);
+  void correlateObjects(const ViewWeb &Left, const ViewWeb &Right);
   void link(uint32_t LeftId, uint32_t RightId);
 
   std::vector<int32_t> LeftToRight;

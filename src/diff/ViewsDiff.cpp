@@ -9,6 +9,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -17,6 +18,34 @@
 using namespace rprism;
 
 namespace {
+
+/// A set of entry ids as a bitset of whole words, so that per-pair
+/// similarity sets union a word at a time.
+struct EntrySet {
+  std::vector<uint64_t> Words;
+
+  explicit EntrySet(size_t Size) : Words((Size + 63) / 64) {}
+  bool test(uint32_t Eid) const { return Words[Eid >> 6] >> (Eid & 63) & 1; }
+  void set(uint32_t Eid) { Words[Eid >> 6] |= uint64_t{1} << (Eid & 63); }
+
+  /// The first \p Size ids as flags: every flag starts at the majority
+  /// value, then the minority ids flip one by one.
+  std::vector<bool> toBools(size_t Size) const {
+    size_t Members = 0;
+    for (uint64_t W : Words)
+      Members += std::popcount(W);
+    bool Most = Members * 2 > Size;
+    std::vector<bool> Out(Size, Most);
+    for (size_t W = 0; W != Words.size(); ++W) {
+      uint64_t Flip = Most ? ~Words[W] : Words[W];
+      if (W * 64 + 64 > Size) // Ids past Size are never members.
+        Flip &= ~uint64_t{0} >> (W * 64 + 64 - Size);
+      for (; Flip; Flip &= Flip - 1)
+        Out[W * 64 + std::countr_zero(Flip)] = !Most;
+    }
+    return Out;
+  }
+};
 
 /// Evaluates ONE correlated thread-view pair with fully isolated state:
 /// its own similarity marks, anchor map, explored-pair dedup set, compare
@@ -30,17 +59,15 @@ public:
   PairEvaluator(const ViewWeb &Left, const ViewWeb &Right,
                 const ViewCorrelation &X, const ViewsDiffOptions &Options,
                 const BaselineLanes *SharedLeft = nullptr)
-      : LeftWeb(Left), RightWeb(Right), X(X), Options(Options),
-        SharedLeft(SharedLeft), LT(Left.trace()), RT(Right.trace()) {
-    LeftSimilar.assign(LT.size(), false);
-    RightSimilar.assign(RT.size(), false);
-  }
+      : LeftSimilar(Left.trace().size()), RightSimilar(Right.trace().size()),
+        LeftWeb(Left), RightWeb(Right), X(X), Options(Options),
+        SharedLeft(SharedLeft), LT(Left.trace()), RT(Right.trace()) {}
 
   void evalThreadPair(const View &LV, const View &RV);
 
   // -- Per-pair results, merged by viewsDiff() ----------------------------
-  std::vector<bool> LeftSimilar;  ///< This pair's Pi, left side.
-  std::vector<bool> RightSimilar; ///< This pair's Pi, right side.
+  EntrySet LeftSimilar;  ///< This pair's Pi, left side.
+  EntrySet RightSimilar; ///< This pair's Pi, right side.
   std::vector<DiffSequence> Sequences;
   std::unordered_map<uint32_t, uint32_t> Anchors; ///< left eid -> right eid.
   CompareCounter Ops;
@@ -65,8 +92,8 @@ private:
   /// The cursors advance past it immediately, so no anchor is stored —
   /// skipping the hash insert on the hot lock-step path.
   void markMatched(uint32_t LeftEid, uint32_t RightEid) {
-    LeftSimilar[LeftEid] = true;
-    RightSimilar[RightEid] = true;
+    LeftSimilar.set(LeftEid);
+    RightSimilar.set(RightEid);
   }
 
   bool anchoredPair(uint32_t LeftEid, uint32_t RightEid) const {
@@ -75,7 +102,7 @@ private:
   }
 
   bool sameSite(uint32_t LeftEid, uint32_t RightEid) const;
-  void mergeAdjacentSequences(const View &LV, const View &RV);
+  void pushSequence(DiffSequence Seq, size_t LBegin, size_t RBegin);
   void exploreSecondary(const View &LV, const View &RV, size_t I, size_t J);
   void windowedLcs(const View &LSecondary, int64_t LPos,
                    const View &RSecondary, int64_t RPos);
@@ -106,6 +133,11 @@ private:
 
   /// View pairs already explored at the current mismatch (dedup).
   std::unordered_set<uint64_t> ExploredPairs;
+
+  /// View positions just past the last sequence's left and right entries
+  /// (each side of a sequence is a run of consecutive positions).
+  size_t LeftEnd = 0;
+  size_t RightEnd = 0;
 };
 
 } // namespace
@@ -284,19 +316,21 @@ void PairEvaluator::emitSequences(const View &LV, const View &RV,
   size_t LI = LBegin;
   size_t RJ = RBegin;
   while (LI < LEnd || RJ < REnd) {
-    while (LI < LEnd && LeftSimilar[LV.Entries[LI]])
+    while (LI < LEnd && LeftSimilar.test(LV.Entries[LI]))
       ++LI;
-    while (RJ < REnd && RightSimilar[RV.Entries[RJ]])
+    while (RJ < REnd && RightSimilar.test(RV.Entries[RJ]))
       ++RJ;
     if (LI >= LEnd && RJ >= REnd)
       break;
     DiffSequence Seq;
     Seq.LeftTid = LV.Tid;
-    while (LI < LEnd && !LeftSimilar[LV.Entries[LI]])
+    size_t LStart = LI;
+    size_t RStart = RJ;
+    while (LI < LEnd && !LeftSimilar.test(LV.Entries[LI]))
       Seq.LeftEids.push_back(LV.Entries[LI++]);
-    while (RJ < REnd && !RightSimilar[RV.Entries[RJ]])
+    while (RJ < REnd && !RightSimilar.test(RV.Entries[RJ]))
       Seq.RightEids.push_back(RV.Entries[RJ++]);
-    Sequences.push_back(std::move(Seq));
+    pushSequence(std::move(Seq), LStart, RStart);
   }
 }
 
@@ -313,35 +347,42 @@ bool PairEvaluator::sameSite(uint32_t LeftEid, uint32_t RightEid) const {
   return A.ClassName == B.ClassName && A.CreationSeq == B.CreationSeq;
 }
 
-/// Fuses consecutive sequences with no matched entry between them (a
-/// modification run flowing directly into a skip region, or region splits
-/// at anchors that later turned out adjacent): difference sequences are
-/// *maximal* contiguous runs, matching the paper's sequence counting.
-void PairEvaluator::mergeAdjacentSequences(const View &LV, const View &RV) {
-  auto Adjacent = [](const View &V, const std::vector<uint32_t> &A,
-                     const std::vector<uint32_t> &B) {
-    if (A.empty() || B.empty())
-      return true; // No constraint from an empty side.
-    int64_t End = ViewWeb::positionOf(V, A.back());
-    int64_t Begin = ViewWeb::positionOf(V, B.front());
-    return End >= 0 && Begin == End + 1;
+/// Appends \p Seq, whose sides start at view positions \p LBegin and
+/// \p RBegin, fused into the previous sequence when no matched entry lies
+/// between them (a modification run flowing directly into a skip region,
+/// or region splits at anchors that turned out adjacent): difference
+/// sequences are *maximal* contiguous runs, matching the paper's sequence
+/// counting. Every side of a sequence is a run of consecutive positions.
+/// Appends \p Seq, whose sides start at view positions \p LBegin and
+/// \p RBegin, fused into the previous sequence when no matched entry lies
+/// between them (a modification run flowing directly into a skip region,
+/// or region splits at anchors that turned out adjacent): difference
+/// sequences are *maximal* contiguous runs, matching the paper's sequence
+/// counting. Two sides are adjacent when one is empty or the second starts
+/// just past the first's last entry.
+void PairEvaluator::pushSequence(DiffSequence Seq, size_t LBegin,
+                                 size_t RBegin) {
+  auto Adjacent = [](const std::vector<uint32_t> &A, size_t AEnd,
+                     const std::vector<uint32_t> &B, size_t BBegin) {
+    return A.empty() || B.empty() || AEnd == BBegin;
   };
-
-  std::vector<DiffSequence> Merged;
-  for (DiffSequence &Seq : Sequences) {
-    if (!Merged.empty() &&
-        Adjacent(LV, Merged.back().LeftEids, Seq.LeftEids) &&
-        Adjacent(RV, Merged.back().RightEids, Seq.RightEids)) {
-      DiffSequence &Prev = Merged.back();
-      Prev.LeftEids.insert(Prev.LeftEids.end(), Seq.LeftEids.begin(),
-                           Seq.LeftEids.end());
-      Prev.RightEids.insert(Prev.RightEids.end(), Seq.RightEids.begin(),
-                            Seq.RightEids.end());
-    } else {
-      Merged.push_back(std::move(Seq));
-    }
+  bool Fuse =
+      !Sequences.empty() &&
+      Adjacent(Sequences.back().LeftEids, LeftEnd, Seq.LeftEids, LBegin) &&
+      Adjacent(Sequences.back().RightEids, RightEnd, Seq.RightEids, RBegin);
+  if (!Seq.LeftEids.empty())
+    LeftEnd = LBegin + Seq.LeftEids.size();
+  if (!Seq.RightEids.empty())
+    RightEnd = RBegin + Seq.RightEids.size();
+  if (!Fuse) {
+    Sequences.push_back(std::move(Seq));
+    return;
   }
-  Sequences = std::move(Merged);
+  DiffSequence &Prev = Sequences.back();
+  Prev.LeftEids.insert(Prev.LeftEids.end(), Seq.LeftEids.begin(),
+                       Seq.LeftEids.end());
+  Prev.RightEids.insert(Prev.RightEids.end(), Seq.RightEids.begin(),
+                        Seq.RightEids.end());
 }
 
 void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
@@ -406,9 +447,9 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
         // One side at a time: each pass walks one sequential id array and
         // one bitset instead of alternating between four streams.
         for (size_t S = 0; S != K; ++S)
-          LeftSimilar[LV.Entries[I + S]] = true;
+          LeftSimilar.set(LV.Entries[I + S]);
         for (size_t S = 0; S != K; ++S)
-          RightSimilar[RV.Entries[J + S]] = true;
+          RightSimilar.set(RV.Entries[J + S]);
         I += K;
         J += K;
         if (I >= N || J >= M)
@@ -458,6 +499,8 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
     if (sameSite(LeftEid, RightEid)) {
       DiffSequence Seq;
       Seq.LeftTid = LV.Tid;
+      size_t LStart = I;
+      size_t RStart = J;
       // Inside a modification run the fingerprints are already gathered:
       // a lane mismatch is exactly the reject =e's fingerprint fast path
       // would take (one tick, same verdict), so the full compare only
@@ -475,7 +518,7 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
         Seq.LeftEids.push_back(LV.Entries[I++]);
         Seq.RightEids.push_back(RV.Entries[J++]);
       }
-      Sequences.push_back(std::move(Seq));
+      pushSequence(std::move(Seq), LStart, RStart);
       continue;
     }
 
@@ -490,24 +533,6 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
   // Tail: whatever remains on either side is a difference (the formal
   // semantics pads the shorter trace with eof entries, §3.1).
   emitSequences(LV, RV, I, N, J, M);
-  mergeAdjacentSequences(LV, RV);
-}
-
-/// Thread views with no correlated partner are differences wholesale
-/// (filtered against the merged similarity set: an unpaired thread's
-/// entries can still be anchored from a paired thread's exploration).
-static void emitWholeViewSequence(DiffResult &Result, const View &V,
-                                  bool IsLeft) {
-  DiffSequence Seq;
-  Seq.LeftTid = V.Tid;
-  for (uint32_t Eid : V.Entries) {
-    if (IsLeft && !Result.LeftSimilar[Eid])
-      Seq.LeftEids.push_back(Eid);
-    if (!IsLeft && !Result.RightSimilar[Eid])
-      Seq.RightEids.push_back(Eid);
-  }
-  if (!Seq.LeftEids.empty() || !Seq.RightEids.empty())
-    Result.Sequences.push_back(std::move(Seq));
 }
 
 DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
@@ -527,8 +552,6 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
   DiffResult Result;
   Result.Left = &LT;
   Result.Right = &RT;
-  Result.LeftSimilar.assign(LT.size(), false);
-  Result.RightSimilar.assign(RT.size(), false);
 
   const std::vector<std::pair<uint32_t, uint32_t>> &Pairs = X.threadPairs();
 
@@ -574,57 +597,74 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
 
   // Deterministic merge, in correlation (left-tid) order: the union of the
   // per-pair Pi sets is the final similarity set, sequences concatenate,
-  // and per-pair compare counters sum to a jobs-independent total.
-  std::unordered_set<uint32_t> PairedLeft;
-  std::unordered_set<uint32_t> PairedRight;
-  std::unordered_map<uint32_t, uint32_t> AnchorUnion;
+  // and per-pair compare counters sum to a jobs-independent total. The
+  // union lands in the first pair's sets, a word at a time.
+  EntrySet LeftPi(Pairs.empty() ? LT.size() : 0);
+  EntrySet RightPi(Pairs.empty() ? RT.size() : 0);
+  EntrySet Anchored(LT.size());
+  std::vector<bool> PairedLeft(Left.numThreadViews());
+  std::vector<bool> PairedRight(Right.numThreadViews());
+  uint64_t NumAnchors = 0;
   uint64_t TotalOps = 0;
   uint64_t TotalRunSkips = 0;
   uint64_t TotalSharedHits = 0;
   for (size_t K = 0; K != Pairs.size(); ++K) {
-    PairedLeft.insert(Pairs[K].first);
-    PairedRight.insert(Pairs[K].second);
+    PairedLeft[Pairs[K].first] = true;
+    PairedRight[Pairs[K].second] = true;
     PairEvaluator &E = *Evals[K];
-    for (size_t I = 0; I != E.LeftSimilar.size(); ++I)
-      if (E.LeftSimilar[I])
-        Result.LeftSimilar[I] = true;
-    for (size_t I = 0; I != E.RightSimilar.size(); ++I)
-      if (E.RightSimilar[I])
-        Result.RightSimilar[I] = true;
+    if (K == 0) {
+      LeftPi = std::move(E.LeftSimilar);
+      RightPi = std::move(E.RightSimilar);
+      Result.Sequences = std::move(E.Sequences);
+    } else {
+      for (size_t W = 0; W != LeftPi.Words.size(); ++W)
+        LeftPi.Words[W] |= E.LeftSimilar.Words[W];
+      for (size_t W = 0; W != RightPi.Words.size(); ++W)
+        RightPi.Words[W] |= E.RightSimilar.Words[W];
+      Result.Sequences.insert(Result.Sequences.end(),
+                              std::make_move_iterator(E.Sequences.begin()),
+                              std::make_move_iterator(E.Sequences.end()));
+    }
     for (const auto &[L, R] : E.Anchors)
-      AnchorUnion.emplace(L, R);
+      if (!Anchored.test(L)) {
+        Anchored.set(L);
+        ++NumAnchors;
+      }
     TotalOps += E.Ops.Count;
     TotalRunSkips += E.RunSkips;
     TotalSharedHits += E.SharedLaneHits;
-    for (DiffSequence &Seq : E.Sequences)
-      Result.Sequences.push_back(std::move(Seq));
   }
 
-  for (const View &V : Left.views())
-    if (V.Type == ViewType::Thread && !PairedLeft.count(V.Id))
-      emitWholeViewSequence(Result, V, /*IsLeft=*/true);
-  for (const View &V : Right.views())
-    if (V.Type == ViewType::Thread && !PairedRight.count(V.Id))
-      emitWholeViewSequence(Result, V, /*IsLeft=*/false);
+  // Thread views with no correlated partner are differences wholesale
+  // (filtered below: an unpaired thread's entries can still be anchored
+  // from a paired thread's exploration). Thread views are ids 0..n-1.
+  for (const View &V : Left.family(ViewType::Thread))
+    if (!PairedLeft[V.Id])
+      Result.Sequences.push_back(
+          {{V.Entries.begin(), V.Entries.end()}, {}, V.Tid});
+  for (const View &V : Right.family(ViewType::Thread))
+    if (!PairedRight[V.Id])
+      Result.Sequences.push_back(
+          {{}, {V.Entries.begin(), V.Entries.end()}, V.Tid});
 
   // Anchors found late (or by another pair) can mark entries similar after
-  // they were already emitted into a sequence; re-filter so sequences
-  // contain only entries that are differences in the final, merged Pi.
-  std::vector<DiffSequence> Filtered;
-  Filtered.reserve(Result.Sequences.size());
-  for (DiffSequence &Seq : Result.Sequences) {
-    DiffSequence Clean;
-    Clean.LeftTid = Seq.LeftTid;
-    for (uint32_t Eid : Seq.LeftEids)
-      if (!Result.LeftSimilar[Eid])
-        Clean.LeftEids.push_back(Eid);
-    for (uint32_t Eid : Seq.RightEids)
-      if (!Result.RightSimilar[Eid])
-        Clean.RightEids.push_back(Eid);
-    if (!Clean.LeftEids.empty() || !Clean.RightEids.empty())
-      Filtered.push_back(std::move(Clean));
+  // they were already emitted into a sequence; filter in place so
+  // sequences contain only entries that are differences in the final,
+  // merged Pi. Without anchors nothing can: every other mark lands at a
+  // pair's cursors, ahead of what that pair emitted and inside its own
+  // thread views.
+  if (NumAnchors != 0) {
+    for (DiffSequence &Seq : Result.Sequences) {
+      std::erase_if(Seq.LeftEids,
+                    [&LeftPi](uint32_t Eid) { return LeftPi.test(Eid); });
+      std::erase_if(Seq.RightEids,
+                    [&RightPi](uint32_t Eid) { return RightPi.test(Eid); });
+    }
+    std::erase_if(Result.Sequences,
+                  [](const DiffSequence &Seq) { return Seq.size() == 0; });
   }
-  Result.Sequences = std::move(Filtered);
+  Result.LeftSimilar = LeftPi.toBools(LT.size());
+  Result.RightSimilar = RightPi.toBools(RT.size());
 
   Result.Stats.CompareOps = TotalOps;
   Result.Stats.Seconds = Clock.seconds();
@@ -633,11 +673,8 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
   // indices — all linear in the trace sizes. Counted as if every pair's
   // state coexists (the full-parallelism worst case) so the figure does
   // not depend on the worker count.
-  uint64_t WebBytes = 0;
-  for (const View &V : Left.views())
-    WebBytes += V.Entries.size() * sizeof(uint32_t);
-  for (const View &V : Right.views())
-    WebBytes += V.Entries.size() * sizeof(uint32_t);
+  uint64_t WebBytes =
+      (Left.numViewEntries() + Right.numViewEntries()) * sizeof(uint32_t);
   uint64_t LaneBytes = 0;
   if (LT.HasFingerprints && RT.HasFingerprints)
     for (const auto &[L, R] : Pairs)
@@ -646,15 +683,14 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
                    sizeof(uint64_t);
   Result.Stats.PeakBytes =
       WebBytes + LaneBytes +
-      (LT.size() + RT.size()) / 8 * (1 + Pairs.size()) +
-      AnchorUnion.size() * 16;
+      (LT.size() + RT.size()) / 8 * (1 + Pairs.size()) + NumAnchors * 16;
 
   // Counters are the jobs-invariant core of the diff telemetry (the merge
   // above makes them deterministic); the peak-bytes figure is a gauge.
   if (Telemetry::enabled()) {
     Telemetry::counterAdd("diff.compare_ops", TotalOps);
     Telemetry::counterAdd("diff.sequences", Result.Sequences.size());
-    Telemetry::counterAdd("diff.anchors", AnchorUnion.size());
+    Telemetry::counterAdd("diff.anchors", NumAnchors);
     Telemetry::counterAdd("eval.runskip", TotalRunSkips);
     if (TotalSharedHits)
       Telemetry::counterAdd("lane.shared_hit", TotalSharedHits);
@@ -674,9 +710,8 @@ BaselineLanes::BaselineLanes(const ViewWeb &W) : Web(&W) {
     return; // Every lane lookup stays null; evaluators gather as usual.
   TelemetrySpan GatherSpan("lane.gather");
   const uint64_t *Fps = T.Fps.data();
-  for (const View &V : W.views()) {
-    if (V.Type != ViewType::Thread)
-      continue; // The lock-step core only scans thread-view lanes.
+  // The lock-step core only scans thread-view lanes.
+  for (const View &V : W.family(ViewType::Thread)) {
     std::vector<uint64_t> &Lane = Lanes[V.Id];
     Lane.resize(V.Entries.size());
     for (size_t I = 0; I != V.Entries.size(); ++I)

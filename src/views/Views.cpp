@@ -2,7 +2,6 @@
 
 #include "views/Views.h"
 
-#include "support/Hashing.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -20,41 +19,14 @@ const char *rprism::viewTypeName(ViewType Type) {
   return "?";
 }
 
-uint32_t ViewKeyMap::findSparse(uint32_t Key) const {
-  if (Sparse.empty())
-    return NoView;
-  size_t Mask = Sparse.size() - 1;
-  for (size_t I = hashMix(0, Key) & Mask;; I = (I + 1) & Mask)
-    if (Sparse[I].second == NoView || Sparse[I].first == Key)
-      return Sparse[I].second;
-}
-
 uint32_t &ViewKeyMap::slotSlow(uint32_t Key) {
-  if (Key < Bound) {
-    // Grow geometrically, never past the bound (Key + 1 <= Bound).
-    size_t Size = std::min<size_t>(std::max<size_t>(Key + 1, Dense.size() * 2),
-                                   Bound);
-    Dense.resize(Size, NoView);
-    return Dense[Key];
-  }
-  if ((SparseUsed + 1) * 2 > Sparse.size()) {
-    std::vector<std::pair<uint32_t, uint32_t>> Old(
-        std::max<size_t>(16, Sparse.size() * 2), {0, NoView});
-    Old.swap(Sparse);
-    SparseUsed = 0;
-    for (const auto &[OldKey, Id] : Old)
-      if (Id != NoView)
-        slotSlow(OldKey) = Id;
-  }
-  size_t Mask = Sparse.size() - 1;
-  size_t I = hashMix(0, Key) & Mask;
-  while (Sparse[I].second != NoView && Sparse[I].first != Key)
-    I = (I + 1) & Mask;
-  if (Sparse[I].second == NoView) {
-    Sparse[I].first = Key;
-    ++SparseUsed;
-  }
-  return Sparse[I].second;
+  if (Key >= Bound)
+    return Sparse.slot(Key);
+  // Grow geometrically, never past the bound (Key + 1 <= Bound).
+  size_t Size =
+      std::min<size_t>(std::max<size_t>(Key + 1, Dense.size() * 2), Bound);
+  Dense.resize(Size, NoView);
+  return Dense[Key];
 }
 
 ViewWeb::ViewWeb(const Trace &TIn) : T(&TIn) {
@@ -98,7 +70,6 @@ ViewWeb::ViewWeb(const Trace &TIn) : T(&TIn) {
   // Prefix sum: each view's slice of the flat array, family by family.
   // Cursor[F][Local] is where the view's next entry id goes.
   std::vector<size_t> Cursor[NumViewFamilies];
-  size_t FlatSize = 0;
   for (size_t F = 0; F != NumViewFamilies; ++F) {
     Cursor[F].resize(Counts[F].size());
     for (size_t Local = 0; Local != Counts[F].size(); ++Local) {

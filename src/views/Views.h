@@ -25,6 +25,8 @@
 #ifndef RPRISM_VIEWS_VIEWS_H
 #define RPRISM_VIEWS_VIEWS_H
 
+#include "support/FlatIdTable.h"
+#include "support/Hashing.h"
 #include "trace/Trace.h"
 
 #include <memory>
@@ -80,7 +82,7 @@ public:
 
   /// The id stored for \p Key, or NoView.
   uint32_t find(uint32_t Key) const {
-    return Key < Dense.size() ? Dense[Key] : findSparse(Key);
+    return Key < Dense.size() ? Dense[Key] : Sparse.find(Key);
   }
 
   /// The id slot of \p Key, created holding NoView when absent; the caller
@@ -90,14 +92,15 @@ public:
   }
 
 private:
-  uint32_t findSparse(uint32_t Key) const;
   uint32_t &slotSlow(uint32_t Key);
+
+  struct KeyHash {
+    uint64_t operator()(uint32_t Key) const { return hashMix(0, Key); }
+  };
 
   uint32_t Bound;
   std::vector<uint32_t> Dense;
-  /// Open addressing, power-of-two capacity; a NoView id marks a free slot.
-  std::vector<std::pair<uint32_t, uint32_t>> Sparse;
-  size_t SparseUsed = 0;
+  FlatIdTable<uint32_t, KeyHash> Sparse;
 };
 
 /// The full web of views for one trace.
@@ -131,6 +134,15 @@ public:
   size_t numActiveObjectViews() const {
     return familySize(ViewType::ActiveObject);
   }
+
+  /// The views of family \p Type, in id order.
+  std::span<const View> family(ViewType Type) const {
+    return {Views.data() + FamilyBase[static_cast<size_t>(Type)],
+            familySize(Type)};
+  }
+
+  /// Entry ids over all views: the length of the flat entry array.
+  size_t numViewEntries() const { return FlatSize; }
 
   /// Lookups; null when no such view exists.
   const View *threadView(uint32_t Tid) const {
@@ -177,6 +189,7 @@ private:
   std::vector<View> Views;
   /// Every view's entry list, family by family, view by view.
   std::unique_ptr<uint32_t[]> Flat;
+  size_t FlatSize = 0;
   /// Family F's views are ids [FamilyBase[F], FamilyBase[F + 1]).
   uint32_t FamilyBase[NumViewFamilies + 1] = {};
   /// Per family: key (tid, method symbol id, location) -> local id.
