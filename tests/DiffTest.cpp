@@ -10,11 +10,17 @@
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
 #include "trace/Serialize.h"
+#include "support/Telemetry.h"
 #include "workload/Generator.h"
+#include "workload/Mutator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <optional>
+#include <set>
 #include <unistd.h>
 
 using namespace rprism;
@@ -596,6 +602,102 @@ TEST(ViewsDiff, LoadedTracesDeterministicAcrossJobs) {
   }
   std::remove(LPath.c_str());
   std::remove(RPath.c_str());
+}
+
+TEST(ViewsDiff, MultiPairMergeIsDeterministicAcrossJobs) {
+  // Generator programs with three threads against seeded mutants: several
+  // thread pairs, each with its own Pi and anchors, merged per pair. Every
+  // --jobs value must give the same sequences, Pi and compare ops, and no
+  // sequence may keep an entry the merged Pi calls similar.
+  unsigned MultiPairWithAnchors = 0;
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    GeneratorOptions G;
+    G.NumThreads = 3;
+    G.OuterIters = 6 + static_cast<unsigned>(Seed % 4);
+    G.Seed = Seed;
+    G.ReorderBlock = Seed % 2 == 0;
+    Expected<MutantSet> Set =
+        generateMutantSet(generateProgram(G), RunOptions(), 2, Seed);
+    ASSERT_TRUE(bool(Set)) << Set.error().render();
+    for (const MutantTrace &M : Set->Mutants) {
+      SCOPED_TRACE("seed " + std::to_string(Seed));
+      std::optional<DiffResult> Ref;
+      for (unsigned Jobs : {1u, 4u, 8u}) {
+        ViewsDiffOptions Options;
+        Options.Jobs = Jobs;
+        Options.ParallelCutoffEntries = 0;
+        Telemetry::get().reset();
+        Telemetry::get().setEnabled(true);
+        DiffResult Out = viewsDiff(Set->Base, M.ExecTrace, Options);
+        TelemetrySnapshot Snap = Telemetry::get().snapshot();
+        Telemetry::get().setEnabled(false);
+        for (const DiffSequence &Seq : Out.Sequences) {
+          for (uint32_t Eid : Seq.LeftEids)
+            ASSERT_FALSE(Out.LeftSimilar[Eid]) << "left entry " << Eid;
+          for (uint32_t Eid : Seq.RightEids)
+            ASSERT_FALSE(Out.RightSimilar[Eid]) << "right entry " << Eid;
+        }
+        if (!Ref) {
+          MultiPairWithAnchors += Snap.counter("correlate.thread_pairs") >= 3 &&
+                                  Snap.counter("diff.anchors") > 0;
+          Ref = std::move(Out);
+          continue;
+        }
+        SCOPED_TRACE("jobs " + std::to_string(Jobs));
+        EXPECT_EQ(Out.LeftSimilar, Ref->LeftSimilar);
+        EXPECT_EQ(Out.RightSimilar, Ref->RightSimilar);
+        EXPECT_EQ(Out.Stats.CompareOps, Ref->Stats.CompareOps);
+        EXPECT_EQ(Out.Stats.PeakBytes, Ref->Stats.PeakBytes);
+        ASSERT_EQ(Out.Sequences.size(), Ref->Sequences.size());
+        for (size_t I = 0; I != Out.Sequences.size(); ++I) {
+          EXPECT_EQ(Out.Sequences[I].LeftEids, Ref->Sequences[I].LeftEids);
+          EXPECT_EQ(Out.Sequences[I].RightEids, Ref->Sequences[I].RightEids);
+          EXPECT_EQ(Out.Sequences[I].LeftTid, Ref->Sequences[I].LeftTid);
+        }
+      }
+    }
+  }
+  // The union and the late re-filter only matter with several pairs that
+  // anchor; the draw must include such cases.
+  EXPECT_GT(MultiPairWithAnchors, 0u);
+}
+
+TEST(DiffResult, SummaryOfALongSequenceRendersEachObjectOnce) {
+  // 10K entries touching two objects: the label must read exactly as when
+  // every entry's target was rendered into a set.
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = traceOf(R"(
+    class Box { Int v; Box(Int v) { this.v = v; } Int get() { return this.v; } }
+    main {
+      var a = new Box(1);
+      var b = new Box(2);
+      var i = 0;
+      var s = 0;
+      while (i < 2000) { s = s + a.get() + b.get(); i = i + 1; }
+      print(s);
+    }
+  )", Strings);
+  ASSERT_GE(T.size(), 10000u);
+  DiffSequence Seq;
+  for (uint32_t Eid = 0; Eid != 10000; ++Eid)
+    (Eid % 2 ? Seq.RightEids : Seq.LeftEids).push_back(Eid);
+
+  std::map<uint32_t, unsigned> MethodCounts;
+  std::set<std::string> Objects;
+  for (uint32_t Eid = 0; Eid != 10000; ++Eid) {
+    ++MethodCounts[T.Methods[Eid].Id];
+    if (!T.Targets[Eid].isNone())
+      Objects.insert(T.renderObj(T.Targets[Eid]));
+  }
+  ASSERT_EQ(Objects.size(), 2u);
+  auto Dominant = std::max_element(
+      MethodCounts.begin(), MethodCounts.end(),
+      [](const auto &A, const auto &B) { return A.second < B.second; });
+  std::string Want = "in " + Strings->text(Symbol{Dominant->first}) +
+                     " (-5000/+5000) touching";
+  for (const std::string &Obj : Objects)
+    Want += ' ' + Obj;
+  EXPECT_EQ(summarizeSequence(T, T, Seq), Want);
 }
 
 } // namespace

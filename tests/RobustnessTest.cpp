@@ -38,6 +38,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -345,6 +346,75 @@ TEST(HostileValues, LargestLocationDiffsCleanly) {
 
 TEST(HostileValues, HugeLocationDiffsInBoundedMemory) {
   expectHugeLocationDiffsCleanly(0x7fffffffu);
+}
+
+/// A one-thread trace of \p N field reads, each on its own object of one
+/// class whose value hash is \p Hash(I): N target-object views whose
+/// correlation keys the file alone decides.
+template <typename HashFn>
+Trace objectFloodTrace(const std::shared_ptr<StringInterner> &Strings,
+                       uint32_t N, HashFn Hash) {
+  Trace T;
+  T.Strings = Strings;
+  ThreadInfo Main;
+  Main.EntryMethod = Strings->intern("main");
+  T.Threads.push_back(Main);
+  Symbol Class = Strings->intern("Flood");
+  Symbol Field = Strings->intern("x");
+  T.reserveEntries(N);
+  for (uint32_t I = 0; I != N; ++I) {
+    TraceEntry E;
+    E.Eid = I;
+    E.Method = Main.EntryMethod;
+    E.Ev.Kind = EventKind::FieldGet;
+    E.Ev.Name = Field;
+    E.Ev.Target.ValueHash = Hash(I);
+    E.Ev.Target.Loc = I;
+    E.Ev.Target.ClassName = Class;
+    E.Ev.Target.CreationSeq = I;
+    E.Ev.Target.HasRepr = 1;
+    T.append(E);
+  }
+  return T;
+}
+
+/// Correlates two 200K-object floods and returns the wall seconds taken;
+/// every left object must find its partner (by value or by creation seq).
+template <typename HashFn> double correlateFloodSeconds(HashFn Hash) {
+  constexpr uint32_t N = 200000;
+  auto Strings = std::make_shared<StringInterner>();
+  Trace L = objectFloodTrace(Strings, N, Hash);
+  Trace R = objectFloodTrace(Strings, N, Hash);
+  ViewWeb LW(L);
+  ViewWeb RW(R);
+  EXPECT_EQ(LW.numTargetObjectViews(), N);
+  auto Start = std::chrono::steady_clock::now();
+  ViewCorrelation X(LW, RW);
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  for (uint32_t Loc = 0; Loc < N; Loc += 997) {
+    int32_t Partner = X.rightOf(LW.targetObjectView(Loc)->Id);
+    EXPECT_EQ(Partner, static_cast<int32_t>(RW.targetObjectView(Loc)->Id))
+        << "object " << Loc;
+  }
+  return Seconds;
+}
+
+TEST(HostileValues, OneSharedCorrelationKeyJoinsInBoundedTime) {
+  // Every object carries the same (class, hash) key: the right table holds
+  // one key, and all but the first left object fall through to creation
+  // sequence numbers. A probe that walked the equal keys would be
+  // quadratic.
+  EXPECT_LT(correlateFloodSeconds([](uint32_t) { return 0x5eedull; }), 1.0);
+}
+
+TEST(HostileValues, KeysDifferingAboveBit32JoinInBoundedTime) {
+  // Keys equal in their low 32 bits: a table indexed by the low word
+  // would collide on every insert.
+  EXPECT_LT(correlateFloodSeconds(
+                [](uint32_t I) { return uint64_t{I} << 32 | 0x5eedull; }),
+            1.0);
 }
 
 TEST(HostileValues, ThreadIdsOutsideTheThreadTableAreCorrupt) {

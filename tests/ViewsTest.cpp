@@ -15,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <tuple>
+#include <unistd.h>
 
 using namespace rprism;
 
@@ -549,6 +552,262 @@ TEST(Correlate, AncestrySimilarityPrefersExactHash) {
   EXPECT_EQ(threadAncestrySimilarity(Dummy, A, Dummy, B), 1.0);
   B.AncestryHash = 43;
   EXPECT_LT(threadAncestrySimilarity(Dummy, A, Dummy, B), 1.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Property: the correlation equals a naive reference of the X_nu rules
+//===----------------------------------------------------------------------===//
+
+/// A plain reading of §3.1 with ordered maps: X_TH pairs threads greedily by
+/// ancestry similarity, X_CM by qualified name, and X_TO / X_AO index the
+/// right views, in id order, by (class, value hash) of the last and then
+/// the first representation and by (class, creation seq). The first insert
+/// of a key wins, and each view links at most once.
+struct ReferenceCorrelation {
+  std::map<uint32_t, uint32_t> LeftToRight;
+  std::map<uint32_t, uint32_t> RightToLeft;
+  std::vector<std::pair<uint32_t, uint32_t>> ThreadPairs;
+
+  bool link(uint32_t L, uint32_t R) {
+    if (LeftToRight.count(L) || RightToLeft.count(R))
+      return false;
+    LeftToRight[L] = R;
+    RightToLeft[R] = L;
+    return true;
+  }
+
+  ReferenceCorrelation(const ViewWeb &LW, const ViewWeb &RW) {
+    const Trace &LT = LW.trace();
+    const Trace &RT = RW.trace();
+    std::vector<std::tuple<double, uint32_t, uint32_t>> Cands;
+    for (const ThreadInfo &L : LT.Threads)
+      for (const ThreadInfo &R : RT.Threads)
+        if (LW.threadView(L.Tid) && RW.threadView(R.Tid))
+          if (double Score = threadAncestrySimilarity(LT, L, RT, R); Score > 0)
+            Cands.emplace_back(-Score, L.Tid, R.Tid);
+    std::sort(Cands.begin(), Cands.end());
+    for (auto [Score, LTid, RTid] : Cands) {
+      uint32_t L = LW.threadView(LTid)->Id;
+      uint32_t R = RW.threadView(RTid)->Id;
+      if (link(L, R))
+        ThreadPairs.emplace_back(L, R);
+    }
+    std::sort(ThreadPairs.begin(), ThreadPairs.end(),
+              [&LW](const auto &A, const auto &B) {
+                return LW.view(A.first).Tid < LW.view(B.first).Tid;
+              });
+
+    for (const View &LV : LW.views())
+      for (const View &RV : RW.views())
+        if (LV.Type == ViewType::Method && RV.Type == ViewType::Method &&
+            LV.MethodName == RV.MethodName)
+          link(LV.Id, RV.Id);
+
+    for (ViewType Type : {ViewType::TargetObject, ViewType::ActiveObject}) {
+      std::map<std::pair<uint32_t, uint64_t>, uint32_t> ByValue;
+      std::map<std::pair<uint32_t, uint32_t>, uint32_t> BySeq;
+      for (const View &RV : RW.views()) {
+        if (RV.Type != Type)
+          continue;
+        for (const ObjRepr *Repr : {&RV.LastRepr, &RV.FirstRepr})
+          if (Repr->HasRepr)
+            ByValue.try_emplace({Repr->ClassName.Id, Repr->ValueHash}, RV.Id);
+        BySeq.try_emplace(
+            {RV.FirstRepr.ClassName.Id, RV.FirstRepr.CreationSeq}, RV.Id);
+      }
+      for (const View &LV : LW.views()) {
+        if (LV.Type != Type)
+          continue;
+        for (const ObjRepr *Repr : {&LV.LastRepr, &LV.FirstRepr}) {
+          auto It = ByValue.find({Repr->ClassName.Id, Repr->ValueHash});
+          if (Repr->HasRepr && It != ByValue.end() && link(LV.Id, It->second))
+            break;
+        }
+      }
+      for (const View &LV : LW.views()) {
+        if (LV.Type != Type || LeftToRight.count(LV.Id))
+          continue;
+        auto It =
+            BySeq.find({LV.FirstRepr.ClassName.Id, LV.FirstRepr.CreationSeq});
+        if (It != BySeq.end())
+          link(LV.Id, It->second);
+      }
+    }
+  }
+};
+
+/// Checks every view's partner, both ways, and the thread pairs against
+/// the reference; returns the correlation's left-to-right links.
+std::map<uint32_t, uint32_t> expectCorrelationMatchesReference(
+    const ViewWeb &LW, const ViewWeb &RW) {
+  ViewCorrelation X(LW, RW);
+  ReferenceCorrelation Ref(LW, RW);
+  std::map<uint32_t, uint32_t> Links;
+  for (uint32_t Id = 0; Id != LW.numViews(); ++Id) {
+    auto It = Ref.LeftToRight.find(Id);
+    EXPECT_EQ(X.rightOf(Id), It == Ref.LeftToRight.end()
+                                 ? -1
+                                 : static_cast<int32_t>(It->second))
+        << viewTypeName(LW.view(Id).Type) << " left view " << Id;
+    if (X.rightOf(Id) >= 0)
+      Links[Id] = static_cast<uint32_t>(X.rightOf(Id));
+  }
+  for (uint32_t Id = 0; Id != RW.numViews(); ++Id) {
+    auto It = Ref.RightToLeft.find(Id);
+    EXPECT_EQ(X.leftOf(Id), It == Ref.RightToLeft.end()
+                                ? -1
+                                : static_cast<int32_t>(It->second))
+        << viewTypeName(RW.view(Id).Type) << " right view " << Id;
+  }
+  EXPECT_EQ(X.threadPairs(), Ref.ThreadPairs);
+  return Links;
+}
+
+TEST(CorrelateProperty, MatchesReferenceOnGeneratedAndMutatedTraces) {
+  Rng Draw(20261020);
+  unsigned Checked = 0;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    GeneratorOptions G;
+    G.NumClasses = 2 + static_cast<unsigned>(Draw.next() % 4);
+    G.OuterIters = 3 + static_cast<unsigned>(Draw.next() % 12);
+    G.NumThreads = 1 + static_cast<unsigned>(Draw.next() % 3);
+    G.Seed = Seed;
+    G.Perturb = static_cast<unsigned>(Draw.next() % 3);
+    G.ReorderBlock = Draw.next() % 2 != 0;
+    Expected<MutantSet> Set =
+        generateMutantSet(generateProgram(G), RunOptions(), 2, Seed);
+    ASSERT_TRUE(bool(Set)) << Set.error().render();
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    ViewWeb Base(Set->Base);
+    for (const MutantTrace &M : Set->Mutants) {
+      ViewWeb Mutant(M.ExecTrace);
+      expectCorrelationMatchesReference(Base, Mutant);
+      expectCorrelationMatchesReference(Mutant, Base);
+      Checked += 2;
+    }
+  }
+  EXPECT_EQ(Checked, 160u);
+}
+
+TEST(CorrelateProperty, MatchesReferenceAfterRemappingLoad) {
+  // Both sides loaded into a busy interner: every class and method symbol
+  // id moves, and the keys must join exactly as before.
+  GeneratorOptions G;
+  G.NumThreads = 2;
+  G.OuterIters = 6;
+  Expected<MutantSet> Set =
+      generateMutantSet(generateProgram(G), RunOptions(), 1, 5);
+  ASSERT_TRUE(bool(Set)) << Set.error().render();
+  std::string Base = "/tmp/rprism_correlate_base_" + std::to_string(::getpid());
+  std::string Mut = "/tmp/rprism_correlate_mut_" + std::to_string(::getpid());
+  ASSERT_TRUE(writeTrace(Set->Base, Base));
+  ASSERT_TRUE(writeTrace(Set->Mutants[0].ExecTrace, Mut));
+  auto Busy = std::make_shared<StringInterner>();
+  Busy->intern("occupying-symbol-id-zero");
+  Expected<Trace> L = readTrace(Base, Busy);
+  Expected<Trace> R = readTrace(Mut, Busy);
+  std::remove(Base.c_str());
+  std::remove(Mut.c_str());
+  ASSERT_TRUE(bool(L)) << L.error().render();
+  ASSERT_TRUE(bool(R)) << R.error().render();
+  ViewWeb LW(*L);
+  ViewWeb RW(*R);
+  EXPECT_FALSE(expectCorrelationMatchesReference(LW, RW).empty());
+}
+
+/// One object per spec, each read twice: its target-object view's first
+/// representation carries First, its last carries Last.
+struct ObjSpec {
+  uint32_t Class;
+  uint64_t First;
+  uint64_t Last;
+  uint32_t Seq;
+};
+
+Trace objectTrace(const std::shared_ptr<StringInterner> &Strings,
+                  const std::vector<ObjSpec> &Objects) {
+  Trace T;
+  T.Strings = Strings;
+  ThreadInfo Main;
+  Main.EntryMethod = Strings->intern("main");
+  T.Threads.push_back(Main);
+  for (uint32_t Loc = 0; Loc != Objects.size(); ++Loc)
+    for (uint64_t Hash : {Objects[Loc].First, Objects[Loc].Last}) {
+      TraceEntry E;
+      E.Eid = static_cast<uint32_t>(T.size());
+      E.Method = Main.EntryMethod;
+      E.Ev.Kind = EventKind::FieldGet;
+      E.Ev.Name = Strings->intern("f");
+      E.Ev.Target.ValueHash = Hash;
+      E.Ev.Target.Loc = Loc;
+      E.Ev.Target.ClassName = Symbol{Objects[Loc].Class};
+      E.Ev.Target.CreationSeq = Objects[Loc].Seq;
+      E.Ev.Target.HasRepr = 1;
+      T.append(E);
+    }
+  return T;
+}
+
+/// Correlates two object traces and returns, per left object, the right
+/// object its target-object view links to (-1 for none).
+std::vector<int64_t> objectPartners(const std::vector<ObjSpec> &Left,
+                                    const std::vector<ObjSpec> &Right) {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace L = objectTrace(Strings, Left);
+  Trace R = objectTrace(Strings, Right);
+  ViewWeb LW(L);
+  ViewWeb RW(R);
+  std::map<uint32_t, uint32_t> Links = expectCorrelationMatchesReference(LW, RW);
+  std::vector<int64_t> Partners;
+  for (uint32_t Loc = 0; Loc != Left.size(); ++Loc) {
+    auto It = Links.find(LW.targetObjectView(Loc)->Id);
+    Partners.push_back(It == Links.end()
+                           ? -1
+                           : static_cast<int64_t>(RW.view(It->second).Loc));
+  }
+  return Partners;
+}
+
+TEST(CorrelateProperty, SharedFinalStateGoesToTheLowerRightView) {
+  // Two right views share one (class, last hash): the lower id owns it.
+  // The second left view finds it taken and has no other match.
+  EXPECT_EQ(objectPartners({{7, 1, 50, 10}, {7, 2, 50, 11}},
+                           {{7, 3, 50, 20}, {7, 4, 50, 21}}),
+            (std::vector<int64_t>{0, -1}));
+}
+
+TEST(CorrelateProperty, AKeyBelongsToTheEarlierRightViewWhicheverEndHoldsIt) {
+  // Right 0 holds 50 as its first representation, right 1 as its last:
+  // the keys of right 0 enter first, so 50 is right 0's. Within one view
+  // the final state enters before the first.
+  EXPECT_EQ(objectPartners({{7, 9, 50, 10}}, {{7, 50, 60, 20}, {7, 70, 50, 21}}),
+            (std::vector<int64_t>{0}));
+  EXPECT_EQ(objectPartners({{7, 9, 50, 10}}, {{7, 40, 60, 20}, {7, 50, 70, 21}}),
+            (std::vector<int64_t>{1}));
+}
+
+TEST(CorrelateProperty, EqualHashInAnotherClassNeverLinks) {
+  EXPECT_EQ(objectPartners({{7, 50, 50, 10}}, {{8, 50, 50, 20}}),
+            (std::vector<int64_t>{-1}));
+  // The same hash split across class and value words does not alias
+  // either.
+  EXPECT_EQ(objectPartners({{7, 0x800000000ull, 8, 10}},
+                           {{8, 0x700000000ull, 7, 20}}),
+            (std::vector<int64_t>{-1}));
+}
+
+TEST(CorrelateProperty, ExtremeKeysJoinLikeAnyOther) {
+  // Class ids, hashes and creation seqs at their largest values: the
+  // tables are sized by view counts, never by key values.
+  const uint32_t MaxClass = 0xffffffffu;
+  const uint64_t MaxHash = ~0ull;
+  EXPECT_EQ(objectPartners({{MaxClass, MaxHash, MaxHash, MaxClass},
+                            {MaxClass, 0, MaxHash - 1, 3},
+                            {MaxClass - 1, 5, 6, MaxClass}},
+                           {{MaxClass - 1, 1, 2, MaxClass},
+                            {MaxClass, MaxHash - 1, 0, 4},
+                            {MaxClass, MaxHash, MaxHash, MaxClass}}),
+            (std::vector<int64_t>{2, 1, 0}));
 }
 
 } // namespace
