@@ -11,14 +11,19 @@ using namespace rprism;
 
 std::string rprism::summarizeSequence(const Trace &Left, const Trace &Right,
                                       const DiffSequence &Seq) {
-  // Dominant executing method across both sides.
+  // Dominant executing method across both sides. An object renders as
+  // its class and creation seq, so each distinct pair renders once (both
+  // traces share one interner).
   std::map<uint32_t, unsigned> MethodCounts;
+  std::set<std::pair<uint32_t, uint32_t>> Seen;
   std::set<std::string> Objects;
   auto Visit = [&](const Trace &T, const std::vector<uint32_t> &Eids) {
     for (uint32_t Eid : Eids) {
       ++MethodCounts[T.Methods[Eid].Id];
-      if (!T.Targets[Eid].isNone())
-        Objects.insert(T.renderObj(T.Targets[Eid]));
+      const ObjRepr &Obj = T.Targets[Eid];
+      if (!Obj.isNone() &&
+          Seen.emplace(Obj.ClassName.Id, Obj.CreationSeq).second)
+        Objects.insert(T.renderObj(Obj));
     }
   };
   Visit(Left, Seq.LeftEids);

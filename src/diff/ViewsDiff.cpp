@@ -28,21 +28,12 @@ struct EntrySet {
   bool test(uint32_t Eid) const { return Words[Eid >> 6] >> (Eid & 63) & 1; }
   void set(uint32_t Eid) { Words[Eid >> 6] |= uint64_t{1} << (Eid & 63); }
 
-  /// The first \p Size ids as flags: every flag starts at the majority
-  /// value, then the minority ids flip one by one.
+  /// The first \p Size ids as flags.
   std::vector<bool> toBools(size_t Size) const {
-    size_t Members = 0;
-    for (uint64_t W : Words)
-      Members += std::popcount(W);
-    bool Most = Members * 2 > Size;
-    std::vector<bool> Out(Size, Most);
-    for (size_t W = 0; W != Words.size(); ++W) {
-      uint64_t Flip = Most ? ~Words[W] : Words[W];
-      if (W * 64 + 64 > Size) // Ids past Size are never members.
-        Flip &= ~uint64_t{0} >> (W * 64 + 64 - Size);
-      for (; Flip; Flip &= Flip - 1)
-        Out[W * 64 + std::countr_zero(Flip)] = !Most;
-    }
+    std::vector<bool> Out(Size);
+    for (size_t W = 0; W != Words.size(); ++W)
+      for (uint64_t Bits = Words[W]; Bits; Bits &= Bits - 1)
+        Out[W * 64 + std::countr_zero(Bits)] = true;
     return Out;
   }
 };
@@ -102,7 +93,7 @@ private:
   }
 
   bool sameSite(uint32_t LeftEid, uint32_t RightEid) const;
-  void pushSequence(DiffSequence Seq, size_t LBegin, size_t RBegin);
+  void pushSequence(DiffSequence Seq, size_t LEnd, size_t REnd);
   void exploreSecondary(const View &LV, const View &RV, size_t I, size_t J);
   void windowedLcs(const View &LSecondary, int64_t LPos,
                    const View &RSecondary, int64_t RPos);
@@ -134,8 +125,7 @@ private:
   /// View pairs already explored at the current mismatch (dedup).
   std::unordered_set<uint64_t> ExploredPairs;
 
-  /// View positions just past the last sequence's left and right entries
-  /// (each side of a sequence is a run of consecutive positions).
+  /// View positions just past the last sequence's left and right entries.
   size_t LeftEnd = 0;
   size_t RightEnd = 0;
 };
@@ -324,13 +314,11 @@ void PairEvaluator::emitSequences(const View &LV, const View &RV,
       break;
     DiffSequence Seq;
     Seq.LeftTid = LV.Tid;
-    size_t LStart = LI;
-    size_t RStart = RJ;
     while (LI < LEnd && !LeftSimilar.test(LV.Entries[LI]))
       Seq.LeftEids.push_back(LV.Entries[LI++]);
     while (RJ < REnd && !RightSimilar.test(RV.Entries[RJ]))
       Seq.RightEids.push_back(RV.Entries[RJ++]);
-    pushSequence(std::move(Seq), LStart, RStart);
+    pushSequence(std::move(Seq), LI, RJ);
   }
 }
 
@@ -347,33 +335,23 @@ bool PairEvaluator::sameSite(uint32_t LeftEid, uint32_t RightEid) const {
   return A.ClassName == B.ClassName && A.CreationSeq == B.CreationSeq;
 }
 
-/// Appends \p Seq, whose sides start at view positions \p LBegin and
-/// \p RBegin, fused into the previous sequence when no matched entry lies
+/// Appends \p Seq, whose sides end just before view positions \p LEnd and
+/// \p REnd, fused into the previous sequence when no matched entry lies
 /// between them (a modification run flowing directly into a skip region,
 /// or region splits at anchors that turned out adjacent): difference
 /// sequences are *maximal* contiguous runs, matching the paper's sequence
-/// counting. Every side of a sequence is a run of consecutive positions.
-/// Appends \p Seq, whose sides start at view positions \p LBegin and
-/// \p RBegin, fused into the previous sequence when no matched entry lies
-/// between them (a modification run flowing directly into a skip region,
-/// or region splits at anchors that turned out adjacent): difference
-/// sequences are *maximal* contiguous runs, matching the paper's sequence
-/// counting. Two sides are adjacent when one is empty or the second starts
-/// just past the first's last entry.
-void PairEvaluator::pushSequence(DiffSequence Seq, size_t LBegin,
-                                 size_t RBegin) {
+/// counting. Each side of a sequence is a run of consecutive positions.
+void PairEvaluator::pushSequence(DiffSequence Seq, size_t LEnd, size_t REnd) {
   auto Adjacent = [](const std::vector<uint32_t> &A, size_t AEnd,
-                     const std::vector<uint32_t> &B, size_t BBegin) {
-    return A.empty() || B.empty() || AEnd == BBegin;
+                     const std::vector<uint32_t> &B, size_t BEnd) {
+    return A.empty() || B.empty() || AEnd + B.size() == BEnd;
   };
   bool Fuse =
       !Sequences.empty() &&
-      Adjacent(Sequences.back().LeftEids, LeftEnd, Seq.LeftEids, LBegin) &&
-      Adjacent(Sequences.back().RightEids, RightEnd, Seq.RightEids, RBegin);
-  if (!Seq.LeftEids.empty())
-    LeftEnd = LBegin + Seq.LeftEids.size();
-  if (!Seq.RightEids.empty())
-    RightEnd = RBegin + Seq.RightEids.size();
+      Adjacent(Sequences.back().LeftEids, LeftEnd, Seq.LeftEids, LEnd) &&
+      Adjacent(Sequences.back().RightEids, RightEnd, Seq.RightEids, REnd);
+  LeftEnd = Seq.LeftEids.empty() ? LeftEnd : LEnd;
+  RightEnd = Seq.RightEids.empty() ? RightEnd : REnd;
   if (!Fuse) {
     Sequences.push_back(std::move(Seq));
     return;
@@ -499,8 +477,6 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
     if (sameSite(LeftEid, RightEid)) {
       DiffSequence Seq;
       Seq.LeftTid = LV.Tid;
-      size_t LStart = I;
-      size_t RStart = J;
       // Inside a modification run the fingerprints are already gathered:
       // a lane mismatch is exactly the reject =e's fingerprint fast path
       // would take (one tick, same verdict), so the full compare only
@@ -518,7 +494,7 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
         Seq.LeftEids.push_back(LV.Entries[I++]);
         Seq.RightEids.push_back(RV.Entries[J++]);
       }
-      pushSequence(std::move(Seq), LStart, RStart);
+      pushSequence(std::move(Seq), I, J);
       continue;
     }
 
@@ -615,16 +591,14 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
     if (K == 0) {
       LeftPi = std::move(E.LeftSimilar);
       RightPi = std::move(E.RightSimilar);
-      Result.Sequences = std::move(E.Sequences);
-    } else {
-      for (size_t W = 0; W != LeftPi.Words.size(); ++W)
-        LeftPi.Words[W] |= E.LeftSimilar.Words[W];
-      for (size_t W = 0; W != RightPi.Words.size(); ++W)
-        RightPi.Words[W] |= E.RightSimilar.Words[W];
-      Result.Sequences.insert(Result.Sequences.end(),
-                              std::make_move_iterator(E.Sequences.begin()),
-                              std::make_move_iterator(E.Sequences.end()));
     }
+    for (size_t W = 0; K && W != LeftPi.Words.size(); ++W)
+      LeftPi.Words[W] |= E.LeftSimilar.Words[W];
+    for (size_t W = 0; K && W != RightPi.Words.size(); ++W)
+      RightPi.Words[W] |= E.RightSimilar.Words[W];
+    Result.Sequences.insert(Result.Sequences.end(),
+                            std::make_move_iterator(E.Sequences.begin()),
+                            std::make_move_iterator(E.Sequences.end()));
     for (const auto &[L, R] : E.Anchors)
       if (!Anchored.test(L)) {
         Anchored.set(L);
