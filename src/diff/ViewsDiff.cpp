@@ -588,17 +588,6 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
     PairedLeft[Pairs[K].first] = true;
     PairedRight[Pairs[K].second] = true;
     PairEvaluator &E = *Evals[K];
-    if (K == 0) {
-      LeftPi = std::move(E.LeftSimilar);
-      RightPi = std::move(E.RightSimilar);
-    }
-    for (size_t W = 0; K && W != LeftPi.Words.size(); ++W)
-      LeftPi.Words[W] |= E.LeftSimilar.Words[W];
-    for (size_t W = 0; K && W != RightPi.Words.size(); ++W)
-      RightPi.Words[W] |= E.RightSimilar.Words[W];
-    Result.Sequences.insert(Result.Sequences.end(),
-                            std::make_move_iterator(E.Sequences.begin()),
-                            std::make_move_iterator(E.Sequences.end()));
     for (const auto &[L, R] : E.Anchors)
       if (!Anchored.test(L)) {
         Anchored.set(L);
@@ -607,6 +596,19 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
     TotalOps += E.Ops.Count;
     TotalRunSkips += E.RunSkips;
     TotalSharedHits += E.SharedLaneHits;
+    if (K == 0) {
+      LeftPi = std::move(E.LeftSimilar);
+      RightPi = std::move(E.RightSimilar);
+      Result.Sequences = std::move(E.Sequences);
+      continue;
+    }
+    for (size_t W = 0; W != LeftPi.Words.size(); ++W)
+      LeftPi.Words[W] |= E.LeftSimilar.Words[W];
+    for (size_t W = 0; W != RightPi.Words.size(); ++W)
+      RightPi.Words[W] |= E.RightSimilar.Words[W];
+    Result.Sequences.insert(Result.Sequences.end(),
+                            std::make_move_iterator(E.Sequences.begin()),
+                            std::make_move_iterator(E.Sequences.end()));
   }
 
   // Thread views with no correlated partner are differences wholesale

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string_view>
 #include <unordered_map>
 
 using namespace rprism;
@@ -27,7 +28,15 @@ struct ThreadRecord {
   std::unordered_map<std::string, uint64_t> Counters;
   std::unordered_map<std::string, double> MaxGauges;
   std::unordered_map<std::string, double> SumGauges;
-  std::unordered_map<std::string, Histogram> Histograms;
+  /// Looked up by name without building a key string per observation.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view Name) const {
+      return std::hash<std::string_view>()(Name);
+    }
+  };
+  std::unordered_map<std::string, Histogram, NameHash, std::equal_to<>>
+      Histograms;
 
   void clear() {
     Spans.clear();
@@ -188,7 +197,7 @@ void Telemetry::observe(const char *Name, double Value) {
   if (!enabled())
     return;
   auto &Histograms = threadRecord().Histograms;
-  auto It = Histograms.find(Name);
+  auto It = Histograms.find(std::string_view(Name));
   if (It == Histograms.end())
     It = Histograms.emplace(Name, makePow2Histogram()).first;
   It->second.add(Value);
