@@ -104,7 +104,7 @@ int main() {
   for (const View &V : Web.views()) {
     if (V.Type != ViewType::TargetObject)
       continue;
-    if (T.Strings->text(V.FirstRepr.ClassName) != "Queue")
+    if (T.Strings->text(Web.firstRepr(V).ClassName) != "Queue")
       continue;
     std::cout << Web.render(V, 16) << '\n';
 

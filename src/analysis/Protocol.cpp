@@ -67,7 +67,7 @@ rprism::inferProtocols(const ViewWeb &Web, const ProtocolOptions &Options) {
   for (const View &V : Web.views()) {
     if (V.Type != ViewType::TargetObject)
       continue;
-    Symbol Class = V.FirstRepr.ClassName;
+    Symbol Class = Web.firstRepr(V).ClassName;
     ClassAccum &Accum = ByClass[Class.Id];
     Accum.Auto.ClassName = Class;
     ++Accum.Auto.NumObjects;
@@ -112,7 +112,7 @@ rprism::checkProtocols(const std::vector<ProtocolAutomaton> &Reference,
   for (const View &V : Subject.views()) {
     if (V.Type != ViewType::TargetObject)
       continue;
-    auto It = ByClass.find(V.FirstRepr.ClassName.Id);
+    auto It = ByClass.find(Subject.firstRepr(V).ClassName.Id);
     if (It == ByClass.end())
       continue; // Unknown class: evolution, not violation.
     const ProtocolAutomaton &Auto = *It->second;

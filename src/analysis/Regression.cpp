@@ -20,7 +20,7 @@ uint64_t diffContentKey(const Trace &T, uint32_t Eid, bool NewSide) {
   uint64_t H = hashCombine(static_cast<uint64_t>(T.Kinds[Eid]),
                            T.Names[Eid].Id, NewSide ? 0x4eULL : 0x0aULL);
   // Target object: class plus version-stable identity.
-  const ObjRepr &Target = T.Targets[Eid];
+  const ObjRepr &Target = T.target(Eid);
   H = hashMix(H, Target.ClassName.Id);
   H = hashMix(H, Target.HasRepr ? Target.ValueHash : Target.CreationSeq);
   const ValueRepr &Value = T.Values[Eid];
@@ -40,10 +40,10 @@ uint64_t diffContentKey(const Trace &T, uint32_t Eid, bool NewSide) {
 std::unordered_map<uint64_t, uint32_t> diffKeyCounts(const DiffResult &D) {
   std::unordered_map<uint64_t, uint32_t> Counts;
   for (uint32_t Eid = 0; Eid != D.LeftSimilar.size(); ++Eid)
-    if (!D.LeftSimilar[Eid])
+    if (!D.LeftSimilar.test(Eid))
       ++Counts[diffContentKey(*D.Left, Eid, /*NewSide=*/false)];
   for (uint32_t Eid = 0; Eid != D.RightSimilar.size(); ++Eid)
-    if (!D.RightSimilar[Eid])
+    if (!D.RightSimilar.test(Eid))
       ++Counts[diffContentKey(*D.Right, Eid, /*NewSide=*/true)];
   return Counts;
 }
@@ -117,10 +117,11 @@ RegressionReport rprism::analyzeRegression(const RegressionInputs &Inputs,
   const bool Removal = Options.CodeRemoval;
   std::unordered_map<uint64_t, uint32_t> RegrKeys;
   for (uint32_t Eid = 0; Eid != Report.C.RightSimilar.size(); ++Eid)
-    if (!Report.C.RightSimilar[Eid])
+    if (!Report.C.RightSimilar.test(Eid))
       ++RegrKeys[diffContentKey(*Report.C.Right, Eid, /*NewSide=*/true)];
   auto InC = [&Report, &RegrKeys](uint32_t Eid, uint64_t Key) {
-    if (Eid < Report.C.RightSimilar.size() && !Report.C.RightSimilar[Eid])
+    if (Eid < Report.C.RightSimilar.size() &&
+        !Report.C.RightSimilar.test(Eid))
       return true; // Same entry of the shared new/regr run.
     auto It = RegrKeys.find(Key);
     if (It == RegrKeys.end() || It->second == 0)
@@ -130,7 +131,7 @@ RegressionReport rprism::analyzeRegression(const RegressionInputs &Inputs,
   };
 
   for (uint32_t Eid = 0; Eid != Report.DLeft.size(); ++Eid) {
-    if (Report.A.LeftSimilar[Eid])
+    if (Report.A.LeftSimilar.test(Eid))
       continue;
     uint64_t Key = diffContentKey(*Report.A.Left, Eid, /*NewSide=*/false);
     if (!SurvivesB(Key))
@@ -139,7 +140,7 @@ RegressionReport rprism::analyzeRegression(const RegressionInputs &Inputs,
     Report.DLeft[Eid] = Removal;
   }
   for (uint32_t Eid = 0; Eid != Report.DRight.size(); ++Eid) {
-    if (Report.A.RightSimilar[Eid])
+    if (Report.A.RightSimilar.test(Eid))
       continue;
     uint64_t Key = diffContentKey(*Report.A.Right, Eid, /*NewSide=*/true);
     if (!SurvivesB(Key))

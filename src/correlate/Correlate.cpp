@@ -164,8 +164,9 @@ void ViewCorrelation::correlateObjects(const ViewWeb &Left,
     return R.HasRepr ? Keys.find(objKey(R.ClassName, R.ValueHash))
                      : Table::None;
   };
-  auto BySeq = [](const View &V) {
-    return objKey(V.FirstRepr.ClassName, V.FirstRepr.CreationSeq);
+  auto BySeq = [](const ViewWeb &Web, const View &V) {
+    const ObjRepr &First = Web.firstRepr(V);
+    return objKey(First.ClassName, First.CreationSeq);
   };
 
   for (ViewType Type : {ViewType::TargetObject, ViewType::ActiveObject}) {
@@ -175,14 +176,20 @@ void ViewCorrelation::correlateObjects(const ViewWeb &Left,
     // Final-state keys enter first: on hash collisions (e.g. several
     // instances sharing the pre-constructor default state), the more
     // informative representation owns the slot.
+    // A view whose first and last events share an object row has one
+    // representation: its second key would repeat the first.
     Keys.reset(Rights.size());
     for (const View &RV : Rights)
-      for (const ObjRepr *R : {&RV.LastRepr, &RV.FirstRepr})
-        if (R->HasRepr) {
-          uint32_t &Id = Keys.slot(objKey(R->ClassName, R->ValueHash));
+      for (uint32_t Obj : {RV.LastObj, RV.FirstObj}) {
+        const ObjRepr &R = Right.trace().object(Obj);
+        if (R.HasRepr) {
+          uint32_t &Id = Keys.slot(objKey(R.ClassName, R.ValueHash));
           if (Id == Table::None)
             Id = RV.Id;
         }
+        if (RV.FirstObj == RV.LastObj)
+          break;
+      }
 
     // Pass 1: value-representation matches (the stronger signal). The
     // *final* state leads: the first observed representation is usually
@@ -191,8 +198,9 @@ void ViewCorrelation::correlateObjects(const ViewWeb &Left,
     // (CorrelateEdge.SwappedCreationOrderResolvedByValueReprs).
     std::vector<const View *> Unlinked;
     for (const View &LV : Lefts)
-      if (!TryLink(LV.Id, ByValue(LV.LastRepr)) &&
-          !TryLink(LV.Id, ByValue(LV.FirstRepr)))
+      if (!TryLink(LV.Id, ByValue(Left.lastRepr(LV))) &&
+          (LV.FirstObj == LV.LastObj ||
+           !TryLink(LV.Id, ByValue(Left.firstRepr(LV)))))
         Unlinked.push_back(&LV);
     if (Unlinked.empty())
       continue;
@@ -202,12 +210,12 @@ void ViewCorrelation::correlateObjects(const ViewWeb &Left,
     // each key still goes to its first right holder.
     Keys.reset(Unlinked.size());
     for (const View *LV : Unlinked)
-      Keys.slot(BySeq(*LV)) = Pending;
+      Keys.slot(BySeq(Left, *LV)) = Pending;
     for (const View &RV : Rights)
-      if (Keys.find(BySeq(RV)) == Pending)
-        Keys.slot(BySeq(RV)) = RV.Id;
+      if (ObjKey Key = BySeq(Right, RV); Keys.find(Key) == Pending)
+        Keys.slot(Key) = RV.Id;
     for (const View *LV : Unlinked)
-      TryLink(LV->Id, Keys.find(BySeq(*LV)));
+      TryLink(LV->Id, Keys.find(BySeq(Left, *LV)));
   }
 }
 

@@ -20,7 +20,7 @@ std::string rprism::summarizeSequence(const Trace &Left, const Trace &Right,
   auto Visit = [&](const Trace &T, const std::vector<uint32_t> &Eids) {
     for (uint32_t Eid : Eids) {
       ++MethodCounts[T.Methods[Eid].Id];
-      const ObjRepr &Obj = T.Targets[Eid];
+      const ObjRepr &Obj = T.target(Eid);
       if (!Obj.isNone() &&
           Seen.emplace(Obj.ClassName.Id, Obj.CreationSeq).second)
         Objects.insert(T.renderObj(Obj));

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Both differencing semantics (§3.2 LCS-based, §3.3 views-based) produce
-/// the same shape of result: the similarity set Pi as per-entry flags, the
+/// the same shape of result: the similarity set Pi as per-entry bits, the
 /// derived difference set, and *difference sequences* — contiguous runs of
 /// differences that the paper reports as the unit of tool output ("each
 /// representing one higher-level semantic difference").
@@ -19,6 +19,7 @@
 
 #include "trace/Trace.h"
 
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -44,31 +45,56 @@ struct DiffSequence {
   size_t size() const { return LeftEids.size() + RightEids.size(); }
 };
 
+/// A set of entry ids below size(), as a bitset of whole words: per-pair
+/// similarity sets union a word at a time, and counting is a popcount.
+class EntrySet {
+public:
+  explicit EntrySet(size_t Size = 0) : Words((Size + 63) / 64), Bits(Size) {}
+
+  size_t size() const { return Bits; }
+  bool test(uint32_t Eid) const { return Words[Eid >> 6] >> (Eid & 63) & 1; }
+  void set(uint32_t Eid) { Words[Eid >> 6] |= uint64_t{1} << (Eid & 63); }
+
+  /// Adds every member of \p Other (a set of the same size).
+  void unite(const EntrySet &Other) {
+    for (size_t W = 0; W != Words.size(); ++W)
+      Words[W] |= Other.Words[W];
+  }
+
+  /// Number of members.
+  uint64_t count() const {
+    uint64_t N = 0;
+    for (uint64_t Word : Words)
+      N += static_cast<uint64_t>(std::popcount(Word));
+    return N;
+  }
+
+  bool operator==(const EntrySet &) const = default;
+
+private:
+  std::vector<uint64_t> Words;
+  size_t Bits;
+};
+
 /// Result of differencing a (left, right) trace pair.
 struct DiffResult {
   const Trace *Left = nullptr;
   const Trace *Right = nullptr;
 
-  /// Pi membership: LeftSimilar[eid] is true when the left entry was found
-  /// similar to some right entry (and vice versa).
-  std::vector<bool> LeftSimilar;
-  std::vector<bool> RightSimilar;
+  /// Pi membership: LeftSimilar.test(eid) is true when the left entry was
+  /// found similar to some right entry (and vice versa).
+  EntrySet LeftSimilar;
+  EntrySet RightSimilar;
 
   std::vector<DiffSequence> Sequences;
   DiffStats Stats;
 
   /// Differences per side (entries not in Pi).
   uint64_t numLeftDiffs() const {
-    uint64_t N = 0;
-    for (bool Similar : LeftSimilar)
-      N += !Similar;
-    return N;
+    return LeftSimilar.size() - LeftSimilar.count();
   }
   uint64_t numRightDiffs() const {
-    uint64_t N = 0;
-    for (bool Similar : RightSimilar)
-      N += !Similar;
-    return N;
+    return RightSimilar.size() - RightSimilar.count();
   }
   uint64_t numDiffs() const { return numLeftDiffs() + numRightDiffs(); }
 

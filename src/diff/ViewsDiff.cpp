@@ -9,7 +9,6 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -18,25 +17,6 @@
 using namespace rprism;
 
 namespace {
-
-/// A set of entry ids as a bitset of whole words, so that per-pair
-/// similarity sets union a word at a time.
-struct EntrySet {
-  std::vector<uint64_t> Words;
-
-  explicit EntrySet(size_t Size) : Words((Size + 63) / 64) {}
-  bool test(uint32_t Eid) const { return Words[Eid >> 6] >> (Eid & 63) & 1; }
-  void set(uint32_t Eid) { Words[Eid >> 6] |= uint64_t{1} << (Eid & 63); }
-
-  /// The first \p Size ids as flags.
-  std::vector<bool> toBools(size_t Size) const {
-    std::vector<bool> Out(Size);
-    for (size_t W = 0; W != Words.size(); ++W)
-      for (uint64_t Bits = Words[W]; Bits; Bits &= Bits - 1)
-        Out[W * 64 + std::countr_zero(Bits)] = true;
-    return Out;
-  }
-};
 
 /// Evaluates ONE correlated thread-view pair with fully isolated state:
 /// its own similarity marks, anchor map, explored-pair dedup set, compare
@@ -330,8 +310,8 @@ bool PairEvaluator::sameSite(uint32_t LeftEid, uint32_t RightEid) const {
   if (LT.Kinds[LeftEid] != RT.Kinds[RightEid] ||
       LT.Names[LeftEid] != RT.Names[RightEid])
     return false;
-  const ObjRepr &A = LT.Targets[LeftEid];
-  const ObjRepr &B = RT.Targets[RightEid];
+  const ObjRepr &A = LT.target(LeftEid);
+  const ObjRepr &B = RT.target(RightEid);
   return A.ClassName == B.ClassName && A.CreationSeq == B.CreationSeq;
 }
 
@@ -403,7 +383,7 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
     if (Pos < V.Entries.size()) {
       uint32_t Eid = V.Entries[Pos];
       __builtin_prefetch(&T.Names[Eid]);
-      __builtin_prefetch(&T.Targets[Eid]);
+      __builtin_prefetch(&T.TargetIds[Eid]);
       __builtin_prefetch(&T.Values[Eid]);
     }
   };
@@ -602,10 +582,8 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
       Result.Sequences = std::move(E.Sequences);
       continue;
     }
-    for (size_t W = 0; W != LeftPi.Words.size(); ++W)
-      LeftPi.Words[W] |= E.LeftSimilar.Words[W];
-    for (size_t W = 0; W != RightPi.Words.size(); ++W)
-      RightPi.Words[W] |= E.RightSimilar.Words[W];
+    LeftPi.unite(E.LeftSimilar);
+    RightPi.unite(E.RightSimilar);
     Result.Sequences.insert(Result.Sequences.end(),
                             std::make_move_iterator(E.Sequences.begin()),
                             std::make_move_iterator(E.Sequences.end()));
@@ -639,8 +617,8 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
     std::erase_if(Result.Sequences,
                   [](const DiffSequence &Seq) { return Seq.size() == 0; });
   }
-  Result.LeftSimilar = LeftPi.toBools(LT.size());
-  Result.RightSimilar = RightPi.toBools(RT.size());
+  Result.LeftSimilar = std::move(LeftPi);
+  Result.RightSimilar = std::move(RightPi);
 
   Result.Stats.CompareOps = TotalOps;
   Result.Stats.Seconds = Clock.seconds();

@@ -56,7 +56,9 @@ TraceRecorder::TraceRecorder(const CompiledProgram &ProgIn,
   size_t EntryHint =
       std::min<size_t>(std::max<size_t>(CodeUnits * 8, 1024), 1u << 20);
   Out.reserveEntries(EntryHint);
+  Out.ArgOffsets.push_back(0);
   Out.ArgPool.reserve(EntryHint / 2);
+  Out.Objects.push_back(ObjRepr()); // NoneObj.
   EntryCap = EntryHint;
   ArgCap = EntryHint / 2;
 }
@@ -127,10 +129,25 @@ ObjRepr TraceRecorder::objRepr(uint32_t Loc) {
   std::vector<uint32_t> Visiting;
   Repr.HasRepr = true;
   Repr.ValueHash = structuralHash(Loc, Options.ReprDepth, Visiting);
+  // A recomputation that yields the same bytes keeps the object's row.
+  if (!Memo.ReprValid || std::memcmp(&Memo.Repr, &Repr, sizeof(Repr)) != 0)
+    Memo.Row = ObjMemoEntry::NoRow;
   Memo.Repr = Repr;
   Memo.Snap = Snap;
   Memo.ReprValid = 1;
   return Repr;
+}
+
+uint32_t TraceRecorder::objId(uint32_t Loc) {
+  if (Loc == NoLoc)
+    return NoneObj;
+  ObjRepr Repr = objRepr(Loc);
+  ObjMemoEntry &Memo = ObjMemo[Loc];
+  if (Memo.Row == ObjMemoEntry::NoRow) {
+    Memo.Row = static_cast<uint32_t>(Out.Objects.size());
+    Out.Objects.push_back(Repr);
+  }
+  return Memo.Row;
 }
 
 ValueRepr TraceRecorder::valueRepr(const Value &V) {
@@ -213,21 +230,17 @@ bool TraceRecorder::filtered(const RecordContext &Ctx,
 }
 
 void TraceRecorder::emit(const RecordContext &Ctx, EventKind Kind,
-                         Symbol Name, const ObjRepr &Self,
-                         const ObjRepr &Target, const ValueRepr &Value,
-                         uint32_t ArgsBegin, uint32_t ArgsEnd,
-                         uint32_t ChildTid, uint32_t Prov) {
+                         Symbol Name, uint32_t Self, uint32_t Target,
+                         const ValueRepr &Value, uint32_t Prov) {
   size_t I = StageLen;
   StTids[I] = Ctx.Tid;
   StMethods[I] = Ctx.Method;
-  StSelfs[I] = Self;
+  StSelfIds[I] = Self;
   StKinds[I] = static_cast<uint8_t>(Kind);
   StNames[I] = Name;
-  StTargets[I] = Target;
+  StTargetIds[I] = Target;
   StValues[I] = Value;
-  StArgsBegins[I] = ArgsBegin;
-  StArgsEnds[I] = ArgsEnd;
-  StChildTids[I] = ChildTid;
+  StArgEnds[I] = static_cast<uint32_t>(Out.ArgPool.size());
   StProvs[I] = Prov;
   if (++StageLen == StageCap)
     flushStage();
@@ -243,14 +256,12 @@ void TraceRecorder::flushStage() {
   }
   Out.Tids.append(StTids, StageLen);
   Out.Methods.append(StMethods, StageLen);
-  Out.Selfs.append(StSelfs, StageLen);
+  Out.SelfIds.append(StSelfIds, StageLen);
   Out.Kinds.append(StKinds, StageLen);
   Out.Names.append(StNames, StageLen);
-  Out.Targets.append(StTargets, StageLen);
+  Out.TargetIds.append(StTargetIds, StageLen);
   Out.Values.append(StValues, StageLen);
-  Out.ArgsBegins.append(StArgsBegins, StageLen);
-  Out.ArgsEnds.append(StArgsEnds, StageLen);
-  Out.ChildTids.append(StChildTids, StageLen);
+  Out.ArgOffsets.append(StArgEnds, StageLen);
   Out.Provs.append(StProvs, StageLen);
   StageLen = 0;
 }
@@ -261,15 +272,13 @@ Trace TraceRecorder::take() {
   return std::move(Out);
 }
 
-uint32_t TraceRecorder::pushArgs(const Value *Args, size_t NumArgs) {
-  uint32_t Begin = static_cast<uint32_t>(Out.ArgPool.size());
+void TraceRecorder::pushArgs(const Value *Args, size_t NumArgs) {
   if (Out.ArgPool.size() + NumArgs > ArgCap) {
     ArgCap = std::max(ArgCap * 4, Out.ArgPool.size() + NumArgs);
     Out.ArgPool.reserve(ArgCap);
   }
   for (size_t I = 0; I != NumArgs; ++I)
     Out.ArgPool.push_back(valueRepr(Args[I]));
-  return Begin;
 }
 
 void TraceRecorder::recordCall(const RecordContext &Ctx, uint32_t TargetLoc,
@@ -279,11 +288,10 @@ void TraceRecorder::recordCall(const RecordContext &Ctx, uint32_t TargetLoc,
       TargetLoc == NoLoc ? ~0u : Store.get(TargetLoc).ClassId;
   if (filtered(Ctx, TargetClass))
     return;
-  uint32_t Begin = pushArgs(Args, NumArgs);
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  ObjRepr Target = objRepr(TargetLoc);
-  emit(Ctx, EventKind::Call, QualMethod, Self, Target, ValueRepr(), Begin,
-       static_cast<uint32_t>(Out.ArgPool.size()), 0, Prov);
+  pushArgs(Args, NumArgs);
+  uint32_t Self = objId(Ctx.SelfLoc);
+  uint32_t Target = objId(TargetLoc);
+  emit(Ctx, EventKind::Call, QualMethod, Self, Target, ValueRepr(), Prov);
 }
 
 void TraceRecorder::recordReturn(const RecordContext &Ctx,
@@ -294,10 +302,9 @@ void TraceRecorder::recordReturn(const RecordContext &Ctx,
   if (filtered(Ctx, TargetClass))
     return;
   ValueRepr RetRepr = valueRepr(Ret);
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  ObjRepr Target = objRepr(TargetLoc);
-  emit(Ctx, EventKind::Return, QualMethod, Self, Target, RetRepr, 0, 0, 0,
-       Prov);
+  uint32_t Self = objId(Ctx.SelfLoc);
+  uint32_t Target = objId(TargetLoc);
+  emit(Ctx, EventKind::Return, QualMethod, Self, Target, RetRepr, Prov);
 }
 
 void TraceRecorder::recordGet(const RecordContext &Ctx, uint32_t TargetLoc,
@@ -305,9 +312,9 @@ void TraceRecorder::recordGet(const RecordContext &Ctx, uint32_t TargetLoc,
   if (filtered(Ctx, Store.get(TargetLoc).ClassId))
     return;
   ValueRepr Repr = valueRepr(V);
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  ObjRepr Target = objRepr(TargetLoc);
-  emit(Ctx, EventKind::FieldGet, Field, Self, Target, Repr, 0, 0, 0, Prov);
+  uint32_t Self = objId(Ctx.SelfLoc);
+  uint32_t Target = objId(TargetLoc);
+  emit(Ctx, EventKind::FieldGet, Field, Self, Target, Repr, Prov);
 }
 
 void TraceRecorder::recordSet(const RecordContext &Ctx, uint32_t TargetLoc,
@@ -315,9 +322,9 @@ void TraceRecorder::recordSet(const RecordContext &Ctx, uint32_t TargetLoc,
   if (filtered(Ctx, Store.get(TargetLoc).ClassId))
     return;
   ValueRepr Repr = valueRepr(V);
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  ObjRepr Target = objRepr(TargetLoc);
-  emit(Ctx, EventKind::FieldSet, Field, Self, Target, Repr, 0, 0, 0, Prov);
+  uint32_t Self = objId(Ctx.SelfLoc);
+  uint32_t Target = objId(TargetLoc);
+  emit(Ctx, EventKind::FieldSet, Field, Self, Target, Repr, Prov);
 }
 
 void TraceRecorder::recordInit(const RecordContext &Ctx, Symbol ClassName,
@@ -325,27 +332,28 @@ void TraceRecorder::recordInit(const RecordContext &Ctx, Symbol ClassName,
                                size_t NumArgs, uint32_t Prov) {
   if (filtered(Ctx, Store.get(NewLoc).ClassId))
     return;
-  uint32_t Begin = pushArgs(Args, NumArgs);
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  ObjRepr Target = objRepr(NewLoc);
-  emit(Ctx, EventKind::Init, ClassName, Self, Target, ValueRepr(), Begin,
-       static_cast<uint32_t>(Out.ArgPool.size()), 0, Prov);
+  pushArgs(Args, NumArgs);
+  uint32_t Self = objId(Ctx.SelfLoc);
+  uint32_t Target = objId(NewLoc);
+  emit(Ctx, EventKind::Init, ClassName, Self, Target, ValueRepr(), Prov);
 }
 
 void TraceRecorder::recordFork(const RecordContext &Ctx, uint32_t ChildTid,
                                uint32_t Prov) {
   if (filtered(Ctx, ~0u))
     return;
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
+  uint32_t Self = objId(Ctx.SelfLoc);
+  Out.ChildTidTable.push_back({static_cast<uint32_t>(numEntries()), ChildTid});
   emit(Ctx, EventKind::Fork, Out.Threads[ChildTid].EntryMethod, Self,
-       ObjRepr(), ValueRepr(), 0, 0, ChildTid, Prov);
+       NoneObj, ValueRepr(), Prov);
 }
 
 void TraceRecorder::recordEnd(const RecordContext &Ctx, uint32_t Tid,
                               uint32_t Prov) {
   if (filtered(Ctx, ~0u))
     return;
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  emit(Ctx, EventKind::End, Out.Threads[Tid].EntryMethod, Self, ObjRepr(),
-       ValueRepr(), 0, 0, Tid, Prov);
+  uint32_t Self = objId(Ctx.SelfLoc);
+  Out.ChildTidTable.push_back({static_cast<uint32_t>(numEntries()), Tid});
+  emit(Ctx, EventKind::End, Out.Threads[Tid].EntryMethod, Self, NoneObj,
+       ValueRepr(), Prov);
 }

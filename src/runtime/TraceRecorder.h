@@ -21,7 +21,10 @@
 /// string formatting. Memo hits are by construction state-identical to
 /// recomputation (a valid memo implies the same computation ran before and
 /// already interned the same strings), so traces are byte-for-byte what
-/// the unmemoized recorder produced.
+/// the unmemoized recorder produced. The object memo also builds the
+/// trace's object table: a location keeps its row id across memo hits and
+/// across recomputations that yield a byte-equal representation, so only
+/// an actual change of an object's representation adds a row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,6 +62,9 @@ public:
   // -- Representation builders (memoized) --------------------------------
   ObjRepr objRepr(uint32_t Loc);
   ValueRepr valueRepr(const Value &V);
+  /// The object-table id of \p Loc's current representation (NoneObj for
+  /// NoLoc), adding a row when the representation changed.
+  uint32_t objId(uint32_t Loc);
 
   // -- Event recording (one per Fig. 6 rule) ------------------------------
   void recordCall(const RecordContext &Ctx, uint32_t TargetLoc,
@@ -94,11 +100,12 @@ private:
   /// Appends one entry directly to the trace's columns. \p Self must be
   /// computed by the caller (record order of the representation builders
   /// is part of the byte-stable trace contract: interning happens in the
-  /// same first-sight order as the entry fields are populated).
+  /// same first-sight order as the entry fields are populated). The
+  /// entry's arguments are the pool's tail pushed since the previous
+  /// entry.
   void emit(const RecordContext &Ctx, EventKind Kind, Symbol Name,
-            const ObjRepr &Self, const ObjRepr &Target,
-            const ValueRepr &Value, uint32_t ArgsBegin, uint32_t ArgsEnd,
-            uint32_t ChildTid, uint32_t Prov);
+            uint32_t Self, uint32_t Target, const ValueRepr &Value,
+            uint32_t Prov);
 
   /// Scatters the staged rows into the trace columns (one bulk append per
   /// column) and resets the stage. Called when the stage fills and at
@@ -106,21 +113,27 @@ private:
   void flushStage();
   uint64_t structuralHash(uint32_t Loc, unsigned Depth,
                           std::vector<uint32_t> &Visiting);
-  uint32_t pushArgs(const Value *Args, size_t NumArgs);
+  void pushArgs(const Value *Args, size_t NumArgs);
 
   /// Memoized representation of one heap object. Snap is the mutation
   /// version the repr was computed at: the object's own version for
   /// scalar-only classes (no field can reference another object), the
   /// store's global version otherwise (any assignment anywhere could
-  /// mutate the reachable subgraph). Text is the "Class-Seq" rendering,
-  /// immutable once interned.
+  /// mutate the reachable subgraph). Row is Repr's object-table id, NoRow
+  /// until an entry references it or after Repr changed. Text is the
+  /// "Class-Seq" rendering, immutable once interned.
   struct ObjMemoEntry {
+    static constexpr uint32_t NoRow = ~0u;
     ObjRepr Repr;
     uint64_t Snap = 0;
     Symbol Text;
+    uint32_t Row = NoRow;
     uint8_t ReprValid = 0;
     uint8_t TextValid = 0;
   };
+
+  /// Object-table id of the "no object" representation (row 0).
+  static constexpr uint32_t NoneObj = 0;
 
   const CompiledProgram &Prog;
   const ObjectStore &Store;
@@ -147,7 +160,7 @@ private:
   // -- Row staging ---------------------------------------------------------
   // Entries are first written into these small structure-of-arrays buffers
   // (resident in cache, plain indexed stores) and batch-flushed into the
-  // trace columns with one bulk append per column: 11 capacity checks and
+  // trace columns with one bulk append per column: 9 capacity checks and
   // pointer updates per StageCap rows instead of per row. Flush order is
   // emit order, so the resulting columns are byte-identical to direct
   // per-row appends.
@@ -155,14 +168,12 @@ private:
   size_t StageLen = 0;
   uint32_t StTids[StageCap];
   Symbol StMethods[StageCap];
-  ObjRepr StSelfs[StageCap];
+  uint32_t StSelfIds[StageCap];
   uint8_t StKinds[StageCap];
   Symbol StNames[StageCap];
-  ObjRepr StTargets[StageCap];
+  uint32_t StTargetIds[StageCap];
   ValueRepr StValues[StageCap];
-  uint32_t StArgsBegins[StageCap];
-  uint32_t StArgsEnds[StageCap];
-  uint32_t StChildTids[StageCap];
+  uint32_t StArgEnds[StageCap]; ///< ArgOffsets[eid + 1].
   uint32_t StProvs[StageCap];
 };
 

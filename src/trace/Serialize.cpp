@@ -37,43 +37,41 @@ constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
 //   4 — the segment framing described below, FNV-1a checksums.
 //   5 — the v3 layout with inline scalar payloads (ValueRepr::Bits, no
 //       interned text) and checksumBytes digests.
-//   6 — the segment framing with those two changes. The only version
-//       written or read: a whole trace is a file with exactly one segment.
+//   6 — the segment framing with those two changes, one segment per file.
+//   7 — compact entries: receiver and target are u32 ids into an object
+//       table, argument slices one N+1 offset column, fork/end child tids
+//       an (eid, tid) side table. The only version written or read.
 // Every other version word is rejected as unsupported: the value words and
 // checksums of older files mean something else, and a typed version error
 // says so where a checksum mismatch would mislead.
-constexpr uint32_t TraceVersion = 6;
+constexpr uint32_t TraceVersion = 7;
 
 /// Section ids. Entry columns are parallel arrays of exactly the segment's
-/// entry count many elements; side sections have their own framing.
+/// entry count many elements (ArgOffsets: one more); side sections have
+/// their own framing.
 enum SectionId : uint32_t {
-  SecName = 1,       ///< Raw bytes of Trace::Name.
-  SecTid = 10,       ///< uint32_t[]
-  SecMethod = 11,    ///< Symbol[]
-  SecSelf = 12,      ///< ObjRepr[]
-  SecKind = 13,      ///< uint8_t[]
-  SecEvName = 14,    ///< Symbol[]
-  SecTarget = 15,    ///< ObjRepr[]
-  SecValue = 16,     ///< ValueRepr[]
-  SecArgsBegin = 17, ///< uint32_t[]
-  SecArgsEnd = 18,   ///< uint32_t[]
-  SecChildTid = 19,  ///< uint32_t[]
-  SecProv = 20,      ///< uint32_t[]
-  SecFp = 21,        ///< uint64_t[] (optional fingerprint lane)
-  // 22 and 23 are reserved: they held a persisted view index, which view
-  // webs no longer read. Files that carry them load; the sections are
-  // verified like any other and go unused.
-  // Side tables: the string table, the thread table, and the argument
-  // pool. Each leads with a base field that is always 0 (a remnant of the
-  // retired multi-segment layout, kept so the bytes stay version 6).
-  SecStrDelta = 24,    ///< u32 base, u32 count, count x (u32 len, bytes).
-  SecThreadDelta = 25, ///< u32 base, u32 count, ThreadInfo records.
-  SecArgSlice = 26,    ///< u64 pool base (elements), then ValueRepr[].
+  SecName = 1,        ///< Raw bytes of Trace::Name.
+  SecTid = 10,        ///< uint32_t[]
+  SecMethod = 11,     ///< Symbol[]
+  SecSelfId = 12,     ///< uint32_t[], into SecObjects
+  SecKind = 13,       ///< uint8_t[]
+  SecEvName = 14,     ///< Symbol[]
+  SecTargetId = 15,   ///< uint32_t[], into SecObjects
+  SecValue = 16,      ///< ValueRepr[]
+  SecArgOffsets = 17, ///< uint32_t[N + 1], into SecArgPool
+  SecProv = 18,       ///< uint32_t[]
+  SecFp = 19,         ///< uint64_t[] (optional fingerprint lane)
+  // Side tables.
+  SecStrings = 20,  ///< u32 count, count x (u32 len, bytes).
+  SecThreads = 21,  ///< u32 count, ThreadInfo records.
+  SecArgPool = 22,  ///< ValueRepr[]
+  SecObjects = 23,  ///< ObjRepr[]
+  SecChildTids = 24, ///< ChildTidRow[], ascending eid.
 };
 
 /// Largest section id this reader understands; higher ids are skipped for
 /// forward compatibility.
-constexpr uint32_t MaxSectionId = SecArgSlice;
+constexpr uint32_t MaxSectionId = SecChildTids;
 
 constexpr size_t SectionRecordBytes = 32; // id, pad, offset, length, checksum
 constexpr uint32_t MaxSections = 64;
@@ -322,16 +320,15 @@ struct SectionIn {
   bool Intact = false; ///< Fully present and checksum-verified.
 };
 
-/// The required entry-column sections and their element sizes
-/// (ChildTid's consumers bounds-check themselves).
+/// The required one-element-per-entry column sections and their element
+/// sizes (SecArgOffsets, one element longer, is checked on its own).
 struct ColumnSize {
   uint32_t Id;
   uint64_t ElemSize;
 };
 constexpr ColumnSize ColumnSizes[] = {
-    {SecTid, 4},     {SecMethod, 4},   {SecSelf, 24},     {SecKind, 1},
-    {SecEvName, 4},  {SecTarget, 24},  {SecValue, 16},    {SecArgsBegin, 4},
-    {SecArgsEnd, 4}, {SecChildTid, 4}, {SecProv, 4},
+    {SecTid, 4},      {SecMethod, 4}, {SecSelfId, 4}, {SecKind, 1},
+    {SecEvName, 4},   {SecTargetId, 4}, {SecValue, 16}, {SecProv, 4},
 };
 
 /// The trace's one segment as located in the file: its header fields and
@@ -545,11 +542,13 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
   }
   const SectionIn *S = Parsed.S;
 
-  // Every entry's symbol ids and argument slices resolve through the side
-  // tables, so damage to any of them leaves nothing to recover.
-  if (!S[SecStrDelta].Intact || !S[SecThreadDelta].Intact ||
-      !S[SecArgSlice].Intact)
-    return Lost("segment-side-delta");
+  // Every entry's symbol ids, objects, argument slices and child tids
+  // resolve through the side tables, so damage to any of them leaves
+  // nothing to recover.
+  if (!S[SecStrings].Intact || !S[SecThreads].Intact ||
+      !S[SecArgPool].Intact || !S[SecObjects].Intact ||
+      !S[SecChildTids].Intact)
+    return Lost("segment-side-table");
 
   Trace T;
   T.Strings = std::move(Strings);
@@ -557,21 +556,18 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
     T.Name.assign(reinterpret_cast<const char *>(S[SecName].Data),
                   S[SecName].Length);
 
-  // String table: base 0, then the strings. The declared count is
-  // untrusted: every string costs at least its 4-byte length prefix, so a
-  // count beyond Length/4 is corrupt.
+  // String table. The declared count is untrusted: every string costs at
+  // least its 4-byte length prefix, so a count beyond Length/4 is corrupt.
   std::vector<Symbol> Map;
   bool Identity = true;
   {
     TelemetrySpan InternSpan("intern");
-    ByteCursor SC(S[SecStrDelta].Data, S[SecStrDelta].Length);
-    uint32_t Base = SC.u32();
-    uint32_t NumNew = SC.u32();
-    bool Ok = SC.ok() && Base == 0 &&
-              uint64_t{NumNew} <= S[SecStrDelta].Length / 4;
+    ByteCursor SC(S[SecStrings].Data, S[SecStrings].Length);
+    uint32_t NumStrings = SC.u32();
+    bool Ok = SC.ok() && uint64_t{NumStrings} <= S[SecStrings].Length / 4;
     if (Ok)
-      Map.reserve(NumNew);
-    for (uint32_t K = 0; Ok && K != NumNew; ++K) {
+      Map.reserve(NumStrings);
+    for (uint32_t K = 0; Ok && K != NumStrings; ++K) {
       std::string Str = SC.str();
       Ok = SC.ok();
       if (Ok) {
@@ -583,14 +579,13 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
       return Lost("string");
   }
 
-  // Thread table: base 0, then the records. Record K describes thread K:
-  // everything downstream indexes Threads by tid.
+  // Thread table. Record K describes thread K: everything downstream
+  // indexes Threads by tid.
   {
-    ByteCursor TC(S[SecThreadDelta].Data, S[SecThreadDelta].Length);
-    uint32_t Base = TC.u32();
-    uint32_t NumNew = TC.u32();
-    bool Ok = TC.ok() && Base == 0;
-    for (uint32_t K = 0; Ok && K != NumNew; ++K) {
+    ByteCursor TC(S[SecThreads].Data, S[SecThreads].Length);
+    uint32_t NumThreads = TC.u32();
+    bool Ok = TC.ok();
+    for (uint32_t K = 0; Ok && K != NumThreads; ++K) {
       ThreadInfo Thread;
       Thread.Tid = TC.u32();
       Thread.ParentTid = TC.u32();
@@ -613,26 +608,25 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
       return Lost("thread");
   }
 
-  // Argument pool: u64 base 0, then raw ValueRepr elements.
-  const SectionIn &AS = S[SecArgSlice];
-  bool PoolOk = AS.Length >= 8 && (AS.Length - 8) % sizeof(ValueRepr) == 0;
-  uint64_t PoolBase = 0;
-  if (PoolOk) {
-    std::memcpy(&PoolBase, AS.Data, 8);
-    PoolOk = PoolBase == 0;
-  }
-  uint64_t PoolCount = PoolOk ? (AS.Length - 8) / sizeof(ValueRepr) : 0;
-  const auto *Pool = reinterpret_cast<const ValueRepr *>(AS.Data + 8);
-  for (uint64_t K = 0; PoolOk && K != PoolCount; ++K)
-    PoolOk = static_cast<uint8_t>(Pool[K].Kind) <= MaxReprKind &&
-             Pool[K].Text.Id < Map.size();
-  if (!PoolOk)
+  // The remaining side tables are raw element arrays.
+  const SectionIn &AS = S[SecArgPool];
+  const SectionIn &OS = S[SecObjects];
+  const SectionIn &CS = S[SecChildTids];
+  if (AS.Length % sizeof(ValueRepr) != 0)
     return Lost("argument-pool");
+  if (OS.Length % sizeof(ObjRepr) != 0)
+    return Lost("object");
+  if (CS.Length % sizeof(ChildTidRow) != 0)
+    return Lost("child-tid");
+  uint64_t PoolCount = AS.Length / sizeof(ValueRepr);
+  uint64_t NumObjects = OS.Length / sizeof(ObjRepr);
+  uint64_t NumRows = CS.Length / sizeof(ChildTidRow);
+  const auto *Pool = reinterpret_cast<const ValueRepr *>(AS.Data);
+  const auto *Objects = reinterpret_cast<const ObjRepr *>(OS.Data);
+  const auto *Rows = reinterpret_cast<const ChildTidRow *>(CS.Data);
 
-  // Entry columns, then a validation scan over the untrusted values so
-  // nothing downstream needs to distrust them (enum ranges, thread ids,
-  // symbol ids, argument slices). Strict mode demands every column carry
-  // exactly the declared entry count. Salvage keeps the longest prefix every column
+  // Entry columns. Strict mode demands every column carry exactly the
+  // declared entry count. Salvage keeps the longest prefix every column
   // covers and validates: a checksum-failed column covers none, a column
   // the file ends inside covers its surviving bytes.
   uint64_t Declared = Seg.NumEntries;
@@ -643,39 +637,70 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
       return Corrupt("column");
     N = std::min(N, C.Avail / Col.ElemSize);
   }
+  const SectionIn &OffS = S[SecArgOffsets];
+  if (!Salvage && (!OffS.Present || OffS.Length != (Declared + 1) * 4))
+    return Corrupt("column");
+  N = std::min(N, OffS.Avail / 4 == 0 ? 0 : OffS.Avail / 4 - 1);
   const auto *Tids = reinterpret_cast<const uint32_t *>(S[SecTid].Data);
   const uint8_t *Kinds = S[SecKind].Data;
   const auto *Methods = reinterpret_cast<const Symbol *>(S[SecMethod].Data);
   const auto *Names = reinterpret_cast<const Symbol *>(S[SecEvName].Data);
-  const auto *Selfs = reinterpret_cast<const ObjRepr *>(S[SecSelf].Data);
-  const auto *Targets = reinterpret_cast<const ObjRepr *>(S[SecTarget].Data);
+  const auto *SelfIds = reinterpret_cast<const uint32_t *>(S[SecSelfId].Data);
+  const auto *TargetIds =
+      reinterpret_cast<const uint32_t *>(S[SecTargetId].Data);
   const auto *Values = reinterpret_cast<const ValueRepr *>(S[SecValue].Data);
-  const auto *ArgsBegins =
-      reinterpret_cast<const uint32_t *>(S[SecArgsBegin].Data);
-  const auto *ArgsEnds =
-      reinterpret_cast<const uint32_t *>(S[SecArgsEnd].Data);
-  for (uint64_t K = 0; K != N; ++K) {
-    const char *Bad = nullptr;
-    if (Kinds[K] > MaxEventKind)
-      Bad = "kind";
-    else if (Tids[K] >= T.Threads.size())
-      Bad = "thread";
-    else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
-      Bad = "symbol";
-    else if (Selfs[K].ClassName.Id >= Map.size() ||
-             Targets[K].ClassName.Id >= Map.size())
-      Bad = "object";
-    else if (static_cast<uint8_t>(Values[K].Kind) > MaxReprKind ||
-             Values[K].Text.Id >= Map.size())
-      Bad = "value";
-    else if (ArgsBegins[K] > ArgsEnds[K] || ArgsEnds[K] > PoolCount)
-      Bad = "argument-slice";
-    if (!Bad)
-      continue;
-    if (!Salvage)
-      return Corrupt(Bad);
-    N = K; // Keep the prefix of entries that validate.
-    break;
+  const auto *ArgOffsets = reinterpret_cast<const uint32_t *>(OffS.Data);
+
+  // Validation scan over the untrusted values, so nothing downstream needs
+  // to distrust them: enum ranges, thread ids, symbol ids, object ids,
+  // argument slices, and the child-tid rows (one per fork/end entry, in
+  // eid order, each naming a thread).
+  uint64_t RowsUsed = 0;
+  {
+    TelemetrySpan ValidateSpan("validate");
+    for (uint64_t K = 0; K != PoolCount; ++K)
+      if (static_cast<uint8_t>(Pool[K].Kind) > MaxReprKind ||
+          Pool[K].Text.Id >= Map.size())
+        return Lost("argument-pool");
+    for (uint64_t K = 0; K != NumObjects; ++K)
+      if (Objects[K].ClassName.Id >= Map.size())
+        return Lost("object");
+    for (uint64_t K = 0; K != N; ++K) {
+      const char *Bad = nullptr;
+      bool ThreadEvent = Kinds[K] == static_cast<uint8_t>(EventKind::Fork) ||
+                         Kinds[K] == static_cast<uint8_t>(EventKind::End);
+      bool HasRow = RowsUsed < NumRows && Rows[RowsUsed].Eid == K;
+      if (Kinds[K] > MaxEventKind)
+        Bad = "kind";
+      else if (Tids[K] >= T.Threads.size())
+        Bad = "thread";
+      else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
+        Bad = "symbol";
+      else if (SelfIds[K] >= NumObjects || TargetIds[K] >= NumObjects)
+        Bad = "object";
+      else if (static_cast<uint8_t>(Values[K].Kind) > MaxReprKind ||
+               Values[K].Text.Id >= Map.size())
+        Bad = "value";
+      else if (ArgOffsets[K] > ArgOffsets[K + 1] ||
+               ArgOffsets[K + 1] > PoolCount)
+        Bad = "argument-slice";
+      else if (ThreadEvent != HasRow ||
+               (HasRow && Rows[RowsUsed].Tid >= T.Threads.size()))
+        Bad = "child-tid";
+      if (!Bad) {
+        RowsUsed += HasRow;
+        continue;
+      }
+      if (!Salvage)
+        return Corrupt(Bad);
+      N = K; // Keep the prefix of entries that validate.
+      break;
+    }
+    // A complete trace uses every row and the whole pool.
+    if (!Salvage && RowsUsed != NumRows)
+      return Corrupt("child-tid");
+    if (!Salvage && ArgOffsets[N] != PoolCount)
+      return Corrupt("argument-slice");
   }
   uint64_t EntriesDropped = Declared - N;
   if (EntriesDropped != 0) {
@@ -686,29 +711,35 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
 
   // Columns loaded under symbol identity are borrowed zero-copy from the
   // file bytes (Backing keeps them alive); otherwise they are copied into
-  // owned storage and remapped below.
+  // owned storage and remapped below. A salvaged prefix keeps the pool
+  // its slices reach (validated for every kept entry) and the child-tid
+  // rows of its entries.
   size_t Count = static_cast<size_t>(N);
-  auto Fill = [&](auto &Col, const uint8_t *Data, size_t Len) {
+  size_t PoolUsed = Count != 0 ? ArgOffsets[Count] : 0;
+  auto Fill = [&](auto &Col, const void *Data, size_t Len) {
     using Elem =
         std::remove_const_t<std::remove_pointer_t<decltype(Col.data())>>;
-    const auto *Elems = reinterpret_cast<const Elem *>(Data);
+    const auto *Elems = static_cast<const Elem *>(Data);
     if (Identity)
       Col.borrow(Elems, Len);
     else
       Col.append(Elems, Len);
   };
-  Fill(T.Tids, S[SecTid].Data, Count);
-  Fill(T.Methods, S[SecMethod].Data, Count);
-  Fill(T.Selfs, S[SecSelf].Data, Count);
-  Fill(T.Kinds, S[SecKind].Data, Count);
-  Fill(T.Names, S[SecEvName].Data, Count);
-  Fill(T.Targets, S[SecTarget].Data, Count);
-  Fill(T.Values, S[SecValue].Data, Count);
-  Fill(T.ArgsBegins, S[SecArgsBegin].Data, Count);
-  Fill(T.ArgsEnds, S[SecArgsEnd].Data, Count);
-  Fill(T.ChildTids, S[SecChildTid].Data, Count);
+  Fill(T.Tids, Tids, Count);
+  Fill(T.Methods, Methods, Count);
+  Fill(T.SelfIds, SelfIds, Count);
+  Fill(T.Kinds, Kinds, Count);
+  Fill(T.Names, Names, Count);
+  Fill(T.TargetIds, TargetIds, Count);
+  Fill(T.Values, Values, Count);
+  if (Count != 0)
+    Fill(T.ArgOffsets, ArgOffsets, Count + 1);
+  else
+    T.ArgOffsets.push_back(0); // No entries: no slices into the pool.
   Fill(T.Provs, S[SecProv].Data, Count);
-  Fill(T.ArgPool, AS.Data + 8, static_cast<size_t>(PoolCount));
+  Fill(T.Objects, Objects, static_cast<size_t>(NumObjects));
+  Fill(T.ChildTidTable, Rows, static_cast<size_t>(RowsUsed));
+  Fill(T.ArgPool, Pool, PoolUsed);
   // Stored fingerprints hash the file's symbol ids: usable only under
   // identity, and only when the lane is intact and complete — they are
   // derived data, and a wrong one would corrupt =e instead of merely
@@ -723,24 +754,24 @@ Expected<Trace> readOneSegment(const std::string &Path, const FileBytes &File,
 
   if (!Identity) {
     // The interner assigned different ids: remap every symbol-bearing
-    // column, then recompute fingerprints (they hash symbol ids). Counted
-    // so repeat-load pipelines can spot that sharing one interner across
-    // loads would make this free.
+    // column and table (class names once per object row), then recompute
+    // fingerprints (they hash symbol ids). Counted so repeat-load
+    // pipelines can spot that sharing one interner across loads would
+    // make this free.
     std::optional<TelemetrySpan> RemapSpan(std::in_place, "remap");
     Symbol *M = T.Methods.mutData();
     Symbol *Nm = T.Names.mutData();
-    ObjRepr *Sf = T.Selfs.mutData();
-    ObjRepr *Tg = T.Targets.mutData();
     ValueRepr *Vl = T.Values.mutData();
     for (size_t K = 0; K != Count; ++K) {
       M[K] = Map[M[K].Id];
       Nm[K] = Map[Nm[K].Id];
-      Sf[K].ClassName = Map[Sf[K].ClassName.Id];
-      Tg[K].ClassName = Map[Tg[K].ClassName.Id];
       Vl[K].Text = Map[Vl[K].Text.Id];
     }
+    ObjRepr *Ob = T.Objects.mutData();
+    for (size_t K = 0; K != T.Objects.size(); ++K)
+      Ob[K].ClassName = Map[Ob[K].ClassName.Id];
     ValueRepr *Pl = T.ArgPool.mutData();
-    for (size_t K = 0; K != PoolCount; ++K)
+    for (size_t K = 0; K != PoolUsed; ++K)
       Pl[K].Text = Map[Pl[K].Text.Id];
     RemapSpan.reset();
     Telemetry::counterAdd("load.fp_recompute", 1);
@@ -783,16 +814,14 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path) {
   W.u64(0); // Reserved.
   W.u64(0); // Reserved.
 
-  // Side tables, each behind a base field that is always 0.
+  // Side tables: strings and threads framed, the rest raw elements.
   size_t NumStrings = T.Strings->size();
   ByteBuffer StringsBuf;
-  StringsBuf.u32(0);
   StringsBuf.u32(static_cast<uint32_t>(NumStrings));
   for (size_t K = 0; K != NumStrings; ++K)
     StringsBuf.str(T.Strings->text(Symbol{static_cast<uint32_t>(K)}));
 
   ByteBuffer ThreadsBuf;
-  ThreadsBuf.u32(0);
   ThreadsBuf.u32(static_cast<uint32_t>(T.Threads.size()));
   for (const ThreadInfo &Thread : T.Threads) {
     ThreadsBuf.u32(Thread.Tid);
@@ -804,26 +833,27 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path) {
       ThreadsBuf.u32(Sym.Id);
   }
 
-  ByteBuffer ArgPoolBuf;
-  ArgPoolBuf.u64(0);
-  ArgPoolBuf.Out.append(reinterpret_cast<const char *>(T.ArgPool.data()),
-                        T.ArgPool.size() * sizeof(ValueRepr));
+  // An entry-less trace built by hand may not have its leading offset.
+  static const uint32_t NoArgs = 0;
+  const uint32_t *ArgOffsets =
+      T.ArgOffsets.empty() ? &NoArgs : T.ArgOffsets.data();
+  size_t PoolLen = std::min<size_t>(ArgOffsets[N], T.ArgPool.size());
 
   std::vector<SectionOut> Sections = {
       {SecName, T.Name.data(), T.Name.size()},
-      {SecStrDelta, StringsBuf.Out.data(), StringsBuf.Out.size()},
-      {SecThreadDelta, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()},
-      {SecArgSlice, ArgPoolBuf.Out.data(), ArgPoolBuf.Out.size()},
+      {SecStrings, StringsBuf.Out.data(), StringsBuf.Out.size()},
+      {SecThreads, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()},
+      {SecArgPool, T.ArgPool.data(), PoolLen * sizeof(ValueRepr)},
+      {SecObjects, T.Objects.data(), T.Objects.byteSize()},
+      {SecChildTids, T.ChildTidTable.data(), T.ChildTidTable.byteSize()},
       {SecTid, T.Tids.data(), N * sizeof(uint32_t)},
       {SecMethod, T.Methods.data(), N * sizeof(Symbol)},
-      {SecSelf, T.Selfs.data(), N * sizeof(ObjRepr)},
+      {SecSelfId, T.SelfIds.data(), N * sizeof(uint32_t)},
       {SecKind, T.Kinds.data(), N * sizeof(uint8_t)},
       {SecEvName, T.Names.data(), N * sizeof(Symbol)},
-      {SecTarget, T.Targets.data(), N * sizeof(ObjRepr)},
+      {SecTargetId, T.TargetIds.data(), N * sizeof(uint32_t)},
       {SecValue, T.Values.data(), N * sizeof(ValueRepr)},
-      {SecArgsBegin, T.ArgsBegins.data(), N * sizeof(uint32_t)},
-      {SecArgsEnd, T.ArgsEnds.data(), N * sizeof(uint32_t)},
-      {SecChildTid, T.ChildTids.data(), N * sizeof(uint32_t)},
+      {SecArgOffsets, ArgOffsets, (N + 1) * sizeof(uint32_t)},
       {SecProv, T.Provs.data(), N * sizeof(uint32_t)},
   };
   if (T.HasFingerprints && T.Fps.size() >= N)

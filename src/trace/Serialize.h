@@ -12,29 +12,30 @@
 /// memory; here a trace is recorded in memory and written whole, so a file
 /// holds exactly one segment.
 ///
-/// There is one on-disk format (version word 6): a file header, one
+/// There is one on-disk format (version word 7): a file header, one
 /// segment, a footer directory listing that segment, and a fixed trailer.
 /// The segment is a header, a table of (id, offset, length, checksum)
 /// section records, and 8-byte-aligned payloads: the entry columns written
-/// verbatim, an optional fingerprint lane, and the side tables (strings,
-/// threads, argument pool). A directory listing any other number of
-/// segments is corrupt. View webs are not persisted: they are rebuilt
-/// from the columns on every load.
+/// verbatim (receiver and target as u32 object ids, argument slices as one
+/// N+1 offset column), an optional fingerprint lane, and the side tables
+/// (strings, threads, argument pool, object table, fork/end child tids). A
+/// directory listing any other number of segments is corrupt. View webs
+/// are not persisted: they are rebuilt from the columns on every load.
 ///
 /// Readers mmap the file (falling back to an aligned arena read), verify
 /// every section checksum, and validate the untrusted bytes (kinds, thread
-/// ids, symbol ids, argument slices). A file whose string table interns to
-/// identical symbol ids — a fresh interner, or one already holding this
-/// exact table — is then *borrowed* zero-copy: the columns, argument pool,
-/// and fingerprint lane stay in the mapping, so loading skips
-/// re-fingerprinting entirely. A file whose symbols re-intern to different
-/// ids is materialized and remapped.
+/// ids, symbol ids, object ids, argument offsets, child-tid rows). A file
+/// whose string table interns to identical symbol ids — a fresh interner,
+/// or one already holding this exact table — is then *borrowed*
+/// zero-copy: the columns, side tables, and fingerprint lane stay in the
+/// mapping, so loading skips re-fingerprinting entirely. A file whose
+/// symbols re-intern to different ids is materialized and remapped.
 ///
 /// Symbols are file-local on disk; readers re-intern through the supplied
 /// StringInterner, so traces written by different runs can be loaded into
 /// one shared interner for differencing. Files with any other version word
-/// (the retired stream, whole-trace, and pre-inline-payload layouts) are
-/// rejected as unsupported.
+/// (the retired stream, whole-trace, pre-inline-payload, and inline-object
+/// layouts) are rejected as unsupported.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,6 +5,7 @@
 #include "support/Hashing.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -29,30 +30,49 @@ TraceEntry Trace::entry(uint32_t Eid) const {
   Entry.Eid = Eid;
   Entry.Tid = Tids[Eid];
   Entry.Method = Methods[Eid];
-  Entry.Self = Selfs[Eid];
+  Entry.Self = self(Eid);
   Entry.Ev.Kind = static_cast<EventKind>(Kinds[Eid]);
   Entry.Ev.Name = Names[Eid];
-  Entry.Ev.Target = Targets[Eid];
+  Entry.Ev.Target = target(Eid);
   Entry.Ev.Value = Values[Eid];
-  Entry.Ev.ArgsBegin = ArgsBegins[Eid];
-  Entry.Ev.ArgsEnd = ArgsEnds[Eid];
-  Entry.Ev.ChildTid = ChildTids[Eid];
+  Entry.Ev.ArgsBegin = ArgOffsets[Eid];
+  Entry.Ev.ArgsEnd = ArgOffsets[Eid + 1];
+  Entry.Ev.ChildTid = childTid(Eid);
   Entry.Prov = Provs[Eid];
   Entry.Fp = Eid < Fps.size() ? Fps[Eid] : 0;
   return Entry;
 }
 
+uint32_t Trace::childTid(uint32_t Eid) const {
+  const ChildTidRow *It = std::lower_bound(
+      ChildTidTable.begin(), ChildTidTable.end(), Eid,
+      [](const ChildTidRow &Row, uint32_t Key) { return Row.Eid < Key; });
+  return It != ChildTidTable.end() && It->Eid == Eid ? It->Tid : 0;
+}
+
 void Trace::append(const TraceEntry &Entry) {
+  const Event &Ev = Entry.Ev;
+  auto AddObject = [this](const ObjRepr &Obj) {
+    if (Objects.empty() ||
+        std::memcmp(&Objects.back(), &Obj, sizeof(ObjRepr)) != 0)
+      Objects.push_back(Obj);
+    return static_cast<uint32_t>(Objects.size() - 1);
+  };
+  if (ArgOffsets.empty())
+    ArgOffsets.push_back(0);
+  assert((Ev.numArgs() == 0 || Ev.ArgsBegin == ArgOffsets.back()) &&
+         "argument slices are appended in pool order");
+  uint32_t Eid = static_cast<uint32_t>(size());
   Tids.push_back(Entry.Tid);
   Methods.push_back(Entry.Method);
-  Selfs.push_back(Entry.Self);
-  Kinds.push_back(static_cast<uint8_t>(Entry.Ev.Kind));
-  Names.push_back(Entry.Ev.Name);
-  Targets.push_back(Entry.Ev.Target);
-  Values.push_back(Entry.Ev.Value);
-  ArgsBegins.push_back(Entry.Ev.ArgsBegin);
-  ArgsEnds.push_back(Entry.Ev.ArgsEnd);
-  ChildTids.push_back(Entry.Ev.ChildTid);
+  SelfIds.push_back(AddObject(Entry.Self));
+  Kinds.push_back(static_cast<uint8_t>(Ev.Kind));
+  Names.push_back(Ev.Name);
+  TargetIds.push_back(AddObject(Ev.Target));
+  Values.push_back(Ev.Value);
+  ArgOffsets.push_back(Ev.numArgs() != 0 ? Ev.ArgsEnd : ArgOffsets.back());
+  if (Ev.Kind == EventKind::Fork || Ev.Kind == EventKind::End)
+    ChildTidTable.push_back({Eid, Ev.ChildTid});
   Provs.push_back(Entry.Prov);
   Fps.push_back(Entry.Fp);
 }
@@ -60,22 +80,20 @@ void Trace::append(const TraceEntry &Entry) {
 void Trace::reserveEntries(size_t N) {
   Tids.reserve(N);
   Methods.reserve(N);
-  Selfs.reserve(N);
+  SelfIds.reserve(N);
   Kinds.reserve(N);
   Names.reserve(N);
-  Targets.reserve(N);
+  TargetIds.reserve(N);
   Values.reserve(N);
-  ArgsBegins.reserve(N);
-  ArgsEnds.reserve(N);
-  ChildTids.reserve(N);
+  ArgOffsets.reserve(N + 1);
   Provs.reserve(N);
 }
 
 uint64_t Trace::storageBytes() const {
-  return Tids.byteSize() + Methods.byteSize() + Selfs.byteSize() +
-         Kinds.byteSize() + Names.byteSize() + Targets.byteSize() +
-         Values.byteSize() + ArgsBegins.byteSize() + ArgsEnds.byteSize() +
-         ChildTids.byteSize() + Provs.byteSize() + Fps.byteSize() +
+  return Tids.byteSize() + Methods.byteSize() + SelfIds.byteSize() +
+         Kinds.byteSize() + Names.byteSize() + TargetIds.byteSize() +
+         Values.byteSize() + ArgOffsets.byteSize() + Provs.byteSize() +
+         Fps.byteSize() + Objects.byteSize() + ChildTidTable.byteSize() +
          ArgPool.byteSize();
 }
 
@@ -191,9 +209,9 @@ uint64_t Trace::entryFingerprint(uint32_t Eid) const {
   EventKind Kind = kind(Eid);
   uint64_t H = hashMix(HashInit, static_cast<uint64_t>(Kind));
   H = hashMix(H, Names[Eid].Id);
-  H = hashMix(H, objFingerprint(Targets[Eid]));
+  H = hashMix(H, objFingerprint(target(Eid)));
   H = hashMix(H, valueFingerprint(Values[Eid]));
-  uint32_t Begin = ArgsBegins[Eid], End = ArgsEnds[Eid];
+  uint32_t Begin = ArgOffsets[Eid], End = ArgOffsets[Eid + 1];
   H = hashMix(H, End - Begin);
   for (uint32_t I = Begin; I != End; ++I)
     H = hashMix(H, valueFingerprint(ArgPool[I]));
@@ -203,7 +221,7 @@ uint64_t Trace::entryFingerprint(uint32_t Eid) const {
   // *correlation*, not event equality), and hashing it would make equal
   // events fingerprint as unequal.
   if (Kind == EventKind::Fork || Kind == EventKind::End) {
-    uint32_t Child = ChildTids[Eid];
+    uint32_t Child = childTid(Eid);
     if (Child < Threads.size())
       H = hashMix(H, Threads[Child].EntryMethod.Id);
     else
@@ -254,7 +272,7 @@ bool rprism::eventEquals(const Trace &TA, uint32_t A, const Trace &TB,
 
   if (TA.Kinds[A] != TB.Kinds[B] || TA.Names[A] != TB.Names[B])
     return false;
-  if (!reprEquals(TA.Targets[A], TB.Targets[B]))
+  if (!reprEquals(TA.target(A), TB.target(B)))
     return false;
   if (!reprEquals(TA.Values[A], TB.Values[B]))
     return false;
@@ -273,7 +291,7 @@ bool rprism::eventEquals(const Trace &TA, uint32_t A, const Trace &TB,
   // be validated, so it never matches.
   EventKind Kind = TA.kind(A);
   if (Kind == EventKind::Fork || Kind == EventKind::End) {
-    uint32_t ChildA = TA.ChildTids[A], ChildB = TB.ChildTids[B];
+    uint32_t ChildA = TA.childTid(A), ChildB = TB.childTid(B);
     if (ChildA >= TA.Threads.size() || ChildB >= TB.Threads.size())
       return false;
     if (TA.Threads[ChildA].EntryMethod != TB.Threads[ChildB].EntryMethod)

@@ -19,8 +19,11 @@
 /// view-web build keys on tid/method/target/self, the lock-step evaluator
 /// on the fingerprint column, the render paths on everything — so packing
 /// per-field keeps each stage's working set to exactly the bytes it
-/// touches (~105 bytes/entry across all columns vs the former 144-byte
-/// array-of-structs entry). Columns are either owned (a vector) or
+/// touches. Only what the analyses read is stored per entry: the receiver
+/// and target objects are 4-byte ids into one per-trace object table
+/// (distinct representations number a fraction of the entries), argument
+/// slices are one N+1 offset column, and the rare fork/end child tids sit
+/// in an (eid, tid) side table. Columns are either owned (a vector) or
 /// *borrowed* zero-copy views into a memory-mapped one-segment trace file;
 /// `Backing` keeps the mapping alive. The eid of an entry is its index:
 /// the recorder assigns eids densely, so no Eid column is stored.
@@ -182,6 +185,18 @@ struct ThreadInfo {
   uint64_t AncestryHash = 0;
 };
 
+/// One row of the fork/end side table: entry \p Eid is a fork or end event
+/// whose spawned or ending thread is \p Tid. Rows are in ascending eid
+/// order, exactly one per fork/end entry.
+struct ChildTidRow {
+  uint32_t Eid = 0;
+  uint32_t Tid = 0;
+};
+
+static_assert(sizeof(ChildTidRow) == 8 &&
+                  std::is_trivially_copyable_v<ChildTidRow>,
+              "ChildTidRow is a packed on-disk table element");
+
 /// A full execution trace, stored as columns indexed by eid (see the file
 /// comment). Hot paths read single columns through the accessors;
 /// entry(eid) materializes a full TraceEntry for rendering, tests, and
@@ -190,21 +205,26 @@ struct Trace {
   std::string Name; ///< For reports ("orig/regressing-input", ...).
   std::shared_ptr<StringInterner> Strings;
 
-  // -- Entry columns (all of length size(); eid == index) -----------------
-  Column<uint32_t> Tids;        ///< Executing thread.
-  Column<Symbol> Methods;       ///< Qualified executing method.
-  Column<ObjRepr> Selfs;        ///< Receiver of the executing method.
-  Column<uint8_t> Kinds;        ///< EventKind, stored as raw bytes.
-  Column<Symbol> Names;         ///< Event name (field/method/class).
-  Column<ObjRepr> Targets;      ///< Event target object.
-  Column<ValueRepr> Values;     ///< Carried value (get/set/return).
-  Column<uint32_t> ArgsBegins;  ///< Argument slice begin, into ArgPool.
-  Column<uint32_t> ArgsEnds;    ///< Argument slice end.
-  Column<uint32_t> ChildTids;   ///< Fork/end: the spawned/ending thread.
-  Column<uint32_t> Provs;       ///< AST NodeId provenance (scoring only).
-  Column<uint64_t> Fps;         ///< Equality fingerprints.
+  // -- Entry columns (length size(), eid == index; ArgOffsets size() + 1) --
+  Column<uint32_t> Tids;       ///< Executing thread.
+  Column<Symbol> Methods;      ///< Qualified executing method.
+  Column<uint32_t> SelfIds;    ///< Receiver of the executing method.
+  Column<uint8_t> Kinds;       ///< EventKind, stored as raw bytes.
+  Column<Symbol> Names;        ///< Event name (field/method/class).
+  Column<uint32_t> TargetIds;  ///< Event target object.
+  Column<ValueRepr> Values;    ///< Carried value (get/set/return).
+  /// Entry K's arguments are ArgPool[ArgOffsets[K], ArgOffsets[K + 1]).
+  Column<uint32_t> ArgOffsets;
+  Column<uint32_t> Provs;      ///< AST NodeId provenance (scoring only).
+  Column<uint64_t> Fps;        ///< Equality fingerprints.
 
   // -- Side tables --------------------------------------------------------
+  /// Object representations; SelfIds and TargetIds index it. A row is a
+  /// (location, representation) state: an object whose representation
+  /// changes gets a new row, so ids are per-trace and never compared
+  /// across traces (equality compares the rows' content).
+  Column<ObjRepr> Objects;
+  Column<ChildTidRow> ChildTidTable; ///< Fork/end child tids, by eid.
   Column<ValueRepr> ArgPool;
   std::vector<ThreadInfo> Threads;
 
@@ -224,28 +244,35 @@ struct Trace {
   // -- Column accessors (hot paths) ---------------------------------------
   uint32_t tid(uint32_t Eid) const { return Tids[Eid]; }
   Symbol method(uint32_t Eid) const { return Methods[Eid]; }
-  const ObjRepr &self(uint32_t Eid) const { return Selfs[Eid]; }
+  const ObjRepr &object(uint32_t ObjId) const { return Objects[ObjId]; }
+  const ObjRepr &self(uint32_t Eid) const { return Objects[SelfIds[Eid]]; }
   EventKind kind(uint32_t Eid) const {
     return static_cast<EventKind>(Kinds[Eid]);
   }
   Symbol name(uint32_t Eid) const { return Names[Eid]; }
-  const ObjRepr &target(uint32_t Eid) const { return Targets[Eid]; }
+  const ObjRepr &target(uint32_t Eid) const {
+    return Objects[TargetIds[Eid]];
+  }
   const ValueRepr &value(uint32_t Eid) const { return Values[Eid]; }
-  uint32_t childTid(uint32_t Eid) const { return ChildTids[Eid]; }
+  /// Fork/end: the spawned or ending thread (0 for every other entry).
+  uint32_t childTid(uint32_t Eid) const;
   uint32_t prov(uint32_t Eid) const { return Provs[Eid]; }
   uint64_t fp(uint32_t Eid) const { return Fps[Eid]; }
   uint32_t numArgs(uint32_t Eid) const {
-    return ArgsEnds[Eid] - ArgsBegins[Eid];
+    return ArgOffsets[Eid + 1] - ArgOffsets[Eid];
   }
   const ValueRepr *args(uint32_t Eid) const {
-    return ArgPool.data() + ArgsBegins[Eid];
+    return ArgPool.data() + ArgOffsets[Eid];
   }
 
   /// Materializes entry \p Eid as a value (Eid field set to the index).
   TraceEntry entry(uint32_t Eid) const;
 
   /// Appends \p Entry, scattering its fields into the columns. The Eid
-  /// field is ignored: the entry's eid is its index.
+  /// field is ignored: the entry's eid is its index. Its Self and Target
+  /// reuse the last object row when byte-equal to it, else add a row. An
+  /// entry with arguments must continue the pool: its ArgsBegin is the
+  /// previous entry's end, so the slices stay one offset column.
   void append(const TraceEntry &Entry);
 
   /// Pre-sizes every entry column for \p N entries (recorders call this
@@ -255,7 +282,7 @@ struct Trace {
   void reserveEntries(size_t N);
 
   /// Fingerprint of entry \p Eid, read from the columns. Pure function of
-  /// the entry fields, the argument pool, and the thread table.
+  /// the entry fields, the argument pool, the object and thread tables.
   uint64_t entryFingerprint(uint32_t Eid) const;
 
   /// Fingerprint of a materialized entry (reference path; must agree with
@@ -273,7 +300,7 @@ struct Trace {
     return ArgPool.data() + Ev.ArgsEnd;
   }
 
-  /// Bytes held by the entry columns and argument pool (the columnar
+  /// Bytes held by the entry columns and side tables (the columnar
   /// footprint reported as bytes_per_entry in benchmarks).
   uint64_t storageBytes() const;
 

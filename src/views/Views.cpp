@@ -34,8 +34,8 @@ ViewWeb::ViewWeb(const Trace &TIn) : T(&TIn) {
   const uint32_t *Tids = T->Tids.data();
   const Symbol *Methods = T->Methods.data();
   const uint8_t *Kinds = T->Kinds.data();
-  const ObjRepr *Targets = T->Targets.data();
-  const ObjRepr *Selfs = T->Selfs.data();
+  const uint32_t *TargetIds = T->TargetIds.data();
+  const uint32_t *SelfIds = T->SelfIds.data();
   const uint32_t N = static_cast<uint32_t>(T->size());
 
   // Keys below twice the entry count index dense tables; larger ones (a
@@ -45,26 +45,47 @@ ViewWeb::ViewWeb(const Trace &TIn) : T(&TIn) {
   for (ViewKeyMap &Map : Keys)
     Map = ViewKeyMap(Bound);
 
+  // Object views key on the location of an object-table row. Each row's
+  // family-local view id is looked up once and cached by row id
+  // (NoView: the row is "no object"), so the passes read 4-byte ids
+  // instead of the rows themselves.
+  constexpr uint32_t Unseen = ViewKeyMap::NoView - 1;
+  std::vector<uint32_t> RowView[2];
+  for (std::vector<uint32_t> &Rows : RowView)
+    Rows.assign(T->Objects.size(), Unseen);
+
   // Pass 1: family-local ids in first-appearance order, entry counts.
   std::vector<uint32_t> FamilyKeys[NumViewFamilies];
   std::vector<uint32_t> Counts[NumViewFamilies];
-  auto Count = [&](size_t F, uint32_t Key) {
-    uint32_t &Local = Keys[F].slot(Key);
-    if (Local == ViewKeyMap::NoView) {
-      Local = static_cast<uint32_t>(FamilyKeys[F].size());
+  auto Local = [&](size_t F, uint32_t Key) {
+    uint32_t &Id = Keys[F].slot(Key);
+    if (Id == ViewKeyMap::NoView) {
+      Id = static_cast<uint32_t>(FamilyKeys[F].size());
       FamilyKeys[F].push_back(Key);
       Counts[F].push_back(0);
     }
-    ++Counts[F][Local];
+    return Id;
+  };
+  auto ObjLocal = [&](size_t F, uint32_t Row) {
+    uint32_t &Id = RowView[F - 2][Row];
+    if (Id == Unseen) {
+      const ObjRepr &Obj = T->object(Row);
+      Id = Obj.isNone() ? ViewKeyMap::NoView : Local(F, Obj.Loc);
+    }
+    return Id;
+  };
+  auto IsObjectEvent = [&](uint32_t Eid) {
+    auto Kind = static_cast<EventKind>(Kinds[Eid]);
+    return Kind != EventKind::Fork && Kind != EventKind::End;
   };
   for (uint32_t Eid = 0; Eid != N; ++Eid) {
-    Count(0, Tids[Eid]);
-    Count(1, Methods[Eid].Id);
-    if (eventHasTargetObject(static_cast<EventKind>(Kinds[Eid]),
-                             Targets[Eid]))
-      Count(2, Targets[Eid].Loc);
-    if (!Selfs[Eid].isNone())
-      Count(3, Selfs[Eid].Loc);
+    ++Counts[0][Local(0, Tids[Eid])];
+    ++Counts[1][Local(1, Methods[Eid].Id)];
+    if (IsObjectEvent(Eid))
+      if (uint32_t Id = ObjLocal(2, TargetIds[Eid]); Id != ViewKeyMap::NoView)
+        ++Counts[2][Id];
+    if (uint32_t Id = ObjLocal(3, SelfIds[Eid]); Id != ViewKeyMap::NoView)
+      ++Counts[3][Id];
   }
 
   // Prefix sum: each view's slice of the flat array, family by family.
@@ -79,28 +100,29 @@ ViewWeb::ViewWeb(const Trace &TIn) : T(&TIn) {
   }
 
   // Pass 2: scatter every entry id into its views' slices. Ascending eids
-  // make each slice ascending.
+  // make each slice ascending. Every row an entry names was cached in
+  // pass 1.
   Flat = std::make_unique_for_overwrite<uint32_t[]>(FlatSize);
   uint32_t *Out = Flat.get();
   for (uint32_t Eid = 0; Eid != N; ++Eid) {
     Out[Cursor[0][Keys[0].find(Tids[Eid])]++] = Eid;
     Out[Cursor[1][Keys[1].find(Methods[Eid].Id)]++] = Eid;
-    if (eventHasTargetObject(static_cast<EventKind>(Kinds[Eid]),
-                             Targets[Eid]))
-      Out[Cursor[2][Keys[2].find(Targets[Eid].Loc)]++] = Eid;
-    if (!Selfs[Eid].isNone())
-      Out[Cursor[3][Keys[3].find(Selfs[Eid].Loc)]++] = Eid;
+    if (IsObjectEvent(Eid))
+      if (uint32_t Id = RowView[0][TargetIds[Eid]]; Id != ViewKeyMap::NoView)
+        Out[Cursor[2][Id]++] = Eid;
+    if (uint32_t Id = RowView[1][SelfIds[Eid]]; Id != ViewKeyMap::NoView)
+      Out[Cursor[3][Id]++] = Eid;
   }
 
   // The views, each written once: a cursor now marks its slice's end.
-  // Object views keep the representations at their first and last events.
+  // Object views keep the object ids at their first and last events.
   size_t NumViews = 0;
   for (size_t F = 0; F != NumViewFamilies; ++F)
     NumViews += Counts[F].size();
   Views.reserve(NumViews);
   for (size_t F = 0; F != NumViewFamilies; ++F) {
     FamilyBase[F] = static_cast<uint32_t>(Views.size());
-    const ObjRepr *Col = F == 2 ? Targets : F == 3 ? Selfs : nullptr;
+    const uint32_t *Col = F == 2 ? TargetIds : F == 3 ? SelfIds : nullptr;
     for (size_t Local = 0; Local != Counts[F].size(); ++Local) {
       View &V = Views.emplace_back();
       V.Type = static_cast<ViewType>(F);
@@ -114,8 +136,8 @@ ViewWeb::ViewWeb(const Trace &TIn) : T(&TIn) {
         V.MethodName = Symbol{Key};
       } else {
         V.Loc = Key;
-        V.FirstRepr = Col[V.Entries.front()];
-        V.LastRepr = Col[V.Entries.back()];
+        V.FirstObj = Col[V.Entries.front()];
+        V.LastObj = Col[V.Entries.back()];
       }
     }
   }
@@ -157,7 +179,7 @@ std::string ViewWeb::render(const View &V, size_t MaxEntries) const {
     break;
   case ViewType::TargetObject:
   case ViewType::ActiveObject:
-    OS << T->renderObj(V.FirstRepr);
+    OS << T->renderObj(firstRepr(V));
     break;
   }
   OS << " (" << V.Entries.size() << " entries)\n";

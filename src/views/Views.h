@@ -59,11 +59,12 @@ struct View {
   Symbol MethodName;      ///< Method views (qualified name).
   uint32_t Loc = NoLoc;   ///< Object views (location within this trace).
 
-  /// Object views: representations observed at the first and last events,
-  /// used by the X_TO/X_AO correlation heuristics (an object's value
-  /// representation evolves during the run, so both endpoints are kept).
-  ObjRepr FirstRepr;
-  ObjRepr LastRepr;
+  /// Object views: object-table ids of the representations observed at
+  /// the first and last events, used by the X_TO/X_AO correlation
+  /// heuristics (an object's value representation evolves during the run,
+  /// so both endpoints are kept). ViewWeb::firstRepr/lastRepr resolve them.
+  uint32_t FirstObj = 0;
+  uint32_t LastObj = 0;
 
   size_t size() const { return Entries.size(); }
 };
@@ -107,7 +108,7 @@ private:
 class ViewWeb {
 public:
   /// Builds every view of \p T in two passes over its tid, method, kind,
-  /// target, and self columns: the first assigns family-local ids in
+  /// target-id, and self-id columns: the first assigns family-local ids in
   /// first-appearance order and counts each view's entries, the second
   /// scatters each entry id into one flat family-ordered array. The trace
   /// must outlive the web. View ids are dense and family-grouped (all
@@ -156,6 +157,14 @@ public:
   }
   const View *activeObjectView(uint32_t Loc) const {
     return lookup(ViewType::ActiveObject, Loc);
+  }
+
+  /// Object views: the representations at the first and last events.
+  const ObjRepr &firstRepr(const View &V) const {
+    return T->object(V.FirstObj);
+  }
+  const ObjRepr &lastRepr(const View &V) const {
+    return T->object(V.LastObj);
   }
 
   /// All views containing entry \p Eid (the nu mappings of Fig. 7): its

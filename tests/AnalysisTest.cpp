@@ -165,11 +165,11 @@ TEST(Analysis, SetSizesAreConsistent) {
   // Every D entry is an A difference.
   for (uint32_t Eid = 0; Eid != Report.DLeft.size(); ++Eid)
     if (Report.DLeft[Eid]) {
-      EXPECT_FALSE(Report.A.LeftSimilar[Eid]);
+      EXPECT_FALSE(Report.A.LeftSimilar.test(Eid));
     }
   for (uint32_t Eid = 0; Eid != Report.DRight.size(); ++Eid)
     if (Report.DRight[Eid]) {
-      EXPECT_FALSE(Report.A.RightSimilar[Eid]);
+      EXPECT_FALSE(Report.A.RightSimilar.test(Eid));
     }
 }
 

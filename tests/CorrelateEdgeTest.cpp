@@ -79,14 +79,14 @@ TEST(CorrelateEdge, SwappedCreationOrderResolvedByValueReprs) {
   for (const View &LV : LW.views()) {
     if (LV.Type != ViewType::TargetObject)
       continue;
-    if (L.Strings->text(LV.FirstRepr.ClassName) != "Tag")
+    if (L.Strings->text(LW.firstRepr(LV).ClassName) != "Tag")
       continue;
     int32_t Partner = X.rightOf(LV.Id);
     ASSERT_GE(Partner, 0);
     const View &RV = RW.view(static_cast<uint32_t>(Partner));
     // Value-correlated: the reprs agree even though creation seqs differ.
-    EXPECT_EQ(LV.FirstRepr.ValueHash, RV.FirstRepr.ValueHash);
-    EXPECT_NE(LV.FirstRepr.CreationSeq, RV.FirstRepr.CreationSeq);
+    EXPECT_EQ(LW.firstRepr(LV).ValueHash, RW.firstRepr(RV).ValueHash);
+    EXPECT_NE(LW.firstRepr(LV).CreationSeq, RW.firstRepr(RV).CreationSeq);
   }
 }
 
@@ -115,7 +115,7 @@ TEST(CorrelateEdge, ValueIdenticalTwinsFallBackToCreationSeq) {
   for (const View &LV : LW.views()) {
     if (LV.Type != ViewType::TargetObject)
       continue;
-    if (L.Strings->text(LV.FirstRepr.ClassName) != "Cell")
+    if (L.Strings->text(LW.firstRepr(LV).ClassName) != "Cell")
       continue;
     ++CellViews;
     int32_t Partner = X.rightOf(LV.Id);
@@ -180,7 +180,7 @@ TEST(CorrelateEdge, ThreadsPairDespiteExtraThread) {
   DiffResult Result = viewsDiff(LW, RW, X);
   bool ExtraFlagged = false;
   for (uint32_t Eid = 0; Eid != R.size(); ++Eid)
-    if (!Result.RightSimilar[Eid] && R.tid(Eid) == 2)
+    if (!Result.RightSimilar.test(Eid) && R.tid(Eid) == 2)
       ExtraFlagged = true;
   EXPECT_TRUE(ExtraFlagged);
 }
@@ -240,24 +240,28 @@ TEST(CorrelateEdge, ValueKeyNeverLinksAcrossClasses) {
   ViewWeb Before(L);
   for (const View &V : Before.views())
     if (V.Type == ViewType::TargetObject &&
-        Strings->text(V.LastRepr.ClassName) == "A")
+        Strings->text(Before.lastRepr(V).ClassName) == "A")
       LeftA = &V;
   ASSERT_NE(LeftA, nullptr);
-  ASSERT_TRUE(LeftA->LastRepr.HasRepr);
-  uint32_t AId = LeftA->LastRepr.ClassName.Id;
-  uint64_t AHash = LeftA->LastRepr.ValueHash;
+  const ObjRepr &LastA = Before.lastRepr(*LeftA);
+  ASSERT_TRUE(LastA.HasRepr);
+  uint32_t AId = LastA.ClassName.Id;
+  uint64_t AHash = LastA.ValueHash;
 
-  // Patch the last entry of the right side's B target-object view.
-  ObjRepr *Targets = R.Targets.mutData();
+  // Patch the last entry of the right side's B target-object view: point
+  // it at a new object row holding the colliding hash.
   int64_t LastB = -1;
   for (uint32_t Eid = 0; Eid != R.size(); ++Eid)
-    if (eventHasTargetObject(R.kind(Eid), Targets[Eid]) &&
-        Strings->text(Targets[Eid].ClassName) == "B")
+    if (eventHasTargetObject(R.kind(Eid), R.target(Eid)) &&
+        Strings->text(R.target(Eid).ClassName) == "B")
       LastB = Eid;
   ASSERT_GE(LastB, 0);
-  uint32_t BId = Targets[LastB].ClassName.Id;
+  ObjRepr Patched = R.target(LastB);
+  uint32_t BId = Patched.ClassName.Id;
   ASSERT_NE(AId, BId);
-  Targets[LastB].ValueHash = AHash ^ (static_cast<uint64_t>(AId ^ BId) << 32);
+  Patched.ValueHash = AHash ^ (static_cast<uint64_t>(AId ^ BId) << 32);
+  R.TargetIds.mut(LastB) = static_cast<uint32_t>(R.Objects.size());
+  R.Objects.push_back(Patched);
 
   ViewWeb LW(L);
   ViewWeb RW(R);
@@ -267,8 +271,8 @@ TEST(CorrelateEdge, ValueKeyNeverLinksAcrossClasses) {
     if (LV.Type != ViewType::TargetObject || X.rightOf(LV.Id) < 0)
       continue;
     const View &RV = RW.view(static_cast<uint32_t>(X.rightOf(LV.Id)));
-    EXPECT_EQ(Strings->text(LV.FirstRepr.ClassName),
-              Strings->text(RV.FirstRepr.ClassName))
+    EXPECT_EQ(Strings->text(LW.firstRepr(LV).ClassName),
+              Strings->text(RW.firstRepr(RV).ClassName))
         << "target-object view linked across classes";
   }
 }

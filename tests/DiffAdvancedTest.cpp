@@ -165,11 +165,11 @@ TEST(ModificationStep, ValueChangeInReturnIsNotBlurredAway) {
   bool FoundLeftRet = false;
   bool FoundRightRet = false;
   for (uint32_t Eid = 0; Eid != L.size(); ++Eid)
-    if (!Result.LeftSimilar[Eid] && L.kind(Eid) == EventKind::Return &&
+    if (!Result.LeftSimilar.test(Eid) && L.kind(Eid) == EventKind::Return &&
         L.Strings->text(L.Names[Eid]) == "P.check")
       FoundLeftRet = true;
   for (uint32_t Eid = 0; Eid != R.size(); ++Eid)
-    if (!Result.RightSimilar[Eid] && R.kind(Eid) == EventKind::Return &&
+    if (!Result.RightSimilar.test(Eid) && R.kind(Eid) == EventKind::Return &&
         R.Strings->text(R.Names[Eid]) == "P.check")
       FoundRightRet = true;
   EXPECT_TRUE(FoundLeftRet) << Result.render();
@@ -290,7 +290,7 @@ TEST(ViewsDiffOptionsTest, SimilaritySetUnionAcrossThreads) {
   EXPECT_EQ(Result.numDiffs(), 0u);
   // All entries similar, across all three threads.
   for (uint32_t Eid = 0; Eid != L.size(); ++Eid)
-    EXPECT_TRUE(Result.LeftSimilar[Eid]);
+    EXPECT_TRUE(Result.LeftSimilar.test(Eid));
 }
 
 TEST(SequenceSummary, NamesTheDominantMethodAndObjects) {

@@ -272,11 +272,11 @@ TEST_P(DiffEngineTest, SimilarityFlagsAreConsistentWithSequences) {
   uint64_t InSequences = 0;
   for (const DiffSequence &Seq : Result.Sequences) {
     for (uint32_t Eid : Seq.LeftEids) {
-      EXPECT_FALSE(Result.LeftSimilar[Eid]);
+      EXPECT_FALSE(Result.LeftSimilar.test(Eid));
       ++InSequences;
     }
     for (uint32_t Eid : Seq.RightEids) {
-      EXPECT_FALSE(Result.RightSimilar[Eid]);
+      EXPECT_FALSE(Result.RightSimilar.test(Eid));
       ++InSequences;
     }
   }
@@ -633,9 +633,9 @@ TEST(ViewsDiff, MultiPairMergeIsDeterministicAcrossJobs) {
         Telemetry::get().setEnabled(false);
         for (const DiffSequence &Seq : Out.Sequences) {
           for (uint32_t Eid : Seq.LeftEids)
-            ASSERT_FALSE(Out.LeftSimilar[Eid]) << "left entry " << Eid;
+            ASSERT_FALSE(Out.LeftSimilar.test(Eid)) << "left entry " << Eid;
           for (uint32_t Eid : Seq.RightEids)
-            ASSERT_FALSE(Out.RightSimilar[Eid]) << "right entry " << Eid;
+            ASSERT_FALSE(Out.RightSimilar.test(Eid)) << "right entry " << Eid;
         }
         if (!Ref) {
           MultiPairWithAnchors += Snap.counter("correlate.thread_pairs") >= 3 &&
@@ -686,8 +686,8 @@ TEST(DiffResult, SummaryOfALongSequenceRendersEachObjectOnce) {
   std::set<std::string> Objects;
   for (uint32_t Eid = 0; Eid != 10000; ++Eid) {
     ++MethodCounts[T.Methods[Eid].Id];
-    if (!T.Targets[Eid].isNone())
-      Objects.insert(T.renderObj(T.Targets[Eid]));
+    if (!T.target(Eid).isNone())
+      Objects.insert(T.renderObj(T.target(Eid)));
   }
   ASSERT_EQ(Objects.size(), 2u);
   auto Dominant = std::max_element(

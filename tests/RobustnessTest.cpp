@@ -30,6 +30,7 @@
 #include "robustness/Retry.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
+#include "support/Hashing.h"
 #include "support/Telemetry.h"
 #include "trace/Serialize.h"
 #include "trace/TraceError.h"
@@ -303,14 +304,10 @@ Trace relocatedTrace(uint32_t Loc) {
     class A { Int x; A(Int x) { this.x = x; } Int get() { return this.x; } }
     main { var a = new A(5); var b = new A(6); print(a.get() + b.get()); }
   )");
-  ObjRepr *Targets = T.Targets.mutData();
-  ObjRepr *Selfs = T.Selfs.mutData();
-  for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
-    if (!Targets[Eid].isNone())
-      Targets[Eid].Loc = Loc - Targets[Eid].Loc;
-    if (!Selfs[Eid].isNone())
-      Selfs[Eid].Loc = Loc - Selfs[Eid].Loc;
-  }
+  ObjRepr *Objects = T.Objects.mutData();
+  for (uint32_t Id = 0; Id != T.Objects.size(); ++Id)
+    if (!Objects[Id].isNone())
+      Objects[Id].Loc = Loc - Objects[Id].Loc;
   return T;
 }
 
@@ -443,6 +440,185 @@ TEST(HostileValues, ThreadIdsOutsideTheThreadTableAreCorrupt) {
   std::remove(Path.c_str());
 }
 
+
+/// Loads \p Path strictly and under salvage. The strict read must fail
+/// with a typed corrupt-section error. The salvage read must either fail
+/// typed (trace.unsalvageable) or return a prefix of \p Orig that renders
+/// entry for entry like it; returns that prefix's size (0 when refused).
+size_t expectCorruptOrValidPrefix(const std::string &Path, const Trace &Orig,
+                                  const char *StrictCode = "trace.section") {
+  Expected<Trace> Strict = readTrace(Path, nullptr);
+  EXPECT_FALSE(bool(Strict));
+  if (Strict)
+    return 0;
+  EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
+  EXPECT_EQ(Strict.error().Code, StrictCode) << Strict.error().render();
+  ReadOptions Options;
+  Options.Salvage = true;
+  Expected<Trace> Salvaged = readTrace(Path, nullptr, Options);
+  if (!Salvaged) {
+    EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
+    return 0;
+  }
+  EXPECT_LE(Salvaged->size(), Orig.size());
+  for (uint32_t I = 0; I != Salvaged->size(); ++I)
+    EXPECT_EQ(Salvaged->renderEntry(I), Orig.renderEntry(I)) << I;
+  ViewWeb Web(*Salvaged); // The first consumer of the ids it kept.
+  return Salvaged->size();
+}
+
+/// Rewrites section \p Id of the file at \p Path through \p Patch (a
+/// function of the payload bytes) and re-seals its checksum, so the
+/// change reaches the loader's validation instead of its checksum.
+template <typename PatchFn>
+void patchSection(const std::string &Path, uint32_t Id, PatchFn Patch) {
+  std::vector<uint8_t> Bytes = readAll(Path);
+  SectionRec Sec = findSection(sectionTable(Bytes), Id);
+  ASSERT_EQ(Sec.Id, Id);
+  uint8_t *Payload = Bytes.data() + Sec.Offset;
+  Patch(Payload, static_cast<size_t>(Sec.Length));
+  uint64_t Sum = checksumBytes(Payload, static_cast<size_t>(Sec.Length));
+  std::memcpy(Bytes.data() + Sec.RecordPos + 24, &Sum, 8);
+  writeAll(Path, Bytes);
+}
+
+TEST(HostileValues, CompactLayoutIdsAndOffsetsAreValidated) {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = workloadTrace(Strings);
+  ASSERT_GT(T.size(), 100u);
+  ASSERT_FALSE(T.ChildTidTable.empty());
+  std::string Path = tempPath("compact");
+  uint32_t Mid = static_cast<uint32_t>(T.size() / 2);
+  auto WriteDamaged = [&](auto Damage) {
+    Trace Bad = T;
+    Damage(Bad);
+    ASSERT_TRUE(writeTrace(Bad, Path));
+  };
+
+  {
+    SCOPED_TRACE("target id past the object table");
+    WriteDamaged([&](Trace &B) {
+      B.TargetIds.mut(Mid) = static_cast<uint32_t>(B.Objects.size());
+    });
+    EXPECT_EQ(expectCorruptOrValidPrefix(Path, T), Mid);
+  }
+  {
+    SCOPED_TRACE("self id 0xffffffff");
+    WriteDamaged([&](Trace &B) { B.SelfIds.mut(Mid) = ~0u; });
+    EXPECT_EQ(expectCorruptOrValidPrefix(Path, T), Mid);
+  }
+  {
+    SCOPED_TRACE("non-monotone argument offsets");
+    uint32_t WithArgs = Mid;
+    while (WithArgs != T.size() && T.numArgs(WithArgs) == 0)
+      ++WithArgs;
+    ASSERT_LT(WithArgs, T.size());
+    WriteDamaged([&](Trace &B) {
+      B.ArgOffsets.mut(WithArgs) = B.ArgOffsets[WithArgs + 1] + 1;
+    });
+    size_t Kept = expectCorruptOrValidPrefix(Path, T);
+    EXPECT_GT(Kept, 0u);
+    EXPECT_LE(Kept, WithArgs);
+  }
+  {
+    SCOPED_TRACE("last offset past the pool");
+    WriteDamaged([&](Trace &B) { ++B.ArgOffsets.mut(B.size()); });
+    EXPECT_EQ(expectCorruptOrValidPrefix(Path, T), T.size() - 1);
+  }
+  {
+    SCOPED_TRACE("last offset short of the pool");
+    // Every offset clamped to one below the pool size: each slice still
+    // lies in the pool, but the last one no longer ends where the pool
+    // does. Salvage keeps every entry, with the slices the file states.
+    uint32_t Short = T.ArgOffsets[T.size()] - 1;
+    auto Clamp = [Short](uint8_t *P, size_t Len) {
+      for (size_t At = 0; At + 4 <= Len; At += 4) {
+        uint32_t Off;
+        std::memcpy(&Off, P + At, 4);
+        Off = std::min(Off, Short);
+        std::memcpy(P + At, &Off, 4);
+      }
+    };
+    Trace Clamped = T;
+    Clamp(reinterpret_cast<uint8_t *>(Clamped.ArgOffsets.mutData()),
+          Clamped.ArgOffsets.byteSize());
+    ASSERT_TRUE(writeTrace(T, Path));
+    patchSection(Path, 17, Clamp);
+    EXPECT_EQ(expectCorruptOrValidPrefix(Path, Clamped), T.size());
+  }
+  {
+    SCOPED_TRACE("child tid past the thread table");
+    uint32_t ForkEid = T.ChildTidTable[0].Eid;
+    WriteDamaged([&](Trace &B) {
+      B.ChildTidTable.mut(0).Tid = static_cast<uint32_t>(B.Threads.size());
+    });
+    EXPECT_EQ(expectCorruptOrValidPrefix(Path, T), ForkEid);
+  }
+  {
+    SCOPED_TRACE("child-tid row on an entry that is no fork or end");
+    ASSERT_NE(T.ChildTidTable[0].Eid, 0u);
+    WriteDamaged([&](Trace &B) { B.ChildTidTable.mut(0).Eid = 0; });
+    EXPECT_EQ(expectCorruptOrValidPrefix(Path, T), 0u);
+  }
+  {
+    SCOPED_TRACE("object row naming no string");
+    WriteDamaged([&](Trace &B) {
+      B.Objects.mut(B.Objects.size() - 1).ClassName = Symbol{~0u};
+    });
+    EXPECT_EQ(expectCorruptOrValidPrefix(Path, T), 0u);
+  }
+  // An entry-less file has one offset and no entry to validate it: a
+  // salvage read must neither trust it nor read a missing section. The
+  // busy interner makes the load copy (and remap) what it keeps.
+  auto ExpectEmptySalvage = [&](const Trace &Empty) {
+    EXPECT_EQ(expectCorruptOrValidPrefix(Path, Empty), 0u);
+    auto Busy = std::make_shared<StringInterner>();
+    Busy->intern("occupying-symbol-id-one");
+    ReadOptions Options;
+    Options.Salvage = true;
+    Expected<Trace> Salvaged = readTrace(Path, Busy, Options);
+    ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+    EXPECT_EQ(Salvaged->size(), 0u);
+    ASSERT_EQ(Salvaged->ArgOffsets.size(), 1u);
+    EXPECT_EQ(Salvaged->ArgOffsets[0], 0u);
+    EXPECT_TRUE(Salvaged->ArgPool.empty());
+  };
+  Trace Empty;
+  Empty.Strings = Strings;
+  {
+    SCOPED_TRACE("entry-less file without an offsets section");
+    ASSERT_TRUE(writeTrace(Empty, Path));
+    std::vector<uint8_t> Bytes = readAll(Path);
+    SectionRec Offsets = findSection(sectionTable(Bytes), 17);
+    ASSERT_EQ(Offsets.Id, 17u);
+    uint32_t Unknown = 99; // Readers skip ids they do not know.
+    std::memcpy(Bytes.data() + Offsets.RecordPos, &Unknown, 4);
+    writeAll(Path, Bytes);
+    ExpectEmptySalvage(Empty);
+  }
+  {
+    SCOPED_TRACE("entry-less file whose one offset is past the pool");
+    ASSERT_TRUE(writeTrace(Empty, Path));
+    patchSection(Path, 17, [](uint8_t *P, size_t Len) {
+      ASSERT_EQ(Len, 4u);
+      uint32_t Huge = ~0u;
+      std::memcpy(P, &Huge, 4);
+    });
+    ExpectEmptySalvage(Empty);
+  }
+  {
+    SCOPED_TRACE("damaged object table");
+    ASSERT_TRUE(writeTrace(T, Path));
+    std::vector<uint8_t> Bytes = readAll(Path);
+    SectionRec Objects = findSection(sectionTable(Bytes), 23);
+    ASSERT_GT(Objects.Length, 0u);
+    Bytes[static_cast<size_t>(Objects.Offset + Objects.Length / 2)] ^= 0x20;
+    writeAll(Path, Bytes);
+    EXPECT_EQ(expectCorruptOrValidPrefix(Path, T, "trace.section_checksum"),
+              0u);
+  }
+  std::remove(Path.c_str());
+}
 
 TEST(CorruptionMatrix, SectionOffsetFarPastTheFileIsNeverDereferenced) {
   auto Strings = std::make_shared<StringInterner>();
@@ -596,22 +772,32 @@ TEST(DegradationLadder, PoolDispatchStallsNeverChangeResults) {
 //===----------------------------------------------------------------------===//
 
 /// Asserts that every entry column of \p S is a byte-identical prefix of
-/// \p T's (the --salvage acceptance criterion: recovered entries are the
-/// original bytes, not a reconstruction).
+/// \p T's, and its side tables the parts of T's that prefix reaches (the
+/// --salvage acceptance criterion: recovered entries are the original
+/// bytes, not a reconstruction).
 void expectByteIdenticalPrefix(const Trace &T, const Trace &S) {
   size_t N = S.size();
   ASSERT_LE(N, T.size());
   EXPECT_EQ(0, std::memcmp(T.Tids.data(), S.Tids.data(), N * 4));
   EXPECT_EQ(0, std::memcmp(T.Methods.data(), S.Methods.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.Selfs.data(), S.Selfs.data(), N * 24));
+  EXPECT_EQ(0, std::memcmp(T.SelfIds.data(), S.SelfIds.data(), N * 4));
   EXPECT_EQ(0, std::memcmp(T.Kinds.data(), S.Kinds.data(), N));
   EXPECT_EQ(0, std::memcmp(T.Names.data(), S.Names.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.Targets.data(), S.Targets.data(), N * 24));
+  EXPECT_EQ(0, std::memcmp(T.TargetIds.data(), S.TargetIds.data(), N * 4));
   EXPECT_EQ(0, std::memcmp(T.Values.data(), S.Values.data(), N * 16));
-  EXPECT_EQ(0, std::memcmp(T.ArgsBegins.data(), S.ArgsBegins.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.ArgsEnds.data(), S.ArgsEnds.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.ChildTids.data(), S.ChildTids.data(), N * 4));
+  ASSERT_EQ(S.ArgOffsets.size(), N + 1);
+  EXPECT_EQ(0,
+            std::memcmp(T.ArgOffsets.data(), S.ArgOffsets.data(), (N + 1) * 4));
   EXPECT_EQ(0, std::memcmp(T.Provs.data(), S.Provs.data(), N * 4));
+  EXPECT_EQ(S.ArgPool.size(), S.ArgOffsets[N]);
+  EXPECT_EQ(0, std::memcmp(T.ArgPool.data(), S.ArgPool.data(),
+                           S.ArgPool.byteSize()));
+  ASSERT_EQ(S.Objects.size(), T.Objects.size());
+  EXPECT_EQ(0, std::memcmp(T.Objects.data(), S.Objects.data(),
+                           S.Objects.byteSize()));
+  ASSERT_LE(S.ChildTidTable.size(), T.ChildTidTable.size());
+  EXPECT_EQ(0, std::memcmp(T.ChildTidTable.data(), S.ChildTidTable.data(),
+                           S.ChildTidTable.byteSize()));
 }
 
 TEST(Salvage, TruncatedOneSegmentRecoversByteIdenticalPrefix) {
@@ -625,10 +811,10 @@ TEST(Salvage, TruncatedOneSegmentRecoversByteIdenticalPrefix) {
   // Cut points derived from the section table, not guessed fractions. In
   // the columnar layout a truncation mid-column leaves every *later*
   // required column absent, so only cuts in the trailing sections — the
-  // last entry column (Prov, id 20) and the derived fingerprint lane
-  // (Fp, id 21) — can recover entries. An earlier cut is refused.
+  // last entry column (Prov, id 18) and the derived fingerprint lane
+  // (Fp, id 19) — can recover entries. An earlier cut is refused.
   std::vector<SectionRec> Table = sectionTable(Good);
-  SectionRec Prov = findSection(Table, 20), Fp = findSection(Table, 21),
+  SectionRec Prov = findSection(Table, 18), Fp = findSection(Table, 19),
              Value = findSection(Table, 16);
   ASSERT_TRUE(Prov.Id && Fp.Id && Value.Id);
 
@@ -643,7 +829,7 @@ TEST(Salvage, TruncatedOneSegmentRecoversByteIdenticalPrefix) {
       {"mid-prov", size_t(Prov.Offset + Prov.Length / 2), true, true},
       // Mid-fingerprints: all entries survive, fps are recomputed.
       {"mid-fp", size_t(Fp.Offset + Fp.Length / 2), true, false},
-      // Mid-Value: ArgsBegin onward is gone entirely — refused.
+      // Mid-Value: ArgOffsets onward is gone entirely — refused.
       {"mid-value", size_t(Value.Offset + Value.Length / 2), false, false},
   };
   std::string CutPath = tempPath("salvage_cut");
@@ -697,9 +883,9 @@ TEST(Salvage, DamagedSideTableIsUnsalvageable) {
   std::vector<uint8_t> Bytes = readAll(Path);
   // Flip a byte inside the string table: entries are meaningless without
   // it, so salvage must refuse rather than return garbage symbols.
-  SectionRec StrDelta = findSection(sectionTable(Bytes), 24);
-  ASSERT_GT(StrDelta.Length, 0u);
-  Bytes[static_cast<size_t>(StrDelta.Offset + StrDelta.Length / 2)] ^= 0x10;
+  SectionRec StringTable = findSection(sectionTable(Bytes), 20);
+  ASSERT_GT(StringTable.Length, 0u);
+  Bytes[static_cast<size_t>(StringTable.Offset + StringTable.Length / 2)] ^= 0x10;
   writeAll(Path, Bytes);
 
   ReadOptions Options;

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 
 using namespace rprism;
 
@@ -269,11 +270,11 @@ TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
   EXPECT_TRUE(Loaded->HasFingerprints);
   for (bool Borrowed :
        {Loaded->Tids.borrowed(), Loaded->Methods.borrowed(),
-        Loaded->Selfs.borrowed(), Loaded->Kinds.borrowed(),
-        Loaded->Names.borrowed(), Loaded->Targets.borrowed(),
-        Loaded->Values.borrowed(), Loaded->ArgsBegins.borrowed(),
-        Loaded->ArgsEnds.borrowed(), Loaded->ChildTids.borrowed(),
+        Loaded->SelfIds.borrowed(), Loaded->Kinds.borrowed(),
+        Loaded->Names.borrowed(), Loaded->TargetIds.borrowed(),
+        Loaded->Values.borrowed(), Loaded->ArgOffsets.borrowed(),
         Loaded->Provs.borrowed(), Loaded->Fps.borrowed(),
+        Loaded->Objects.borrowed(), Loaded->ChildTidTable.borrowed(),
         Loaded->ArgPool.borrowed()})
     EXPECT_TRUE(Borrowed);
 
@@ -284,14 +285,14 @@ TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
   };
   ExpectColumnBytes(T.Tids, Loaded->Tids);
   ExpectColumnBytes(T.Methods, Loaded->Methods);
-  ExpectColumnBytes(T.Selfs, Loaded->Selfs);
+  ExpectColumnBytes(T.SelfIds, Loaded->SelfIds);
   ExpectColumnBytes(T.Kinds, Loaded->Kinds);
   ExpectColumnBytes(T.Names, Loaded->Names);
-  ExpectColumnBytes(T.Targets, Loaded->Targets);
+  ExpectColumnBytes(T.TargetIds, Loaded->TargetIds);
   ExpectColumnBytes(T.Values, Loaded->Values);
-  ExpectColumnBytes(T.ArgsBegins, Loaded->ArgsBegins);
-  ExpectColumnBytes(T.ArgsEnds, Loaded->ArgsEnds);
-  ExpectColumnBytes(T.ChildTids, Loaded->ChildTids);
+  ExpectColumnBytes(T.ArgOffsets, Loaded->ArgOffsets);
+  ExpectColumnBytes(T.Objects, Loaded->Objects);
+  ExpectColumnBytes(T.ChildTidTable, Loaded->ChildTidTable);
   ExpectColumnBytes(T.Provs, Loaded->Provs);
   ExpectColumnBytes(T.Fps, Loaded->Fps);
   ExpectColumnBytes(T.ArgPool, Loaded->ArgPool);
@@ -611,7 +612,7 @@ TEST(SerializeSegments, WriteTraceWritesOneSegment) {
   std::memcpy(&Version, Bytes.data() + 4, 4);
   std::memcpy(&Target, Bytes.data() + 12, 4);
   std::memcpy(&Segments, Bytes.data() + Bytes.size() - 8, 4);
-  EXPECT_EQ(Version, 6u);
+  EXPECT_EQ(Version, 7u);
   EXPECT_EQ(Target, T.size());
   EXPECT_EQ(Segments, 1u) << "a whole trace is one segment";
   Expected<Trace> Loaded = readTrace(Path, nullptr);
@@ -885,9 +886,9 @@ TEST(EventEquals, ForkChildTidOutOfBoundsIsNotEqual) {
   // reject it instead of indexing out of bounds.
   Trace Bad = T;
   bool FoundFork = false;
-  for (uint32_t Eid = 0; Eid != Bad.size(); ++Eid)
-    if (Bad.kind(Eid) == EventKind::Fork) {
-      Bad.ChildTids.mut(Eid) = 1000;
+  for (size_t Row = 0; Row != Bad.ChildTidTable.size(); ++Row)
+    if (Bad.kind(Bad.ChildTidTable[Row].Eid) == EventKind::Fork) {
+      Bad.ChildTidTable.mut(Row).Tid = 1000;
       FoundFork = true;
     }
   ASSERT_TRUE(FoundFork);
@@ -1139,6 +1140,150 @@ TEST(ValueDiversePair, SecondLoadBorrowsAndFileDiffMatchesInMemory) {
 }
 
 //===----------------------------------------------------------------------===//
+// Compact entries: object table, argument offsets, child-tid side table
+//===----------------------------------------------------------------------===//
+
+/// Field-by-field equality of one materialized entry across two traces
+/// that may use different interners (symbols compare by text).
+void expectSameEntry(const Trace &A, const Trace &B, uint32_t Eid) {
+  TraceEntry EA = A.entry(Eid), EB = B.entry(Eid);
+  auto Text = [](const Trace &T, Symbol S) { return T.Strings->text(S); };
+  auto SameObj = [&](const ObjRepr &X, const ObjRepr &Y) {
+    return X.ValueHash == Y.ValueHash && X.Loc == Y.Loc &&
+           Text(A, X.ClassName) == Text(B, Y.ClassName) &&
+           X.CreationSeq == Y.CreationSeq && X.HasRepr == Y.HasRepr;
+  };
+  auto SameValue = [&](const ValueRepr &X, const ValueRepr &Y) {
+    return X.Kind == Y.Kind && X.Bits == Y.Bits &&
+           Text(A, X.Text) == Text(B, Y.Text);
+  };
+  SCOPED_TRACE("entry " + std::to_string(Eid) + ": " + A.renderEntry(Eid));
+  EXPECT_EQ(EA.Eid, EB.Eid);
+  EXPECT_EQ(EA.Tid, EB.Tid);
+  EXPECT_EQ(Text(A, EA.Method), Text(B, EB.Method));
+  EXPECT_TRUE(SameObj(EA.Self, EB.Self));
+  EXPECT_EQ(EA.Ev.Kind, EB.Ev.Kind);
+  EXPECT_EQ(Text(A, EA.Ev.Name), Text(B, EB.Ev.Name));
+  EXPECT_TRUE(SameObj(EA.Ev.Target, EB.Ev.Target));
+  EXPECT_TRUE(SameValue(EA.Ev.Value, EB.Ev.Value));
+  EXPECT_EQ(EA.Ev.ArgsBegin, EB.Ev.ArgsBegin);
+  EXPECT_EQ(EA.Ev.ArgsEnd, EB.Ev.ArgsEnd);
+  for (uint32_t K = EA.Ev.ArgsBegin; K != EA.Ev.ArgsEnd; ++K)
+    EXPECT_TRUE(SameValue(A.ArgPool[K], B.ArgPool[K])) << "argument " << K;
+  EXPECT_EQ(EA.Ev.ChildTid, EB.Ev.ChildTid);
+  EXPECT_EQ(EA.Prov, EB.Prov);
+  EXPECT_EQ(A.renderEntry(Eid), B.renderEntry(Eid));
+}
+
+TEST(CompactLayout, GeneratedPairsRoundTripEntryForEntryUnderRemap) {
+  // Per seed: a base program and a perturbed one, recorded in one
+  // interner, written, and loaded into an interner whose ids are all
+  // shifted (so every symbol, class names of object rows included, is
+  // remapped). Every entry materializes as before, and the loaded pair
+  // diffs to the same report and compare-op total as the recorded pair.
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    GeneratorOptions G;
+    G.NumClasses = 3;
+    G.OuterIters = 6;
+    G.NumThreads = 1 + Seed % 3;
+    G.Seed = Seed;
+    G.ReorderBlock = Seed % 4 == 0;
+    auto Live = std::make_shared<StringInterner>();
+    Trace L = traceOf(generateProgram(G), Live);
+    G.Perturb = 1 + Seed % 3;
+    Trace R = traceOf(generateProgram(G), Live);
+    ASSERT_GT(L.size(), 0u);
+
+    std::string LPath = tempPath("compact_l"), RPath = tempPath("compact_r");
+    ASSERT_TRUE(writeTrace(L, LPath));
+    ASSERT_TRUE(writeTrace(R, RPath));
+    auto Remapped = std::make_shared<StringInterner>();
+    Remapped->intern("shifts-every-file-symbol-id");
+    Expected<Trace> LL = readTrace(LPath, Remapped);
+    Expected<Trace> RL = readTrace(RPath, Remapped);
+    std::remove(LPath.c_str());
+    std::remove(RPath.c_str());
+    ASSERT_TRUE(bool(LL)) << LL.error().render();
+    ASSERT_TRUE(bool(RL)) << RL.error().render();
+    ASSERT_FALSE(LL->Methods.borrowed()) << "the load did not remap";
+
+    for (const auto &[Orig, Loaded] :
+         {std::pair<const Trace *, const Trace *>{&L, &*LL}, {&R, &*RL}}) {
+      ASSERT_EQ(Orig->size(), Loaded->size());
+      EXPECT_EQ(Orig->Objects.size(), Loaded->Objects.size());
+      for (uint32_t Eid = 0; Eid != Orig->size(); ++Eid)
+        expectSameEntry(*Orig, *Loaded, Eid);
+    }
+
+    DiffResult Recorded = viewsDiff(L, R, ViewsDiffOptions());
+    DiffResult FromFiles = viewsDiff(*LL, *RL, ViewsDiffOptions());
+    EXPECT_EQ(Recorded.render(50, 12), FromFiles.render(50, 12));
+    EXPECT_EQ(Recorded.Stats.CompareOps, FromFiles.Stats.CompareOps);
+  }
+}
+
+TEST(CompactLayout, NoLocationRepeatsAByteEqualObjectRow) {
+  // The recorder adds an object row only when a location's representation
+  // changes: a memo hit or a recomputation that yields the same bytes
+  // keeps the row. Multi-threaded programs invalidate the memo on every
+  // store (the global version), so they exercise the second case.
+  for (unsigned Threads : {1u, 4u}) {
+    GeneratorOptions G;
+    G.OuterIters = 20;
+    G.NumThreads = Threads;
+    Trace T = traceOf(generateProgram(G));
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    ASSERT_GT(T.size(), 0u);
+    ASSERT_GT(T.Objects.size(), 0u);
+    EXPECT_TRUE(T.Objects[0].isNone()) << "row 0 is the no-object row";
+    std::map<uint32_t, uint32_t> LastRowOf;
+    for (uint32_t Row = 0; Row != T.Objects.size(); ++Row) {
+      const ObjRepr &Obj = T.Objects[Row];
+      auto [It, First] = LastRowOf.try_emplace(Obj.Loc, Row);
+      if (!First) {
+        EXPECT_NE(0, std::memcmp(&T.Objects[It->second], &Obj, sizeof(Obj)))
+            << "location " << Obj.Loc << " rows " << It->second << ", "
+            << Row;
+        It->second = Row;
+      }
+    }
+    // Far fewer rows than the receivers and targets they stand for.
+    EXPECT_LT(T.Objects.size(), T.size());
+  }
+}
+
+TEST(CompactLayout, ArgumentOffsetsAndChildTidsMatchTheEvents) {
+  Trace T = traceOf(R"(
+    class W { Int n; W(Int n) { this.n = n; }
+      Int add(Int a, Int b) { return a + b + this.n; } }
+    main { var w = new W(1); w.add(2, 3); spawn w.add(4, 5); }
+  )");
+  ASSERT_EQ(T.ArgOffsets.size(), T.size() + 1);
+  EXPECT_EQ(T.ArgOffsets[0], 0u);
+  EXPECT_EQ(T.ArgOffsets[T.size()], T.ArgPool.size());
+  size_t Forks = 0, Ends = 0;
+  for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
+    EXPECT_LE(T.ArgOffsets[Eid], T.ArgOffsets[Eid + 1]);
+    EventKind Kind = T.kind(Eid);
+    if (Kind != EventKind::Call && Kind != EventKind::Init) {
+      EXPECT_EQ(T.numArgs(Eid), 0u) << T.renderEntry(Eid);
+    }
+    Forks += Kind == EventKind::Fork;
+    Ends += Kind == EventKind::End;
+  }
+  ASSERT_EQ(Forks, 1u);
+  ASSERT_EQ(T.ChildTidTable.size(), Forks + Ends);
+  for (const ChildTidRow &Row : T.ChildTidTable) {
+    EventKind Kind = T.kind(Row.Eid);
+    EXPECT_TRUE(Kind == EventKind::Fork || Kind == EventKind::End);
+    EXPECT_EQ(T.childTid(Row.Eid), Row.Tid);
+    EXPECT_LT(Row.Tid, T.Threads.size());
+  }
+  EXPECT_EQ(T.childTid(0), 0u) << "entries without a row read tid 0";
+}
+
+//===----------------------------------------------------------------------===//
 // Format versions
 //===----------------------------------------------------------------------===//
 
@@ -1149,11 +1294,11 @@ TEST(FormatVersion, FilesFromBeforeInlinePayloadsAreUnsupported) {
   ASSERT_TRUE(writeTrace(T, Path));
   std::string Good = readFileBytes(Path);
   ASSERT_GE(Good.size(), 8u);
-  // 1-2 (stream layout), 3 and 5 (whole-trace layout), and 4 (this
-  // layout before scalar payloads moved inline and the checksums changed)
-  // are retired: a typed version error, not a misleading checksum
-  // mismatch.
-  for (uint32_t OldVersion : {1u, 2u, 3u, 4u, 5u}) {
+  // 1-2 (stream layout), 3 and 5 (whole-trace layout), 4 (this layout
+  // before scalar payloads moved inline and the checksums changed) and 6
+  // (inline object representations, begin/end argument columns) are
+  // retired: a typed version error, not a misleading checksum mismatch.
+  for (uint32_t OldVersion : {1u, 2u, 3u, 4u, 5u, 6u}) {
     SCOPED_TRACE("version " + std::to_string(OldVersion));
     std::string Bytes = Good;
     std::memcpy(Bytes.data() + 4, &OldVersion, 4);

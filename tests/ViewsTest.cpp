@@ -277,8 +277,9 @@ void expectMatchesReference(const ViewWeb &Web) {
   EXPECT_EQ(Web.numTargetObjectViews(), Ref.Families[2].Order.size());
   EXPECT_EQ(Web.numActiveObjectViews(), Ref.Families[3].Order.size());
 
-  const ObjRepr *Cols[NumViewFamilies] = {nullptr, nullptr, T.Targets.data(),
-                                          T.Selfs.data()};
+  const uint32_t *Cols[NumViewFamilies] = {nullptr, nullptr,
+                                           T.TargetIds.data(),
+                                           T.SelfIds.data()};
   uint32_t AbsentKey = 0;
   for (size_t F = 0; F != NumViewFamilies; ++F) {
     const ReferenceWeb::Family &Fam = Ref.Families[F];
@@ -293,11 +294,8 @@ void expectMatchesReference(const ViewWeb &Web) {
       ASSERT_EQ(static_cast<size_t>(V.Type), F);
       ASSERT_EQ(V.Entries.size(), List.size());
       EXPECT_TRUE(std::equal(List.begin(), List.end(), V.Entries.begin()));
-      ObjRepr None;
-      const ObjRepr &First = Cols[F] ? Cols[F][List.front()] : None;
-      const ObjRepr &Last = Cols[F] ? Cols[F][List.back()] : None;
-      EXPECT_EQ(0, std::memcmp(&V.FirstRepr, &First, sizeof(ObjRepr)));
-      EXPECT_EQ(0, std::memcmp(&V.LastRepr, &Last, sizeof(ObjRepr)));
+      EXPECT_EQ(V.FirstObj, Cols[F] ? Cols[F][List.front()] : 0u);
+      EXPECT_EQ(V.LastObj, Cols[F] ? Cols[F][List.back()] : 0u);
       switch (V.Type) {
       case ViewType::Thread:
         EXPECT_EQ(V.Tid, Key);
@@ -418,14 +416,10 @@ TEST(ViewWebProperty, HugeKeysTakeNoTableSizedByValue) {
   // including NoLoc itself (still a real object: it has a class).
   for (uint32_t Loc : {0x7fffffffu, 0xffffffffu}) {
     Trace T = traceOf(CounterProgram);
-    ObjRepr *Targets = T.Targets.mutData();
-    ObjRepr *Selfs = T.Selfs.mutData();
-    for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
-      if (!Targets[Eid].isNone())
-        Targets[Eid].Loc = Loc - Targets[Eid].Loc;
-      if (!Selfs[Eid].isNone())
-        Selfs[Eid].Loc = Loc - Selfs[Eid].Loc;
-    }
+    ObjRepr *Objects = T.Objects.mutData();
+    for (uint32_t Id = 0; Id != T.Objects.size(); ++Id)
+      if (!Objects[Id].isNone())
+        Objects[Id].Loc = Loc - Objects[Id].Loc;
     ViewWeb Web(T);
     SCOPED_TRACE("loc " + std::to_string(Loc));
     expectMatchesReference(Web);
@@ -609,16 +603,17 @@ struct ReferenceCorrelation {
       for (const View &RV : RW.views()) {
         if (RV.Type != Type)
           continue;
-        for (const ObjRepr *Repr : {&RV.LastRepr, &RV.FirstRepr})
+        for (const ObjRepr *Repr : {&RW.lastRepr(RV), &RW.firstRepr(RV)})
           if (Repr->HasRepr)
             ByValue.try_emplace({Repr->ClassName.Id, Repr->ValueHash}, RV.Id);
-        BySeq.try_emplace(
-            {RV.FirstRepr.ClassName.Id, RV.FirstRepr.CreationSeq}, RV.Id);
+        BySeq.try_emplace({RW.firstRepr(RV).ClassName.Id,
+                           RW.firstRepr(RV).CreationSeq},
+                          RV.Id);
       }
       for (const View &LV : LW.views()) {
         if (LV.Type != Type)
           continue;
-        for (const ObjRepr *Repr : {&LV.LastRepr, &LV.FirstRepr}) {
+        for (const ObjRepr *Repr : {&LW.lastRepr(LV), &LW.firstRepr(LV)}) {
           auto It = ByValue.find({Repr->ClassName.Id, Repr->ValueHash});
           if (Repr->HasRepr && It != ByValue.end() && link(LV.Id, It->second))
             break;
@@ -627,8 +622,8 @@ struct ReferenceCorrelation {
       for (const View &LV : LW.views()) {
         if (LV.Type != Type || LeftToRight.count(LV.Id))
           continue;
-        auto It =
-            BySeq.find({LV.FirstRepr.ClassName.Id, LV.FirstRepr.CreationSeq});
+        auto It = BySeq.find(
+            {LW.firstRepr(LV).ClassName.Id, LW.firstRepr(LV).CreationSeq});
         if (It != BySeq.end())
           link(LV.Id, It->second);
       }

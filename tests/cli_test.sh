@@ -121,8 +121,6 @@ grep -q '"nway.mutants": 2' "$WORK/nway_metrics.json" \
 # checksum: every object location L becomes 0xffffffff - L (the largest
 # 32-bit location, which a key table sized by value would wrap on), and,
 # in a second copy, one entry moves to a thread the table does not list.
-# Sections 22/23 (a view index that older writers persisted) are renumbered
-# to an id readers skip, so webs always come from the patched columns.
 cp "$WORK/old.rpt" "$WORK/hugeloc.rpt"
 cp "$WORK/old.rpt" "$WORK/badtid.rpt"
 python3 - "$WORK/hugeloc.rpt" "$WORK/badtid.rpt" <<'EOF'
@@ -162,8 +160,6 @@ def patch(path, fn):
     for i in range(sections):
         rec = seg + 32 + 32 * i
         sid, _, off, length = struct.unpack_from("<IIQQ", data, rec)
-        if sid in (22, 23):
-            struct.pack_into("<I", data, rec, 99)
         payload = bytearray(data[seg + off:seg + off + length])
         if fn(sid, payload, entries):
             data[seg + off:seg + off + length] = payload
@@ -171,9 +167,9 @@ def patch(path, fn):
     open(path, "wb").write(data)
 
 def huge_locations(sid, payload, entries):
-    if sid not in (12, 15):  # self and target columns, 24-byte ObjRepr
+    if sid != 23:  # object table, 24-byte ObjRepr rows
         return False
-    for k in range(entries):
+    for k in range(len(payload) // 24):
         loc, = struct.unpack_from("<I", payload, 24 * k + 8)
         if loc != 0xFFFFFFFF:
             struct.pack_into("<I", payload, 24 * k + 8, 0xFFFFFFFF - loc)

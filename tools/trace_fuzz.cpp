@@ -12,7 +12,10 @@
 /// truncation, bit flips, byte overwrites, section-table and header
 /// tampering, zeroed ranges, appended garbage, plus the segment framing:
 /// trailer fields, footer-directory records, the segment header, and a
-/// footer offset whose sum with the footer length wraps around 2^64 — and
+/// footer offset whose sum with the footer length wraps around 2^64, plus
+/// in-section rewrites of object ids, argument offsets, child-tid rows and
+/// object-table class names with the section checksum re-sealed, so the
+/// values reach the loader's validation instead of its checksum — and
 /// requires every strict read and salvage read of the mutant to return
 /// cleanly. Every read that succeeds also builds the trace's view web, the
 /// first consumer of the untrusted keys (tids, symbols, locations).
@@ -24,6 +27,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Compiler.h"
+#include "support/Hashing.h"
 #include "runtime/Vm.h"
 #include "trace/Serialize.h"
 #include "views/Views.h"
@@ -78,12 +82,94 @@ bool writeAll(const std::string &Path, const std::vector<uint8_t> &Bytes) {
   return Out.good();
 }
 
-/// Applies one seeded mutation to \p Bytes. Thirteen mutation kinds, chosen
-/// and parameterised by \p Rng; always leaves at least an empty file.
-/// Kinds 9-12 target the segment framing (trailer, footer directory,
+/// Section ids of the version-7 layout that hold ids and offsets into
+/// other tables (see trace/Serialize.cpp).
+constexpr uint32_t SecSelfId = 12, SecTargetId = 15, SecArgOffsets = 17,
+                   SecObjects = 23, SecChildTids = 24;
+
+/// A section located through the first segment's table: the byte offsets
+/// of its table record and payload, and the payload length.
+struct SectionAt {
+  size_t Record = 0;
+  size_t Payload = 0;
+  size_t Length = 0;
+};
+
+/// Finds section \p Id in the segment at byte 32, if its record and whole
+/// payload lie inside \p Bytes.
+bool findSection(const std::vector<uint8_t> &Bytes, uint32_t Id,
+                 SectionAt &Out) {
+  if (Bytes.size() < 64)
+    return false;
+  uint32_t NumSections;
+  std::memcpy(&NumSections, Bytes.data() + 52, 4);
+  for (uint64_t K = 0; K != NumSections; ++K) {
+    size_t Record = 64 + 32 * K;
+    if (Record + 32 > Bytes.size())
+      return false;
+    uint32_t RecId;
+    uint64_t Offset, Length;
+    std::memcpy(&RecId, Bytes.data() + Record, 4);
+    std::memcpy(&Offset, Bytes.data() + Record + 8, 8);
+    std::memcpy(&Length, Bytes.data() + Record + 16, 8);
+    if (RecId != Id)
+      continue;
+    if (Offset > Bytes.size() - 32 || Length > Bytes.size() - 32 - Offset)
+      return false;
+    Out = {Record, 32 + Offset, Length};
+    return true;
+  }
+  return false;
+}
+
+/// Rewrites one id or offset inside a compact-layout section — a self or
+/// target object id, an argument offset, a child-tid row's eid or tid, or
+/// an object row's class name — to a boundary or random value, then
+/// re-seals the section checksum. Returns false when the file no longer
+/// holds the chosen section.
+bool tamperCompactSection(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
+  static constexpr uint32_t Ids[] = {SecSelfId, SecTargetId, SecArgOffsets,
+                                     SecObjects, SecChildTids};
+  uint32_t Id = Ids[Rng() % 5];
+  SectionAt Sec;
+  if (!findSection(Bytes, Id, Sec) || Sec.Length < 4)
+    return false;
+  SectionAt Objects;
+  uint32_t NumObjects = findSection(Bytes, SecObjects, Objects)
+                            ? static_cast<uint32_t>(Objects.Length / 24)
+                            : 0;
+  // Element stride and the byte of the element to rewrite: object ids and
+  // offsets are whole u32 elements; a child-tid row is (eid, tid); an
+  // object row's class name sits at byte 12 of its 24.
+  size_t Stride = Id == SecObjects ? 24 : Id == SecChildTids ? 8 : 4;
+  size_t Elems = Sec.Length / Stride;
+  if (Elems == 0)
+    return false;
+  size_t Elem = static_cast<size_t>(Rng() % Elems);
+  size_t At = Sec.Payload + Elem * Stride;
+  if (Id == SecObjects)
+    At += 12;
+  else if (Id == SecChildTids)
+    At += 4 * (Rng() % 2);
+  uint32_t Old;
+  std::memcpy(&Old, Bytes.data() + At, 4);
+  const uint32_t Choices[] = {NumObjects,     NumObjects - 1, Old + 1,
+                              Old - 1,        0xFFFFFFFFu,    0,
+                              static_cast<uint32_t>(Rng())};
+  uint32_t New = Choices[Rng() % 7];
+  std::memcpy(Bytes.data() + At, &New, 4);
+  uint64_t Sum = checksumBytes(Bytes.data() + Sec.Payload, Sec.Length);
+  std::memcpy(Bytes.data() + Sec.Record + 24, &Sum, 8);
+  return true;
+}
+
+/// Applies one seeded mutation to \p Bytes. Fourteen mutation kinds,
+/// chosen and parameterised by \p Rng; always leaves at least an empty
+/// file. Kinds 9-12 target the segment framing (trailer, footer directory,
 /// segment header, wrapping footer offset); the directory and header
 /// tampers degrade to a plain bit flip once an earlier mutation has
-/// destroyed the trailer.
+/// destroyed the trailer. Kind 13 rewrites ids and offsets inside the
+/// compact-layout sections (a plain bit flip when the section is gone).
 void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
   auto Index = [&](size_t Bound) {
     return Bound ? static_cast<size_t>(Rng() % Bound) : 0;
@@ -107,7 +193,7 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     Bytes.push_back(static_cast<uint8_t>(Rng()));
     return;
   }
-  switch (Rng() % 13) {
+  switch (Rng() % 14) {
   case 0: // Truncate to a random prefix (possibly empty).
     Bytes.resize(Index(Bytes.size() + 1));
     break;
@@ -240,6 +326,10 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     std::memcpy(Bytes.data() + Trailer + 20, &Magic, 4);
     break;
   }
+  case 13: // Re-sealed id/offset rewrite inside a compact-layout section.
+    if (!tamperCompactSection(Bytes, Rng))
+      FlipBit();
+    break;
   }
 }
 
